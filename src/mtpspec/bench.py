@@ -13,25 +13,19 @@ import csv
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .data import EOS_TOKEN, SPECIAL_TOKENS
 from .errors import ConfigError, SequencingError
 from .model import MTPHead, MainModel
-from .specdec import baseline_decode, speculative_decode, write_round_log
+from .specdec import DecodeMetrics, baseline_decode, speculative_decode, write_round_log
 from .vocab import VocabBank, compress_vocab
 
 log = logging.getLogger(__name__)
 
 METHODS = ("baseline", "vanilla-head", "finetuned-head", "finetuned-head+FR")
-
-REPORT_COLUMNS = [
-    "task", "method", "k", "vocab_size", "prompts", "output_tokens", "rounds",
-    "tau", "rates", "tokens_per_s", "tokens_per_s_std", "c_draft",
-    "analytic_speedup", "wall_speedup",
-]
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,6 @@ class BenchTask:
 class RunConfig:
     method: str
     k_depth: int = 3
-    seed: int = 0
     repetitions: int = 1
 
     def __post_init__(self):
@@ -91,92 +84,63 @@ class ReportRow:
         return cls(**obj)
 
 
-@dataclass
-class _Pooled:
-    """Metrics pooled over a task's prompts (single repetition)."""
-    generated: int = 0
-    output_tokens: int = 0
-    rounds: int = 0
-    draft_ns: int = 0
-    draft_steps: int = 0
-    verify_ns: int = 0
-    wall_ns: int = 0
-    reached: dict = field(default_factory=dict)
-    accepted: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
-
-    @property
-    def tau(self) -> float:
-        return self.output_tokens / self.rounds if self.rounds else float("nan")
-
-    @property
-    def c_draft(self) -> float:
-        if not self.draft_steps or not self.rounds:
-            return 0.0
-        return (self.draft_ns / self.draft_steps) / (self.verify_ns / self.rounds)
-
-    def rates(self, k_depth: int) -> list[float]:
-        out = []
-        for k in range(1, k_depth + 1):
-            reached = self.reached.get(k, 0)
-            out.append(_round9(self.accepted.get(k, 0) / reached) if reached else 0.0)
-        return out
+REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
-def _decode_task(task: BenchTask, k_depth: int, main: MainModel, head: MTPHead,
-                 vocab, repetitions: int) -> tuple[_Pooled, float, float]:
-    """Run every prompt; returns pooled metrics plus tokens/s mean and std
-    over repetitions (token outputs must be identical across reps)."""
-    rates_pool = None
+def _row(task: BenchTask, method: str, k_depth: int, vocab_size: int,
+         m: DecodeMetrics, tps: float, tps_std: float, base_tps: float | None,
+         c_draft: float | None = None) -> ReportRow:
+    """The one place a report row is derived from pooled decode metrics.
+
+    c_draft defaults to the row's own measured ratio; wall speedup is 0
+    when there is no baseline throughput to divide by.
+    """
+    c_draft = m.c_draft if c_draft is None else c_draft
+    return ReportRow(
+        task=task.name, method=method, k=k_depth, vocab_size=int(vocab_size),
+        prompts=len(task.prompts), output_tokens=m.output_tokens, rounds=m.rounds,
+        tau=_round9(m.tau),
+        rates=[_round9(m.rate(k)) if m.reached.get(k) else 0.0
+               for k in range(1, k_depth + 1)],
+        tokens_per_s=_round9(tps), tokens_per_s_std=_round9(tps_std),
+        c_draft=_round9(c_draft),
+        analytic_speedup=_round9(m.tau / (1.0 + k_depth * c_draft)),
+        wall_speedup=_round9(tps / base_tps) if base_tps else 0.0,
+    )
+
+
+def _greedy(main: MainModel, prompt, max_new_tokens: int):
+    """Timed plain greedy decode, shaped like `speculative_decode`'s result:
+    every token after the prefill's costs one decode forward (a round)."""
+    t0 = time.perf_counter_ns()
+    out = baseline_decode(main, prompt, max_new_tokens, eos_token=EOS_TOKEN)
+    n = len(out) - 1
+    return out, DecodeMetrics(rounds=n, output_tokens=n,
+                              wall_ns=time.perf_counter_ns() - t0)
+
+
+def _decode_task(task: BenchTask, k_depth: int, main: MainModel, head: MTPHead | None,
+                 vocab, repetitions: int) -> tuple[DecodeMetrics, float, float]:
+    """Run every prompt, greedily when there is no head; returns the first
+    repetition's pooled metrics plus tokens/s mean and std over repetitions
+    (token outputs must be identical across reps)."""
+    first = None
     per_rep_tps = []
-    for rep in range(max(1, repetitions)):
-        pooled = _Pooled()
+    for _ in range(max(1, repetitions)):
+        pooled = DecodeMetrics()
         outputs = []
         for prompt in task.prompts:
-            out, m = speculative_decode(main, head, prompt, task.max_new_tokens,
-                                        k_depth, vocab=vocab, lang=task.lang,
-                                        eos_token=EOS_TOKEN)
+            out, m = (_greedy(main, prompt, task.max_new_tokens) if head is None else
+                      speculative_decode(main, head, prompt, task.max_new_tokens, k_depth,
+                                         vocab=vocab, lang=task.lang, eos_token=EOS_TOKEN))
             outputs.append(out)
-            pooled.generated += len(out)
-            pooled.output_tokens += m.output_tokens
-            pooled.rounds += m.rounds
-            pooled.draft_ns += m.draft_ns
-            pooled.draft_steps += m.draft_forwards
-            pooled.verify_ns += m.verify_ns
-            pooled.wall_ns += m.wall_ns
-            for k, v in m.reached.items():
-                pooled.reached[k] = pooled.reached.get(k, 0) + v
-            for k, v in m.accepted.items():
-                pooled.accepted[k] = pooled.accepted.get(k, 0) + v
-            pooled.records.extend(m.records)
-        per_rep_tps.append(pooled.generated / (pooled.wall_ns * 1e-9))
-        if rep == 0:
-            rates_pool = pooled
-            first_outputs = outputs
-        elif outputs != first_outputs:
+            pooled.merge(m)
+        per_rep_tps.append(sum(map(len, outputs)) / (pooled.wall_ns * 1e-9))
+        if first is None:
+            first = pooled, outputs
+        elif outputs != first[1]:
             raise AssertionError("decoding was not deterministic across repetitions")
-    return rates_pool, float(np.mean(per_rep_tps)), float(np.std(per_rep_tps))
-
-
-def _baseline_row(task: BenchTask, main: MainModel, repetitions: int) -> tuple[ReportRow, float]:
-    per_rep_tps = []
-    generated = 0
-    for _ in range(max(1, repetitions)):
-        generated = 0
-        t0 = time.perf_counter_ns()
-        for prompt in task.prompts:
-            out = baseline_decode(main, prompt, task.max_new_tokens, eos_token=EOS_TOKEN)
-            generated += len(out)
-        per_rep_tps.append(generated / ((time.perf_counter_ns() - t0) * 1e-9))
-    tps = float(np.mean(per_rep_tps))
-    decode_forwards = generated - len(task.prompts)  # prefills excluded
-    row = ReportRow(task=task.name, method="baseline", k=0,
-                    vocab_size=main.config.vocab_size, prompts=len(task.prompts),
-                    output_tokens=decode_forwards, rounds=decode_forwards,
-                    tau=1.0, rates=[], tokens_per_s=_round9(tps),
-                    tokens_per_s_std=_round9(float(np.std(per_rep_tps))),
-                    c_draft=0.0, analytic_speedup=1.0, wall_speedup=1.0)
-    return row, tps
+    return first[0], float(np.mean(per_rep_tps)), float(np.std(per_rep_tps))
 
 
 def run_benchmark(tasks, cfgs, *, main: MainModel, vanilla_head: MTPHead | None = None,
@@ -184,9 +148,7 @@ def run_benchmark(tasks, cfgs, *, main: MainModel, vanilla_head: MTPHead | None 
                   log_dir=None) -> list[ReportRow]:
     """Execute every (task, config) pair; baseline rows are computed first
     because they are the speedup denominators."""
-    cfgs = list(cfgs)
-    ordered = [c for c in cfgs if c.method == "baseline"] + \
-              [c for c in cfgs if c.method != "baseline"]
+    ordered = sorted(cfgs, key=lambda c: c.method != "baseline")
     if ordered and ordered[0].method != "baseline":
         raise SequencingError("no baseline configuration; speedups need a denominator")
 
@@ -194,55 +156,33 @@ def run_benchmark(tasks, cfgs, *, main: MainModel, vanilla_head: MTPHead | None 
     baseline_tps: dict[str, float] = {}
     for cfg in ordered:
         for task in tasks:
-            if cfg.method == "baseline":
-                row, tps = _baseline_row(task, main, cfg.repetitions)
-                baseline_tps[task.name] = tps
-                rows.append(row)
-                continue
-            if task.name not in baseline_tps:
+            if cfg.method != "baseline" and task.name not in baseline_tps:
                 raise SequencingError(f"missing baseline row for task {task.name!r}")
             head, vocab = _resolve_method(cfg.method, vanilla_head, finetuned_head, bank)
             pooled, tps, tps_std = _decode_task(task, cfg.k_depth, main, head, vocab,
                                                 cfg.repetitions)
+            if cfg.method == "baseline":
+                baseline_tps[task.name] = tps
             vocab_size = (bank.get(task.lang if task.lang else "?").size
                           if vocab is not None else main.config.vocab_size)
-            rows.append(_make_row(task, cfg.method, cfg.k_depth, vocab_size, pooled,
-                                  tps, tps_std, baseline_tps[task.name]))
-            if log_dir is not None:
+            rows.append(_row(task, cfg.method, cfg.k_depth, vocab_size, pooled,
+                             tps, tps_std, baseline_tps[task.name]))
+            if log_dir is not None and cfg.method != "baseline":
                 name = f"rounds_{task.name}_{cfg.method.replace('+', '_')}_k{cfg.k_depth}.jsonl"
                 write_round_log(f"{log_dir}/{name}", pooled.records)
     return rows
 
 
 def _resolve_method(method, vanilla_head, finetuned_head, bank):
-    if method == "vanilla-head":
-        head, vocab = vanilla_head, None
-    elif method == "finetuned-head":
-        head, vocab = finetuned_head, None
-    elif method == "finetuned-head+FR":
-        if bank is None:
-            raise ConfigError("finetuned-head+FR requires a vocabulary bank")
-        head, vocab = finetuned_head, bank
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    """(head, vocab) a RunConfig method decodes with; the baseline has neither."""
+    if method == "baseline":
+        return None, None
+    if method == "finetuned-head+FR" and bank is None:
+        raise ConfigError("finetuned-head+FR requires a vocabulary bank")
+    head = vanilla_head if method == "vanilla-head" else finetuned_head
     if head is None:
         raise ConfigError(f"method {method!r} requires its head")
-    return head, vocab
-
-
-def _make_row(task, method, k_depth, vocab_size, pooled: _Pooled, tps: float,
-              tps_std: float, base_tps: float) -> ReportRow:
-    c_draft = pooled.c_draft
-    tau = pooled.tau
-    return ReportRow(
-        task=task.name, method=method, k=k_depth, vocab_size=int(vocab_size),
-        prompts=len(task.prompts), output_tokens=pooled.output_tokens,
-        rounds=pooled.rounds, tau=_round9(tau), rates=pooled.rates(k_depth),
-        tokens_per_s=_round9(tps), tokens_per_s_std=_round9(tps_std),
-        c_draft=_round9(c_draft),
-        analytic_speedup=_round9(tau / (1.0 + k_depth * c_draft)),
-        wall_speedup=_round9(tps / base_tps),
-    )
+    return head, (bank if method == "finetuned-head+FR" else None)
 
 
 def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel, head: MTPHead,
@@ -256,32 +196,16 @@ def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel, head: MTPHea
     if head.trained_depth is not None and max(k_range) > head.trained_depth:
         log.warning("sweeping K up to %d beyond trained depth %d",
                     max(k_range), head.trained_depth)
-    pooled_by_k: dict[int, tuple] = {}
-    for k in k_range:
-        pooled_by_k[k] = _decode_task(task, k, main, head, vocab, repetitions=1)
-
-    draft_ns = sum(p.draft_ns for p, _, _ in pooled_by_k.values())
-    draft_steps = sum(p.draft_steps for p, _, _ in pooled_by_k.values())
-    verify_ns = sum(p.verify_ns for p, _, _ in pooled_by_k.values())
-    rounds = sum(p.rounds for p, _, _ in pooled_by_k.values())
-    c_draft = ((draft_ns / draft_steps) / (verify_ns / rounds)) if draft_steps else 0.0
-
-    base_tps = pooled_by_k[0][1] if 0 in pooled_by_k else None
-    rows = []
-    for k in k_range:
-        pooled, tps, tps_std = pooled_by_k[k]
-        tau = pooled.tau
-        rows.append(ReportRow(
-            task=task.name, method="finetuned-head", k=k,
-            vocab_size=main.config.vocab_size, prompts=len(task.prompts),
-            output_tokens=pooled.output_tokens, rounds=pooled.rounds,
-            tau=_round9(tau), rates=pooled.rates(k),
-            tokens_per_s=_round9(tps), tokens_per_s_std=_round9(tps_std),
-            c_draft=_round9(c_draft),
-            analytic_speedup=_round9(tau / (1.0 + k * c_draft)),
-            wall_speedup=_round9(tps / base_tps) if base_tps else 0.0,
-        ))
-    return rows
+    by_k = {k: _decode_task(task, k, main, head, vocab, repetitions=1)
+            for k in k_range}
+    sweep = DecodeMetrics()
+    for pooled, _, _ in by_k.values():
+        sweep.merge(pooled)
+    c_draft = sweep.c_draft
+    base_tps = by_k[0][1] if 0 in by_k else None
+    return [_row(task, "finetuned-head", k, main.config.vocab_size, *by_k[k],
+                 base_tps, c_draft=c_draft)
+            for k in k_range]
 
 
 def argmax_speedup(rows) -> int:
@@ -301,24 +225,24 @@ def sweep_vocab_size(task: BenchTask, sizes, *, main: MainModel, head: MTPHead,
             size = main.config.vocab_size
         bank = VocabBank(main, [compress_vocab(t, size, specials, main=main)
                                 for t in tables.values()])
-        pooled, tps, tps_std = _decode_task(task, k_depth, main, head, bank,
-                                            repetitions=1)
-        tau = pooled.tau
-        c_draft = pooled.c_draft
-        rows.append(ReportRow(
-            task=task.name, method="finetuned-head+FR", k=k_depth,
-            vocab_size=int(size), prompts=len(task.prompts),
-            output_tokens=pooled.output_tokens, rounds=pooled.rounds,
-            tau=_round9(tau), rates=pooled.rates(k_depth), tokens_per_s=_round9(tps),
-            tokens_per_s_std=_round9(tps_std), c_draft=_round9(c_draft),
-            analytic_speedup=_round9(tau / (1.0 + k_depth * c_draft)),
-            wall_speedup=0.0,
-        ))
+        rows.append(_row(task, "finetuned-head+FR", k_depth, size,
+                         *_decode_task(task, k_depth, main, head, bank, repetitions=1),
+                         base_tps=None))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # emission
+
+
+# (write, read) for each ReportRow field type; floats keep nine decimals
+_CSV_CELLS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": ("{:.9f}".format, float),
+    "list[float]": (lambda xs: ";".join(f"{x:.9f}" for x in xs),
+                    lambda cell: [float(x) for x in cell.split(";")] if cell else []),
+}
 
 
 def emit_report(rows, out_dir, basename: str = "report") -> dict:
@@ -331,14 +255,8 @@ def emit_report(rows, out_dir, basename: str = "report") -> dict:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row.task, row.method, row.k, row.vocab_size, row.prompts,
-                row.output_tokens, row.rounds, f"{row.tau:.9f}",
-                ";".join(f"{r:.9f}" for r in row.rates),
-                f"{row.tokens_per_s:.9f}", f"{row.tokens_per_s_std:.9f}",
-                f"{row.c_draft:.9f}", f"{row.analytic_speedup:.9f}",
-                f"{row.wall_speedup:.9f}",
-            ])
+            writer.writerow([_CSV_CELLS[f.type][0](getattr(row, f.name))
+                             for f in fields(ReportRow)])
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump([row.to_json() for row in rows], fh, indent=1)
     return {"csv": csv_path, "json": json_path}
@@ -348,19 +266,13 @@ def load_report_csv(path) -> list[ReportRow]:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != REPORT_COLUMNS:
+        if next(reader) != REPORT_COLUMNS:
             raise ConfigError("unexpected report header")
         for rec in reader:
-            rows.append(ReportRow(
-                task=rec[0], method=rec[1], k=int(rec[2]), vocab_size=int(rec[3]),
-                prompts=int(rec[4]), output_tokens=int(rec[5]), rounds=int(rec[6]),
-                tau=float(rec[7]),
-                rates=[float(x) for x in rec[8].split(";")] if rec[8] else [],
-                tokens_per_s=float(rec[9]), tokens_per_s_std=float(rec[10]),
-                c_draft=float(rec[11]), analytic_speedup=float(rec[12]),
-                wall_speedup=float(rec[13]),
-            ))
+            if len(rec) != len(REPORT_COLUMNS):
+                raise ConfigError(f"report line {reader.line_num} has {len(rec)} cells")
+            rows.append(ReportRow.from_json({f.name: _CSV_CELLS[f.type][1](cell)
+                                             for f, cell in zip(fields(ReportRow), rec)}))
     return rows
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import data as data_mod
@@ -26,28 +27,26 @@ from .bench import (BenchTask, RunConfig, argmax_speedup, emit_report, format_ta
 from .data import LANG_TAGS, load_dataset, mixed_dataset, save_dataset
 from .dedup import FilterRules, dedup_and_filter, mix_back
 from .distill import GenerationConfig, self_distill
+from .errors import ConfigError
 from .model import MTPHead, MainModel, ModelConfig, init_model
 from .training import TrainConfig, pretrain_main, train_mtp_head
 from .vocab import (VocabBank, build_frequency_table, compress_vocab,
                     load_compressed_vocab, save_compressed_vocab,
                     save_frequency_table)
 
+# Sections passed whole to a config class list every field of that class, so
+# the keys here are exactly the keys a config file may set.
 DEFAULT_CONFIG = {
-    "model": {"vocab_size": 512, "model_dim": 64, "n_layers": 2, "n_heads": 4,
-              "max_seq_len": 160, "rope_base": 10000.0, "rms_eps": 1e-6, "seed": 1234},
+    "model": asdict(ModelConfig(max_seq_len=160, seed=1234)),
     "data": {"per_lang": 96, "prompt_len": 24, "response_len": 56, "seed": 7,
              "langs": list(LANG_TAGS)},
-    "pretrain": {"lr": 0.01, "epochs": 8, "batch_size": 8, "warmup_ratio": 0.05,
-                 "seed": 1},
+    "pretrain": asdict(TrainConfig(lr=0.01, epochs=8, batch_size=8, seed=1)),
     "distill": {"temperature": 0.6, "top_k": 20, "top_p": 0.95,
                 "max_new_tokens": 64, "seed": 11, "prompts_per_lang": 72,
                 "prompt_len": 24},
-    "dedup": {"jaccard_threshold": 0.9, "shingle_width": 3, "num_hashes": 64,
-              "min_response_len": 4, "max_response_len": None,
-              "ngram_width": 4, "max_ngram_ratio": 0.3, "drop_truncated": False,
+    "dedup": {"jaccard_threshold": 0.9, **asdict(FilterRules(max_ngram_ratio=0.3)),
               "mix_back_langs": ["cycle"]},
-    "train": {"k_steps": 6, "beta": 0.6, "lr": 3e-3, "epochs": 4, "batch_size": 8,
-              "warmup_ratio": 0.05, "seed": 3},
+    "train": asdict(TrainConfig(k_steps=6, lr=3e-3, epochs=4, batch_size=8, seed=3)),
     "vocab": {"size": 128, "specials": list(data_mod.SPECIAL_TOKENS)},
     "bench": {"k_depth": 3, "max_new_tokens": 48, "prompts_per_task": 12,
               "prompt_len": 24, "repetitions": 1, "seed": 19,
@@ -61,7 +60,15 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
         for section, values in user.items():
-            cfg.setdefault(section, {}).update(values)
+            if section not in cfg:
+                raise ConfigError(f"{path}: unknown config section {section!r}")
+            if not isinstance(values, dict):
+                raise ConfigError(f"{path}: config section {section!r} is not an object")
+            unknown = sorted(set(values) - set(cfg[section]))
+            if unknown:
+                raise ConfigError(f"{path}: unknown key(s) {unknown} in config "
+                                  f"section {section!r}")
+            cfg[section].update(values)
     if seed is not None:
         for section in cfg.values():
             if isinstance(section, dict) and "seed" in section:
@@ -178,15 +185,12 @@ def cmd_build_vocab(args, cfg) -> int:
     return 0
 
 
-def _bench_tasks(cfg) -> list[BenchTask]:
+def _bench_task(cfg, tag: str) -> BenchTask:
     b = cfg["bench"]
-    tasks = []
-    for tag in b["langs"]:
-        prompts = data_mod.sample_prompts(tag, b["seed"], b["prompts_per_task"],
-                                          b["prompt_len"])
-        tasks.append(BenchTask(name=tag, prompts=prompts, lang=tag,
-                               max_new_tokens=b["max_new_tokens"]))
-    return tasks
+    prompts = data_mod.sample_prompts(tag, b["seed"], b["prompts_per_task"],
+                                      b["prompt_len"])
+    return BenchTask(name=tag, prompts=prompts, lang=tag,
+                     max_new_tokens=b["max_new_tokens"])
 
 
 def _load_bank(args, main) -> VocabBank | None:
@@ -213,7 +217,8 @@ def cmd_bench(args, cfg) -> int:
         methods.append("finetuned-head+FR")
     cfgs = [RunConfig(method=m, k_depth=0 if m == "baseline" else k,
                       repetitions=b["repetitions"]) for m in methods]
-    rows = run_benchmark(_bench_tasks(cfg), cfgs, main=main, vanilla_head=vanilla,
+    tasks = [_bench_task(cfg, tag) for tag in b["langs"]]
+    rows = run_benchmark(tasks, cfgs, main=main, vanilla_head=vanilla,
                          finetuned_head=head, bank=bank, log_dir=str(out))
     paths = emit_report(rows, str(out))
     print(format_table(rows))
@@ -225,12 +230,7 @@ def cmd_sweep_k(args, cfg) -> int:
     out = _out(args)
     main = MainModel.load(args.main or out / "main.npz")
     head = MTPHead.load(args.head or out / "head.npz", main)
-    b = cfg["bench"]
-    tag = args.task_lang or b["langs"][0]
-    prompts = data_mod.sample_prompts(tag, b["seed"], b["prompts_per_task"],
-                                      b["prompt_len"])
-    task = BenchTask(name=tag, prompts=prompts, lang=tag,
-                     max_new_tokens=b["max_new_tokens"])
+    task = _bench_task(cfg, args.task_lang or cfg["bench"]["langs"][0])
     rows = sweep_draft_depth(task, range(0, args.k_max + 1), main=main, head=head)
     paths = emit_report(rows, str(out), basename="sweep_k")
     print(format_table(rows))
@@ -245,17 +245,13 @@ def cmd_sweep_vocab(args, cfg) -> int:
     head = MTPHead.load(args.head or out / "head.npz", main)
     dataset = load_dataset(args.data or out / "dataset.jsonl")
     b = cfg["bench"]
-    tag = args.task_lang or b["langs"][0]
     tables = {}
     for lang in cfg["data"]["langs"]:
         split = [ex.tokens for ex in dataset if ex.lang == lang]
         if split:
             tables[lang] = build_frequency_table(split, lang,
                                                  cfg["model"]["vocab_size"])
-    prompts = data_mod.sample_prompts(tag, b["seed"], b["prompts_per_task"],
-                                      b["prompt_len"])
-    task = BenchTask(name=tag, prompts=prompts, lang=tag,
-                     max_new_tokens=b["max_new_tokens"])
+    task = _bench_task(cfg, args.task_lang or b["langs"][0])
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = sweep_vocab_size(task, sizes, main=main, head=head, tables=tables,
                             specials=tuple(cfg["vocab"]["specials"]),

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .data import EOS_TOKEN
 from .errors import CapacityError, ShapeError, StateError
 from .model import MTPHead, MainModel, greedy_argmax, main_forward, mtp_step
-from .vocab import (CompressedVocab, MultiplyCounter, VocabBank, detect_language,
-                    draft_logits_compressed, identity_vocab)
+from .vocab import (CompressedVocab, VocabBank, detect_language, draft_logits_compressed,
+                    identity_vocab)
 
 
 @dataclass
@@ -49,18 +49,39 @@ class DecodeMetrics:
         return self.accepted.get(k, 0) / reached if reached else float("nan")
 
     @property
-    def mean_draft_step_ns(self) -> float:
-        return self.draft_ns / self.draft_forwards if self.draft_forwards else float("nan")
+    def c_draft(self) -> float:
+        """Mean draft-step time over mean verification-forward time."""
+        if not self.draft_forwards or not self.rounds:
+            return 0.0
+        return (self.draft_ns / self.draft_forwards) / (self.verify_ns / self.rounds)
 
-    @property
-    def mean_verify_ns(self) -> float:
-        return self.verify_ns / self.rounds if self.rounds else float("nan")
+    def tally(self, drafted: int, matched: int) -> None:
+        """Count one round's draft steps: step k is reached when every
+        earlier draft matched, and accepted when it matched as well."""
+        for k in range(1, drafted + 1):
+            if k <= matched + 1:
+                self.reached[k] = self.reached.get(k, 0) + 1
+            if k <= matched:
+                self.accepted[k] = self.accepted.get(k, 0) + 1
+
+    def merge(self, other: "DecodeMetrics") -> "DecodeMetrics":
+        """Pool another decode into this one: counters, timings and
+        per-step counts add up, round records are appended."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for k, v in theirs.items():
+                    mine[k] = mine.get(k, 0) + v
+            elif isinstance(mine, list):
+                mine.extend(theirs)
+            else:
+                setattr(self, f.name, mine + theirs)
+        return self
 
 
 @dataclass
 class DraftRound:
     tokens: list[int]
-    step_logits: list[np.ndarray]
     lang: str
     base_verified: int
     stream_len_after_extend: int
@@ -105,7 +126,6 @@ class DecodeSession:
         self.hid_len = 0
         self.verified: list[int] = list(prompt)
         self.metrics = DecodeMetrics()
-        self.counter = MultiplyCounter()
         self.finished = False
         self._full_vocab = identity_vocab(main)
 
@@ -149,38 +169,29 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
     cv = session.active_vocab()
     base = len(session.verified)
     if k_depth == 0:
-        return DraftRound(tokens=[], step_logits=[], lang=cv.lang,
+        return DraftRound(tokens=[], lang=cv.lang,
                           base_verified=base,
                           stream_len_after_extend=session.draft_cache.length)
 
     stream_len = session.draft_cache.length
-    tokens: list[int] = []
-    step_logits: list[np.ndarray] = []
-    round_ns = 0
-
-    t0 = time.perf_counter_ns()
     h_in = session.hiddens[stream_len:session.hid_len]
-    extend_tokens = session.verified[stream_len + 1:session.hid_len + 1]
-    h_new, pre = mtp_step(session.head, h_in, extend_tokens, session.draft_cache)
-    after_extend = session.draft_cache.length
-    logits, tok = draft_logits_compressed(pre.data[-1], cv, session.counter)
-    round_ns += time.perf_counter_ns() - t0
-    tokens.append(tok)
-    step_logits.append(logits)
-
-    while len(tokens) < k_depth and tokens[-1] != session.eos:
+    step_tokens = session.verified[stream_len + 1:session.hid_len + 1]
+    tokens: list[int] = []
+    round_ns = 0
+    while not tokens or (len(tokens) < k_depth and tokens[-1] != session.eos):
         t0 = time.perf_counter_ns()
-        h_new, pre = mtp_step(session.head, h_new.data[-1:], [tokens[-1]],
-                              session.draft_cache)
-        logits, tok = draft_logits_compressed(pre.data[-1], cv, session.counter)
+        h_new, pre = mtp_step(session.head, h_in, step_tokens, session.draft_cache)
+        _, tok = draft_logits_compressed(pre.data[-1], cv)
         round_ns += time.perf_counter_ns() - t0
+        if not tokens:
+            after_extend = session.draft_cache.length
         tokens.append(tok)
-        step_logits.append(logits)
+        h_in, step_tokens = h_new.data[-1:], [tok]
 
     session.metrics.draft_ns += round_ns
     session.metrics.draft_forwards += len(tokens)
-    session.metrics.draft_mults = session.counter.count
-    return DraftRound(tokens=tokens, step_logits=step_logits, lang=cv.lang,
+    session.metrics.draft_mults += len(tokens) * cv.w_view.size
+    return DraftRound(tokens=tokens, lang=cv.lang,
                       base_verified=base, stream_len_after_extend=after_extend,
                       draft_ns=round_ns)
 
@@ -235,11 +246,7 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome
     m = session.metrics
     m.rounds += 1
     m.output_tokens += len(committed)
-    for k in range(1, len(rnd.tokens) + 1):
-        if k <= matched + 1:
-            m.reached[k] = m.reached.get(k, 0) + 1
-        if k <= matched:
-            m.accepted[k] = m.accepted.get(k, 0) + 1
+    m.tally(len(rnd.tokens), matched)
     m.records.append({
         "round": m.rounds - 1,
         "lang": rnd.lang,
@@ -320,23 +327,16 @@ def read_round_log(path) -> list[dict]:
 def tau_from_records(records) -> float:
     """Recompute the mean accepted length from a round log alone."""
     records = list(records)
-    if not records:
-        return float("nan")
-    return sum(r["committed"] for r in records) / len(records)
+    return DecodeMetrics(rounds=len(records),
+                         output_tokens=sum(r["committed"] for r in records)).tau
 
 
 def rates_from_records(records, k_depth: int) -> list[float]:
     """Recompute per-step acceptance rates from a round log alone."""
-    reached = [0] * (k_depth + 1)
-    accepted = [0] * (k_depth + 1)
+    m = DecodeMetrics()
     for rec in records:
-        for k in range(1, min(k_depth, len(rec["drafts"])) + 1):
-            if k <= rec["matched"] + 1:
-                reached[k] += 1
-            if k <= rec["matched"]:
-                accepted[k] += 1
-    return [accepted[k] / reached[k] if reached[k] else float("nan")
-            for k in range(1, k_depth + 1)]
+        m.tally(min(k_depth, len(rec["drafts"])), rec["matched"])
+    return [m.rate(k) for k in range(1, k_depth + 1)]
 
 
 def cache_consistency_gap(session: DecodeSession) -> float:

@@ -100,6 +100,11 @@ class CompressedVocab:
     @classmethod
     def from_json(cls, obj: dict, vocab_size: int) -> "CompressedVocab":
         keep = np.asarray(sorted(obj["keep"]), dtype=np.int64)
+        if not keep.size or keep[0] < 0 or keep[-1] >= vocab_size:
+            raise ConfigError(f"compressed vocabulary ids must be a nonempty "
+                              f"subset of [0, {vocab_size})")
+        if np.any(keep[1:] == keep[:-1]):
+            raise ConfigError("compressed vocabulary lists an id more than once")
         return cls(lang=obj["lang"], keep=keep,
                    full_to_comp=_inverse_map(keep, vocab_size))
 
@@ -173,29 +178,13 @@ def size_for_coverage(table: FrequencyTable, coverage: float,
     return table.counts.size
 
 
-class MultiplyCounter:
-    """Tracks multiply counts of draft-side logit projections."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int) -> None:
-        self.count += n
-
-    def reset(self) -> None:
-        self.count = 0
-
-
-def draft_logits_compressed(pre_logit_state: np.ndarray, cv: CompressedVocab,
-                            counter: MultiplyCounter | None = None):
+def draft_logits_compressed(pre_logit_state: np.ndarray, cv: CompressedVocab):
     """Logits over the kept subset only; argmax maps back to a full-vocab id.
 
-    Cost is |keep| * d multiplies, counted on `counter` when given.
+    Cost is |keep| * d multiplies, i.e. `cv.w_view.size`.
     """
     cv.check_bound()
     logits = cv.w_view @ pre_logit_state
-    if counter is not None:
-        counter.add(cv.w_view.shape[0] * cv.w_view.shape[1])
     comp_idx = int(np.argmax(logits))
     return logits, int(cv.keep[comp_idx])
 

@@ -86,23 +86,15 @@ def pool_metrics(main, head, tag_counts, k_depth, *, max_new=48, seed=23,
                  vocab=None, lang=None, prompt_len=PROMPT_LEN):
     """Decode a prompt mix and pool the session metrics."""
     from mtpspec.data import EOS_TOKEN
-    from mtpspec.specdec import speculative_decode
+    from mtpspec.specdec import DecodeMetrics, speculative_decode
 
-    pooled = SimpleNamespace(output_tokens=0, rounds=0, reached={}, accepted={},
-                             draft_mults=0, draft_steps=0)
+    pooled = DecodeMetrics()
     for tag, n in tag_counts:
         for p in sample_prompts(tag, seed, n, prompt_len):
-            _, m = speculative_decode(main, head, p, max_new, k_depth,
-                                      vocab=vocab, lang=lang, eos_token=EOS_TOKEN)
-            pooled.output_tokens += m.output_tokens
-            pooled.rounds += m.rounds
-            pooled.draft_mults += m.draft_mults
-            pooled.draft_steps += m.draft_forwards
-            for kk, v in m.reached.items():
-                pooled.reached[kk] = pooled.reached.get(kk, 0) + v
-            for kk, v in m.accepted.items():
-                pooled.accepted[kk] = pooled.accepted.get(kk, 0) + v
-    pooled.tau = pooled.output_tokens / pooled.rounds
-    pooled.rates = [pooled.accepted.get(kk, 0) / max(1, pooled.reached.get(kk, 0))
-                    for kk in range(1, k_depth + 1)]
-    return pooled
+            pooled.merge(speculative_decode(main, head, p, max_new, k_depth, vocab=vocab,
+                                            lang=lang, eos_token=EOS_TOKEN)[1])
+    return SimpleNamespace(
+        tau=pooled.tau,
+        rates=[pooled.accepted.get(kk, 0) / max(1, pooled.reached.get(kk, 0))
+               for kk in range(1, k_depth + 1)],
+        draft_mults=pooled.draft_mults, draft_steps=pooled.draft_forwards)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtpspec.bench import (
-    REPORT_COLUMNS, BenchTask, RunConfig, argmax_speedup, emit_report,
+    REPORT_COLUMNS, BenchTask, ReportRow, RunConfig, argmax_speedup, emit_report,
     format_table, load_report_csv, load_report_json, run_benchmark,
     sweep_draft_depth, sweep_vocab_size,
 )
@@ -141,6 +141,28 @@ class TestEmission:
                 assert len(tau_field.split(".")[1]) >= 3
         table = format_table(self._rows(rig))
         assert "1.000" in table
+
+    def test_csv_lines_are_pinned(self, tmp_path):
+        # a format change that still round-trips would pass the test above
+        rows = [ReportRow(task="zh", method="finetuned-head+FR", k=2, vocab_size=128,
+                          prompts=3, output_tokens=40, rounds=17, tau=2.352941176,
+                          rates=[0.8125, 0.5], tokens_per_s=1234.5,
+                          tokens_per_s_std=0.25, c_draft=0.55,
+                          analytic_speedup=1.1204481, wall_speedup=0.9),
+                ReportRow(task="en", method="baseline", k=0, vocab_size=512,
+                          prompts=3, output_tokens=45, rounds=45, tau=1.0, rates=[],
+                          tokens_per_s=2000.0, tokens_per_s_std=0.0, c_draft=0.0,
+                          analytic_speedup=1.0, wall_speedup=1.0)]
+        paths = emit_report(rows, str(tmp_path))
+        with open(paths["csv"], newline="") as fh:
+            lines = fh.read().split("\r\n")
+        assert lines[1:] == [
+            "zh,finetuned-head+FR,2,128,3,40,17,2.352941176,0.812500000;0.500000000,"
+            "1234.500000000,0.250000000,0.550000000,1.120448100,0.900000000",
+            "en,baseline,0,512,3,45,45,1.000000000,,"
+            "2000.000000000,0.000000000,0.000000000,1.000000000,1.000000000",
+            "",
+        ]
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ import pytest
 from mtpspec.bench import load_report_csv, load_report_json
 from mtpspec.cli import DEFAULT_CONFIG, load_config, main
 from mtpspec.data import load_dataset
+from mtpspec.errors import ConfigError
 from mtpspec.model import MainModel, MTPHead
 from mtpspec.specdec import read_round_log
 
@@ -50,6 +51,24 @@ class TestConfig:
         for section in cfg.values():
             if isinstance(section, dict) and "seed" in section:
                 assert section["seed"] == 99
+
+    @pytest.mark.parametrize("user, named", [
+        ({"model": {"dim": 3}}, "'dim'"),
+        ({"bnech": {"repetitions": 2}}, "'bnech'"),
+    ])
+    def test_unknown_section_or_key_rejected(self, tmp_path, user, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(user))
+        with pytest.raises(ConfigError, match=named):
+            load_config(str(path))
+
+    def test_config_class_fields_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"train": {"weight_decay": 0.1},
+                                    "dedup": {"min_ngram_total": 4}}))
+        cfg = load_config(str(path))
+        assert cfg["train"]["weight_decay"] == 0.1
+        assert cfg["dedup"]["min_ngram_total"] == 4
 
 
 class TestPipelineArtifacts:

@@ -11,8 +11,8 @@ from mtpspec.data import sample_zipf_tokens
 from mtpspec.errors import CapacityError, StateError
 from mtpspec.model import ModelConfig, init_model
 from mtpspec.specdec import (
-    DecodeSession, DraftRound, baseline_decode, cache_consistency_gap, draft_round,
-    rates_from_records, read_round_log, speculative_decode, tau_from_records,
+    DecodeMetrics, DecodeSession, DraftRound, baseline_decode, cache_consistency_gap,
+    draft_round, rates_from_records, read_round_log, speculative_decode, tau_from_records,
     verify_round, write_round_log,
 )
 from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab
@@ -91,7 +91,7 @@ class TestVerifyRule:
         return session
 
     def _manual_round(self, session, drafts):
-        return DraftRound(tokens=drafts, step_logits=[], lang="*",
+        return DraftRound(tokens=drafts, lang="*",
                           base_verified=len(session.verified),
                           stream_len_after_extend=session.draft_cache.length)
 
@@ -131,7 +131,7 @@ class TestVerifyRule:
         main, head, _ = stack
         p = prompts(1, seed=7)[0]
         session = self._session_with_prefill(main, head, p)
-        stale = DraftRound(tokens=[1], step_logits=[], lang="*",
+        stale = DraftRound(tokens=[1], lang="*",
                            base_verified=len(session.verified) - 1,
                            stream_len_after_extend=0)
         with pytest.raises(StateError):
@@ -196,6 +196,23 @@ class TestMetrics:
         for k in (1, 2):
             if m.reached.get(k):
                 assert replayed_rates[k - 1] == pytest.approx(m.rate(k), abs=1e-12)
+
+    def test_merge_pools_counters_and_replays_rates(self, stack):
+        main, head, small = stack
+        runs = [speculative_decode(main, head, p, 14, 3, vocab=small, eos_token=None)[1]
+                for p in prompts(3, seed=18)]
+        pooled = DecodeMetrics()
+        for m in runs:
+            pooled.merge(m)
+        for name in ("rounds", "output_tokens", "main_forwards", "draft_forwards",
+                     "wall_ns", "prefill_ns", "draft_ns", "verify_ns", "draft_mults"):
+            assert getattr(pooled, name) == sum(getattr(m, name) for m in runs), name
+        for k in (1, 2, 3):
+            assert pooled.reached.get(k, 0) == sum(m.reached.get(k, 0) for m in runs)
+            assert pooled.accepted.get(k, 0) == sum(m.accepted.get(k, 0) for m in runs)
+        assert pooled.records == [r for m in runs for r in m.records]
+        replayed = rates_from_records(pooled.records, 3)
+        np.testing.assert_array_equal(replayed, [pooled.rate(k) for k in (1, 2, 3)])
 
     def test_untrained_head_has_chance_level_tau(self):
         cfg = ModelConfig(vocab_size=512, model_dim=16, n_layers=1, n_heads=2,

@@ -7,7 +7,7 @@ from mtpspec.data import EOS_TOKEN, PAD_TOKEN, sample_zipf_tokens
 from mtpspec.errors import ConfigError, ConsistencyError, EmptyCorpusError
 from mtpspec.model import ModelConfig, greedy_argmax, init_model
 from mtpspec.vocab import (
-    FrequencyTable, MultiplyCounter, VocabBank,
+    CompressedVocab, FrequencyTable, VocabBank,
     build_frequency_table, compress_vocab, detect_language, draft_logits_compressed,
     identity_vocab, load_compressed_vocab, load_frequency_table,
     save_compressed_vocab, save_frequency_table, size_for_coverage,
@@ -126,6 +126,13 @@ class TestCompressVocab:
         np.testing.assert_array_equal(loaded.keep, cv.keep)
         assert loaded.lang == cv.lang
 
+    @pytest.mark.parametrize("keep", [[1, 1, 5], [-3, 2, 5], [70]],
+                             ids=["duplicate", "negative", "out-of-range"])
+    def test_malformed_ids_rejected_on_load(self, keep):
+        with pytest.raises(ConfigError):
+            CompressedVocab.from_json({"lang": "t", "size": len(keep), "keep": keep},
+                                      vocab_size=64)
+
 
 class TestDraftLogits:
     def _cv(self, main, size):
@@ -164,13 +171,16 @@ class TestDraftLogits:
         for i, full_id in enumerate(cv.keep):
             np.testing.assert_array_equal(cv.w_view[i], main.output_w.data[full_id])
 
-    def test_multiply_count_is_keep_times_dim(self, main):
-        cv = self._cv(main, size=16)
-        counter = MultiplyCounter()
-        draft_logits_compressed(np.zeros(CFG.model_dim), cv, counter)
-        assert counter.count == 16 * CFG.model_dim
-        draft_logits_compressed(np.zeros(CFG.model_dim), identity_vocab(main), counter)
-        assert counter.count == 16 * CFG.model_dim + CFG.vocab_size * CFG.model_dim
+    def test_multiply_count_is_keep_times_dim(self):
+        from mtpspec.specdec import speculative_decode
+        model, head = init_model(CFG)
+        model.freeze()
+        for cv, kept in ((self._cv(model, size=16), 16),
+                         (identity_vocab(model), CFG.vocab_size)):
+            _, m = speculative_decode(model, head, [3, 1, 4, 1], 12, 3, vocab=cv,
+                                      eos_token=None)
+            assert m.draft_forwards > 0
+            assert m.draft_mults == m.draft_forwards * kept * CFG.model_dim
 
     def test_unbound_vocab_rejected(self, main):
         table = build_frequency_table([[1, 2]], "t", vocab_size=CFG.vocab_size)
