@@ -76,6 +76,10 @@ class ReportRow:
     analytic_speedup: float
     wall_speedup: float
 
+    def __eq__(self, other) -> bool:
+        # equal when written out alike, so a nan rate (step never reached) equals itself
+        return isinstance(other, ReportRow) and repr(self) == repr(other)
+
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -100,8 +104,7 @@ def _row(task: BenchTask, method: str, k_depth: int, vocab_size: int,
         task=task.name, method=method, k=k_depth, vocab_size=int(vocab_size),
         prompts=len(task.prompts), output_tokens=m.output_tokens, rounds=m.rounds,
         tau=_round9(m.tau),
-        rates=[_round9(m.rate(k)) if m.reached.get(k) else 0.0
-               for k in range(1, k_depth + 1)],
+        rates=[_round9(m.rate(k)) for k in range(1, k_depth + 1)],
         tokens_per_s=_round9(tps), tokens_per_s_std=_round9(tps_std),
         c_draft=_round9(c_draft),
         analytic_speedup=_round9(m.tau / (1.0 + k_depth * c_draft)),

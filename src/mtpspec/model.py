@@ -146,38 +146,40 @@ class KVCache:
         return other
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
+def _split_heads(x, n_heads: int):
     m, d = x.shape
     return tn.transpose(tn.reshape(x, (m, n_heads, d // n_heads)), (1, 0, 2))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
+def _merge_heads(x):
     h, m, dh = x.shape
     return tn.reshape(tn.transpose(x, (1, 0, 2)), (m, h * dh))
 
 
-def block_forward(block: TransformerBlock, x: Tensor, *, cfg: ModelConfig,
+def block_forward(block: TransformerBlock, x, *, cfg: ModelConfig,
                   rope: RotaryTable, pos_start: int,
-                  cache: KVCache | None = None, layer: int = 0) -> Tensor:
+                  cache: KVCache | None = None, layer: int = 0):
+    """One block over `x`: a Tensor under a tape, a plain array otherwise."""
     m = x.shape[0]
     cos, sin = rope.slices(pos_start, m)
+    live = isinstance(x, Tensor)
 
-    a = tn.rms_norm(x, block.attn_norm, cfg.rms_eps)
-    q = tn.rope_rotate(_split_heads(a @ block.wq, cfg.n_heads), cos, sin)
-    k = tn.rope_rotate(_split_heads(a @ block.wk, cfg.n_heads), cos, sin)
-    v = _split_heads(a @ block.wv, cfg.n_heads)
+    a = tn.rms_norm(x, tn.operand(block.attn_norm), cfg.rms_eps)
+    q = tn.rope_rotate(_split_heads(tn.matmul(a, tn.operand(block.wq)), cfg.n_heads), cos, sin)
+    k = tn.rope_rotate(_split_heads(tn.matmul(a, tn.operand(block.wk)), cfg.n_heads), cos, sin)
+    v = _split_heads(tn.matmul(a, tn.operand(block.wv)), cfg.n_heads)
 
     if cache is not None:
         cache.reserve(m)
-        cache.write(layer, k.data, v.data)
-        k_full, v_full = cache.view(layer, extra=m)
-        attn = tn.causal_attention(q, Tensor(k_full), Tensor(v_full), past_len=cache.length)
-    else:
-        attn = tn.causal_attention(q, k, v, past_len=0)
+        cache.write(layer, k.data if live else k, v.data if live else v)
+        k, v = (Tensor(t) if live else t for t in cache.view(layer, extra=m))
+    attn = tn.causal_attention(q, k, v, past_len=cache.length if cache is not None else 0)
 
-    x = x + (_merge_heads(attn) @ block.wo)
-    g = tn.rms_norm(x, block.mlp_norm, cfg.rms_eps)
-    return x + (tn.mul(tn.silu(g @ block.w_gate), g @ block.w_up) @ block.w_down)
+    x = tn.add(x, tn.matmul(_merge_heads(attn), tn.operand(block.wo)))
+    g = tn.rms_norm(x, tn.operand(block.mlp_norm), cfg.rms_eps)
+    mlp = tn.mul(tn.silu(tn.matmul(g, tn.operand(block.w_gate))),
+                 tn.matmul(g, tn.operand(block.w_up)))
+    return tn.add(x, tn.matmul(mlp, tn.operand(block.w_down)))
 
 
 class MainModel:
@@ -309,7 +311,8 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
 
     Appends the tokens' keys/values to `cache` when given; returns
     last-layer hidden states (pre final norm) and full-vocabulary logits
-    for each new position.
+    for each new position, as Tensors. With no tape active the forward
+    runs on plain arrays and records nothing (see ``tensor.operand``).
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -320,15 +323,15 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     if past + n > cfg.max_seq_len:
         raise CapacityError(f"{past} cached + {n} new tokens exceed max_seq_len {cfg.max_seq_len}")
 
-    x = tn.embedding(model.embed, tokens)
+    x = tn.embedding(tn.operand(model.embed), tokens)
     for i, blk in enumerate(model.blocks):
         x = block_forward(blk, x, cfg=cfg, rope=model.rope, pos_start=past,
                           cache=cache, layer=i)
     if cache is not None:
         cache.advance(n)
-    hidden = x
-    logits = tn.rms_norm(hidden, model.final_norm, cfg.rms_eps) @ tn.transpose(model.output_w, (1, 0))
-    return hidden, logits
+    logits = tn.matmul(tn.rms_norm(x, tn.operand(model.final_norm), cfg.rms_eps),
+                       tn.transpose(tn.operand(model.output_w), (1, 0)))
+    return (x, logits) if isinstance(x, Tensor) else (Tensor(x), Tensor(logits))
 
 
 def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None,
@@ -340,12 +343,12 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     and runs the head's block causally over the stream (extending
     `cache` when given; `pos_offset` supplies positions for the
     cache-free training path). Returns the block's output hidden states
-    and the pre-logit states; logits are produced separately by
-    projecting the latter through the shared output head.
+    and the pre-logit states as Tensors; logits are produced separately
+    by projecting the latter through the shared output head. Like
+    `main_forward`, it runs on plain arrays when no tape is active.
     """
     cfg = head.config
-    if not isinstance(h_prev, Tensor):
-        h_prev = Tensor(h_prev)
+    h_prev = tn.operand(h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev))
     tokens = np.asarray(shifted_tokens, dtype=np.int64)
     if h_prev.ndim != 2 or h_prev.shape[0] != tokens.size or tokens.size == 0:
         raise ShapeError(f"h_prev rows {h_prev.shape} must match token count {tokens.size}")
@@ -354,15 +357,16 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     if cache is not None:
         cache.reserve(m)
 
-    hn = tn.rms_norm(h_prev, head.norm_hidden, cfg.rms_eps)
-    en = tn.rms_norm(tn.embedding(head.embed, tokens), head.norm_embed, cfg.rms_eps)
-    x = tn.concat_last(hn, en) @ head.combine
+    hn = tn.rms_norm(h_prev, tn.operand(head.norm_hidden), cfg.rms_eps)
+    en = tn.rms_norm(tn.embedding(tn.operand(head.embed), tokens),
+                     tn.operand(head.norm_embed), cfg.rms_eps)
+    x = tn.matmul(tn.concat_last(hn, en), tn.operand(head.combine))
     h_new = block_forward(head.block, x, cfg=cfg, rope=head.rope, pos_start=pos,
                           cache=cache, layer=0)
     if cache is not None:
         cache.advance(m)
-    pre_logit = tn.rms_norm(h_new, head.final_norm, cfg.rms_eps)
-    return h_new, pre_logit
+    pre_logit = tn.rms_norm(h_new, tn.operand(head.final_norm), cfg.rms_eps)
+    return (h_new, pre_logit) if isinstance(h_new, Tensor) else (Tensor(h_new), Tensor(pre_logit))
 
 
 def greedy_argmax(logits) -> int:

@@ -1,11 +1,13 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Forward math is plain numpy. While a :class:`Tape` is active, every
-primitive that touches a gradient-bearing tensor appends a backward
-closure to the tape; ``Tape.backward`` replays those closures in exact
-reverse order of forward recording. Without an active tape the same
-functions run as ordinary numpy with no recording, which is the
-inference fast path.
+Each primitive's forward math and checks are written once and run on
+plain ndarrays. Called with arrays, a forward primitive (all but `rows`,
+`sum_all` and the losses) returns an array and records nothing: this is
+the inference path, taken whenever no tape is active. Called with
+Tensors under an active :class:`Tape`, a primitive touching a
+gradient-bearing tensor also appends a backward closure, and
+``Tape.backward`` replays those in exact reverse order. Both paths make
+the same numpy calls, so their results are bitwise equal.
 
 Everything is float64. Determinism matters more than speed here: the
 whole verification story (gradient checks, lossless decoding) leans on
@@ -44,9 +46,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def accumulate_grad(self, g: Array) -> None:
         if not self.requires_grad:
@@ -116,252 +115,208 @@ class Tape:
             op()
 
 
-def _trace(out: Tensor, *inputs: Tensor) -> "Tape | None":
-    """Mark `out` for recording if a tape is active and any input needs grad."""
+def operand(t: Tensor):
+    """How a forward passes `t` to the primitives: as is under a tape, its array otherwise."""
+    return t if _ACTIVE_TAPE is not None else t.data
+
+
+def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Tensor:
+    """Wrap the result of a primitive called with Tensors.
+
+    If a tape is active and an input needs gradients, the tape gets a
+    backward step: for the output gradient g, `grads(g)` returns each
+    input's gradient in input order, and they accumulate in that order.
+    """
+    if not all(isinstance(t, Tensor) for t in inputs):
+        raise TypeError("a primitive's operands must be all Tensors or all arrays")
+    result = Tensor(out)
     tape = _ACTIVE_TAPE
-    if tape is None:
-        return None
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        return tape
-    return None
+    if tape is not None and any(t.requires_grad for t in inputs):
+        result.requires_grad = True
 
-
-def _record(tape: "Tape | None", out: Tensor, fn: Callable[[Array], None]) -> Tensor:
-    if tape is not None:
         def op():
-            if out.grad is not None:
-                fn(out.grad)
+            if result.grad is not None:
+                for t, g in zip(inputs, grads(result.grad)):
+                    t.accumulate_grad(g)
         tape._ops.append(op)
-    return out
+    return result
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: an array call returns at ``x is a``, before any gradient rule exists
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data)
-    tape = _trace(out, a, b)
-
-    def bwd(g):
-        a.accumulate_grad(g)
-        b.accumulate_grad(g)
-
-    return _record(tape, out, bwd)
+def add(a, b):
+    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+    if x.shape != y.shape:
+        raise ShapeError(f"add: shapes {x.shape} vs {y.shape}")
+    out = x + y
+    return out if x is a else _record(out, lambda g: (g, g), a, b)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data * b.data)
-    tape = _trace(out, a, b)
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        a.accumulate_grad(g * b_data)
-        b.accumulate_grad(g * a_data)
-
-    return _record(tape, out, bwd)
+def mul(a, b):
+    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+    if x.shape != y.shape:
+        raise ShapeError(f"mul: shapes {x.shape} vs {y.shape}")
+    out = x * y
+    return out if x is a else _record(out, lambda g: (g * y, g * x), a, b)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s)
-    tape = _trace(out, a)
-
-    def bwd(g):
-        a.accumulate_grad(g * s)
-
-    return _record(tape, out, bwd)
+def scale(a, s: float):
+    x = a.data if isinstance(a, Tensor) else a
+    out = x * s
+    return out if x is a else _record(out, lambda g: (g * s,), a)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a, b):
     """Matrix product; batched operands must share leading dimensions."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
+    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+    if x.ndim < 2 or y.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
-    if a.data.shape[-1] != b.data.shape[-2] or a.data.shape[:-2] != b.data.shape[:-2]:
-        raise ShapeError(f"matmul: shapes {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-    tape = _trace(out, a, b)
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        a.accumulate_grad(g @ b_data.swapaxes(-1, -2))
-        b.accumulate_grad(a_data.swapaxes(-1, -2) @ g)
-
-    return _record(tape, out, bwd)
+    if x.shape[-1] != y.shape[-2] or x.shape[:-2] != y.shape[:-2]:
+        raise ShapeError(f"matmul: shapes {x.shape} vs {y.shape}")
+    out = x @ y
+    return out if x is a else _record(
+        out, lambda g: (g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g), a, b)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes))
-    tape = _trace(out, a)
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        a.accumulate_grad(g.transpose(inverse))
-
-    return _record(tape, out, bwd)
+def transpose(a, axes: Sequence[int]):
+    x = a.data if isinstance(a, Tensor) else a
+    out = x.transpose(axes)
+    return out if x is a else _record(  # sorted(...) is the inverse permutation
+        out, lambda g: (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),), a)
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    orig = a.data.shape
-    out = Tensor(a.data.reshape(shape))
-    tape = _trace(out, a)
-
-    def bwd(g):
-        a.accumulate_grad(g.reshape(orig))
-
-    return _record(tape, out, bwd)
+def reshape(a, shape: Sequence[int]):
+    x = a.data if isinstance(a, Tensor) else a
+    out = x.reshape(shape)
+    return out if x is a else _record(out, lambda g: (g.reshape(x.shape),), a)
 
 
 def rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice rows [start, stop) along the first axis."""
-    if not (0 <= start <= stop <= a.data.shape[0]):
-        raise ShapeError(f"rows: [{start}, {stop}) outside axis of size {a.data.shape[0]}")
-    out = Tensor(a.data[start:stop])
-    tape = _trace(out, a)
+    if not (0 <= start <= stop <= a.shape[0]):
+        raise ShapeError(f"rows: [{start}, {stop}) outside axis of size {a.shape[0]}")
 
-    def bwd(g):
+    def grads(g):
         full = np.zeros_like(a.data)
         full[start:stop] = g
-        a.accumulate_grad(full)
+        return (full,)
 
-    return _record(tape, out, bwd)
-
-
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[:-1] != b.data.shape[:-1]:
-        raise ShapeError(f"concat_last: shapes {a.data.shape} vs {b.data.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=-1))
-    tape = _trace(out, a, b)
-    split = a.data.shape[-1]
-
-    def bwd(g):
-        a.accumulate_grad(g[..., :split])
-        b.accumulate_grad(g[..., split:])
-
-    return _record(tape, out, bwd)
+    return _record(a.data[start:stop], grads, a)
 
 
-def embedding(table: Tensor, ids) -> Tensor:
+def concat_last(a, b):
+    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+    if x.shape[:-1] != y.shape[:-1]:
+        raise ShapeError(f"concat_last: shapes {x.shape} vs {y.shape}")
+    out = np.concatenate([x, y], axis=-1)
+    split = x.shape[-1]
+    return out if x is a else _record(out, lambda g: (g[..., :split], g[..., split:]), a, b)
+
+
+def embedding(table, ids):
     """Row gather from an embedding table; backward is a scatter-add."""
+    w = table.data if isinstance(table, Tensor) else table
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError("embedding ids must be a 1-D sequence")
-    n_rows = table.data.shape[0]
+    n_rows = w.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         raise IndexError(f"token id outside embedding table of size {n_rows}")
-    out = Tensor(table.data[ids])
-    tape = _trace(out, table)
+    out = w[ids]
+    if w is table:
+        return out
 
-    def bwd(g):
+    def scatter_add(g):  # adds into the table's gradient itself, so returns no gradients
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
+                table.grad = np.zeros_like(w)
             np.add.at(table.grad, ids, g)
+        return ()
 
-    return _record(tape, out, bwd)
+    return _record(out, scatter_add, table)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.data))
-    tape = _trace(out, a)
-
-    def bwd(g):
-        a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _record(tape, out, bwd)
+    return _record(np.sum(a.data), lambda g: (np.full_like(a.data, float(g)),), a)
 
 
-def silu(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(a.data * sig)
-    tape = _trace(out, a)
-    a_data = a.data
-
-    def bwd(g):
-        a.accumulate_grad(g * sig * (1.0 + a_data * (1.0 - sig)))
-
-    return _record(tape, out, bwd)
+def silu(a):
+    x = a.data if isinstance(a, Tensor) else a
+    sig = 1.0 / (1.0 + np.exp(-x))
+    out = x * sig
+    return out if x is a else _record(
+        out, lambda g: (g * sig * (1.0 + x * (1.0 - sig)),), a)
 
 
-def rms_norm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
+def rms_norm(x, gamma, eps: float = 1e-6):
     """Root-mean-square normalization over the last axis, scaled by gamma.
 
     Each row is divided by sqrt(mean(x^2) + eps) and multiplied
     elementwise by gamma.
     """
+    xd, gd = (x.data, gamma.data) if isinstance(x, Tensor) else (x, gamma)
     if eps < 0:
         raise ValueError("rms_norm eps must be nonnegative")
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,):
-        raise ShapeError(f"rms_norm: gamma shape {gamma.data.shape} vs last dim {d}")
-    inv = 1.0 / np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
-    normed = x.data * inv
-    out = Tensor(normed * gamma.data)
-    tape = _trace(out, x, gamma)
-    x_data, g_data = x.data, gamma.data
+    d = xd.shape[-1]
+    if gd.shape != (d,):
+        raise ShapeError(f"rms_norm: gamma shape {gd.shape} vs last dim {d}")
+    inv = 1.0 / np.sqrt(np.sum(xd * xd, axis=-1, keepdims=True) / d + eps)  # np.mean's bits
+    normed = xd * inv
+    out = normed * gd
+    if xd is x:
+        return out
 
-    def bwd(g):
-        u = g * g_data
-        s = np.sum(u * x_data, axis=-1, keepdims=True)
-        x.accumulate_grad(inv * u - (inv ** 3) * x_data * s / d)
-        if gamma.requires_grad:
-            red = tuple(range(g.ndim - 1))
-            gamma.accumulate_grad(np.sum(g * normed, axis=red))
+    def grads(g):
+        u = g * gd
+        s = np.sum(u * xd, axis=-1, keepdims=True)
+        return (inv * u - (inv ** 3) * xd * s / d,
+                np.sum(g * normed, axis=tuple(range(g.ndim - 1))))
 
-    return _record(tape, out, bwd)
+    return _record(out, grads, x, gamma)
 
 
-def softmax_last(x: Tensor, mask: Array | None = None) -> Tensor:
+def softmax_last(x, mask: Array | None = None):
     """Numerically stabilized softmax over the last axis.
 
     `mask` is an additive constant (0 for allowed, -inf for disallowed)
     broadcast onto the scores before the max-subtraction. Rows must keep
     at least one finite entry.
     """
-    z = x.data if mask is None else x.data + mask
+    xd = x.data if isinstance(x, Tensor) else x
+    z = xd if mask is None else xd + mask
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / np.sum(e, axis=-1, keepdims=True)
-    out = Tensor(y)
-    tape = _trace(out, x)
-
-    def bwd(g):
-        s = np.sum(g * y, axis=-1, keepdims=True)
-        x.accumulate_grad(y * (g - s))
-
-    return _record(tape, out, bwd)
+    return y if xd is x else _record(
+        y, lambda g: (y * (g - np.sum(g * y, axis=-1, keepdims=True)),), x)
 
 
-def rope_rotate(x: Tensor, cos: Array, sin: Array) -> Tensor:
+def rope_rotate(x, cos: Array, sin: Array):
     """Rotary position transform on the last axis, split-half pairing.
 
     The last axis is split into two halves (x1, x2); the output is
     (x1*cos - x2*sin, x1*sin + x2*cos). `cos`/`sin` have shape
     (positions, last_dim/2) and broadcast over leading axes.
     """
-    dh = x.data.shape[-1]
+    xd = x.data if isinstance(x, Tensor) else x
+    dh = xd.shape[-1]
     if dh % 2:
         raise ShapeError("rope_rotate needs an even last dimension")
     h = dh // 2
     if cos.shape[-1] != h or sin.shape[-1] != h:
         raise ShapeError("rope tables do not match half width")
-    x1, x2 = x.data[..., :h], x.data[..., h:]
-    out = Tensor(np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1))
-    tape = _trace(out, x)
+    x1, x2 = xd[..., :h], xd[..., h:]
+    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    if xd is x:
+        return out
 
-    def bwd(g):
+    def grads(g):
         g1, g2 = g[..., :h], g[..., h:]
-        dx1 = g1 * cos + g2 * sin
-        dx2 = -g1 * sin + g2 * cos
-        x.accumulate_grad(np.concatenate([dx1, dx2], axis=-1))
+        return (np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1),)
 
-    return _record(tape, out, bwd)
+    return _record(out, grads, x)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +363,13 @@ def cross_entropy_rows(logits: Tensor, targets, row_weights) -> Tensor:
         raise IndexError("target id outside vocabulary")
     logp = _log_softmax(logits.data)
     picked = logp[np.arange(n), targets]
-    out = Tensor(-np.sum(weights * picked))
-    tape = _trace(out, logits)
 
-    def bwd(g):
+    def grads(g):
         probs = np.exp(logp)
         probs[np.arange(n), targets] -= 1.0
-        logits.accumulate_grad(float(g) * probs * weights[:, None])
+        return (float(g) * probs * weights[:, None],)
 
-    return _record(tape, out, bwd)
+    return _record(-np.sum(weights * picked), grads, logits)
 
 
 # ---------------------------------------------------------------------------
@@ -430,25 +383,25 @@ def _causal_mask(m: int, s: int, past_len: int) -> Array:
     return np.where(cols <= q_pos, 0.0, -np.inf)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, past_len: int = 0) -> Tensor:
+def causal_attention(q, k, v, past_len: int = 0):
     """Scaled dot-product attention with a strict causal mask.
 
     q has T query rows; k/v carry past_len + T rows (the already-seen
     stream followed by the new positions). Query j sees keys at
-    positions <= past_len + j. Supports an optional leading head axis.
+    positions <= past_len + j, so a single query row needs no mask.
+    Supports an optional leading head axis.
     """
     if past_len < 0:
         raise ValueError("past_len must be nonnegative")
-    if k.data.shape != v.data.shape:
-        raise ShapeError(f"k/v shapes differ: {k.data.shape} vs {v.data.shape}")
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise ShapeError(f"head dims differ: {q.data.shape[-1]} vs {k.data.shape[-1]}")
-    m, s = q.data.shape[-2], k.data.shape[-2]
+    if k.shape != v.shape:
+        raise ShapeError(f"k/v shapes differ: {k.shape} vs {v.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"head dims differ: {q.shape[-1]} vs {k.shape[-1]}")
+    m, s = q.shape[-2], k.shape[-2]
     if s != past_len + m:
         raise ShapeError(f"key rows {s} != past_len {past_len} + query rows {m}")
-    dh = q.data.shape[-1]
-    scores = scale(matmul(q, transpose(k, _swap_last(k.ndim))), 1.0 / np.sqrt(dh))
-    probs = softmax_last(scores, _causal_mask(m, s, past_len))
+    scores = scale(matmul(q, transpose(k, _swap_last(k.ndim))), 1.0 / np.sqrt(q.shape[-1]))
+    probs = softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
     return matmul(probs, v)
 
 

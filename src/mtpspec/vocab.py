@@ -99,7 +99,12 @@ class CompressedVocab:
 
     @classmethod
     def from_json(cls, obj: dict, vocab_size: int) -> "CompressedVocab":
-        keep = np.asarray(sorted(obj["keep"]), dtype=np.int64)
+        ids = obj["keep"]
+        if any(type(i) is not int for i in ids):
+            raise ConfigError("compressed vocabulary ids must be integers")
+        if obj.get("size", len(ids)) != len(ids):
+            raise ConfigError(f"compressed vocabulary size {obj['size']} != {len(ids)} ids")
+        keep = np.asarray(sorted(ids), dtype=np.int64)
         if not keep.size or keep[0] < 0 or keep[-1] >= vocab_size:
             raise ConfigError(f"compressed vocabulary ids must be a nonempty "
                               f"subset of [0, {vocab_size})")

@@ -1,5 +1,7 @@
 """Harness-level tests: row math, sequencing, emission round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mtpspec.bench import (
 )
 from mtpspec.errors import ConfigError, SequencingError
 from mtpspec.model import ModelConfig, init_model
-from mtpspec.specdec import read_round_log, tau_from_records
+from mtpspec.specdec import rates_from_records, read_round_log, tau_from_records
 from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab
 
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=1, n_heads=2,
@@ -60,6 +62,17 @@ class TestRunBenchmark:
         records = read_round_log(tmp_path / "rounds_toy_finetuned-head_k2.jsonl")
         assert tau_from_records(records) == pytest.approx(spec_row.tau, abs=1e-9)
         assert spec_row.rounds == len(records)
+
+    def test_row_rates_equal_round_log_replay(self, rig, tmp_path):
+        # the untrained head never matches, so no round reaches steps 2..4
+        main, head, task = rig
+        cfgs = [RunConfig("baseline", k_depth=0), RunConfig("finetuned-head", k_depth=4)]
+        rows = run_benchmark([task], cfgs, main=main, finetuned_head=head,
+                             log_dir=str(tmp_path))
+        records = read_round_log(tmp_path / "rounds_toy_finetuned-head_k4.jsonl")
+        replayed = rates_from_records(records, 4)
+        assert any(math.isnan(r) for r in replayed)
+        np.testing.assert_allclose(rows[-1].rates, replayed, rtol=0, atol=1e-9)
 
     def test_fr_method_requires_bank(self, rig):
         main, head, task = rig
@@ -163,6 +176,18 @@ class TestEmission:
             "2000.000000000,0.000000000,0.000000000,1.000000000,1.000000000",
             "",
         ]
+
+    def test_nan_rate_round_trips(self, tmp_path):
+        row = ReportRow(task="toy", method="finetuned-head", k=2, vocab_size=64,
+                        prompts=4, output_tokens=48, rounds=48, tau=1.0,
+                        rates=[0.0, math.nan], tokens_per_s=800.0, tokens_per_s_std=1.0,
+                        c_draft=0.5, analytic_speedup=0.5, wall_speedup=0.8)
+        paths = emit_report([row], str(tmp_path))
+        with open(paths["csv"]) as fh:
+            assert "0.000000000;nan" in fh.read().splitlines()[1]
+        for loaded in (load_report_csv(paths["csv"]), load_report_json(paths["json"])):
+            assert loaded == [row]
+            assert loaded[0].rates[0] == 0.0 and math.isnan(loaded[0].rates[1])
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

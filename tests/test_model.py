@@ -8,6 +8,7 @@ from mtpspec.model import (
     KVCache, ModelConfig, MainModel, MTPHead, greedy_argmax, init_model,
     load_checkpoint, main_forward, mtp_step,
 )
+from mtpspec.tensor import Tape, Tensor
 
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=2, n_heads=2,
                   max_seq_len=48, seed=42)
@@ -160,6 +161,49 @@ class TestMTPStep:
         a, _ = mtp_step(head, h, [5], c1)
         b, _ = mtp_step(head, h, [5], c2)
         np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestTapeFreeForward:
+    """With no tape active the forwards run on plain arrays; their results
+    must equal the taped forwards' bit for bit."""
+
+    @staticmethod
+    def free_and_taped(run):
+        free = run()
+        with Tape() as tape:
+            taped = run()
+        assert len(tape) > 0  # the second run really went through the tape
+        assert all(isinstance(t, Tensor) for t in free + taped)
+        return [t.data for t in free], [t.data for t in taped]
+
+    def test_main_forward_matches_taped(self, models):
+        main, _ = models
+
+        def run():
+            cache = main.new_cache()
+            prefill = main_forward(main, [3, 9, 27, 1, 4, 33], cache)
+            step = main_forward(main, [8], cache)
+            verify = main_forward(main, [5, 6, 7, 2], cache)  # K+1 rows at K=3
+            full = main_forward(main, list(range(40)))
+            return [*prefill, *step, *verify, *full]
+
+        free, taped = self.free_and_taped(run)
+        for a, b in zip(free, taped):
+            assert np.array_equal(a, b)
+
+    def test_mtp_step_matches_taped(self, models):
+        _, head = models
+        h = np.random.default_rng(6).normal(size=(5, CFG.model_dim))
+
+        def run():
+            cache = head.new_cache()
+            stream = mtp_step(head, h, [11, 23, 5, 9, 40], cache)
+            draft = mtp_step(head, stream[0].data[-1:], [17], cache)
+            return [*stream, *draft]
+
+        free, taped = self.free_and_taped(run)
+        for a, b in zip(free, taped):
+            assert np.array_equal(a, b)
 
 
 class TestGreedyArgmax:

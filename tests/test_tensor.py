@@ -275,6 +275,17 @@ class TestPrimitiveGradients:
 
         assert_grads_match(loss, [a, b])
 
+    def test_transpose_undoes_a_cyclic_permutation(self):
+        # (1, 2, 0) is not its own inverse, unlike every permutation a forward uses
+        rng = np.random.default_rng(19)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+
+        def loss():
+            z = T.reshape(T.transpose(a, (1, 2, 0)), (6, 4))
+            return T.cross_entropy_rows(z, [0, 1, 2, 3, 0, 1], np.full(6, 1 / 6))
+
+        assert_grads_match(loss, [a])
+
 
 class TestTape:
     def test_backward_replays_in_reverse_order(self):
@@ -324,6 +335,76 @@ class TestTape:
         one = T.causal_attention(q, k, v).data
         two = T.causal_attention(q, k, v).data
         np.testing.assert_array_equal(one, two)
+
+
+def _ones(*shape):
+    return np.ones(shape)
+
+
+# (primitive, operands, other arguments, error); operands go in as arrays or as Tensors
+BAD_CALLS = {
+    "add-shapes": (T.add, (_ones(2, 3), _ones(3, 2)), (), ShapeError),
+    "mul-shapes": (T.mul, (_ones(2, 3), _ones(2, 4)), (), ShapeError),
+    "matmul-inner": (T.matmul, (_ones(2, 3), _ones(2, 3)), (), ShapeError),
+    "matmul-1d": (T.matmul, (_ones(3), _ones(3, 2)), (), ShapeError),
+    "matmul-batch": (T.matmul, (_ones(2, 2, 3), _ones(3, 3, 2)), (), ShapeError),
+    "concat-rows": (T.concat_last, (_ones(2, 3), _ones(3, 3)), (), ShapeError),
+    "gamma-width": (T.rms_norm, (_ones(2, 3), _ones(4)), (), ShapeError),
+    "negative-eps": (T.rms_norm, (_ones(2, 3), _ones(3)), (-1.0,), ValueError),
+    "rope-odd": (T.rope_rotate, (_ones(2, 3),), (_ones(2, 1), _ones(2, 1)), ShapeError),
+    "rope-table": (T.rope_rotate, (_ones(2, 4),), (_ones(2, 3), _ones(2, 3)), ShapeError),
+    "kv-shapes": (T.causal_attention, (_ones(2, 4), _ones(2, 4), _ones(3, 4)), (), ShapeError),
+    "head-dims": (T.causal_attention, (_ones(2, 4), _ones(2, 6), _ones(2, 6)), (), ShapeError),
+    "past-len": (T.causal_attention, (_ones(2, 4), _ones(3, 4), _ones(3, 4)), (0,), ShapeError),
+    "negative-past": (T.causal_attention, (_ones(2, 4), _ones(2, 4), _ones(2, 4)), (-1,),
+                      ValueError),
+    "ids-range": (T.embedding, (_ones(4, 2),), ([1, 4],), IndexError),
+    "ids-negative": (T.embedding, (_ones(4, 2),), ([-1],), IndexError),
+    "ids-2d": (T.embedding, (_ones(4, 2),), ([[1]],), ShapeError),
+}
+
+
+class TestArrayCalls:
+    """Primitives called with ndarrays: same checks, same values, no tape."""
+
+    @pytest.mark.parametrize("case", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+    def test_checks_raise_alike_for_arrays_and_tensors(self, case):
+        fn, operands, rest, error = case
+        with pytest.raises(error) as on_tensors:
+            fn(*(Tensor(o) for o in operands), *rest)
+        with pytest.raises(error) as on_arrays:
+            fn(*operands, *rest)
+        assert str(on_arrays.value) == str(on_tensors.value)
+
+    def test_mixed_operands_rejected(self):
+        with pytest.raises(TypeError):
+            T.matmul(Tensor(_ones(2, 3)), _ones(3, 2))
+        with pytest.raises(TypeError):
+            T.rms_norm(Tensor(_ones(2, 3)), _ones(3))
+
+    def test_array_calls_equal_tensor_calls_and_record_nothing(self):
+        rng = np.random.default_rng(18)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        cos, sin = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        calls = [
+            (T.add, (a, b), ()), (T.mul, (a, b), ()), (T.scale, (a,), (0.5,)),
+            (T.matmul, (a, b.T), ()), (T.transpose, (a,), ((1, 0),)),
+            (T.reshape, (a,), ((4, 3),)), (T.concat_last, (a, b), ()),
+            (T.embedding, (a,), ([2, 0, 2],)),
+            (T.silu, (a,), ()), (T.rms_norm, (a, b[0]), (1e-6,)),
+            (T.softmax_last, (a,), ()), (T.rope_rotate, (a,), (cos, sin)),
+            (T.causal_attention, (a, b, b), ()),
+            (T.causal_attention, (a[:1], b, b), (2,)),
+        ]
+        for fn, operands, rest in calls:
+            with Tape() as tape:
+                taped = fn(*(Tensor(o, requires_grad=True) for o in operands), *rest)
+                assert len(tape) > 0
+            with Tape() as tape:
+                free = fn(*operands, *rest)
+                assert len(tape) == 0
+            assert type(free) is np.ndarray
+            assert np.array_equal(free, taped.data), fn.__name__
 
 
 class TestGradCheck:

@@ -133,6 +133,17 @@ class TestCompressVocab:
             CompressedVocab.from_json({"lang": "t", "size": len(keep), "keep": keep},
                                       vocab_size=64)
 
+    @pytest.mark.parametrize("keep", [[1.5, 7.9], [True, 3], [2.0, 5]],
+                             ids=["fractional", "bool", "integral-float"])
+    def test_non_integer_ids_rejected_on_load(self, keep):
+        with pytest.raises(ConfigError):
+            CompressedVocab.from_json({"lang": "t", "size": len(keep), "keep": keep},
+                                      vocab_size=64)
+
+    def test_size_disagreeing_with_ids_rejected_on_load(self):
+        with pytest.raises(ConfigError):
+            CompressedVocab.from_json({"lang": "t", "size": 9, "keep": [1, 7]}, vocab_size=64)
+
 
 class TestDraftLogits:
     def _cv(self, main, size):
