@@ -174,7 +174,7 @@ def cmd_build_vocab(args, cfg) -> int:
         print(f"no examples tagged {args.lang!r} in the dataset", file=sys.stderr)
         return 1
     table = build_frequency_table(split, args.lang, vocab_size)
-    size = args.size or cfg["vocab"]["size"]
+    size = args.size if args.size is not None else cfg["vocab"]["size"]
     cv = compress_vocab(table, size, tuple(cfg["vocab"]["specials"]))
     save_frequency_table(out / f"freq_{args.lang}.json", table)
     vpath = out / f"vocab_{args.lang}_{size}.json"

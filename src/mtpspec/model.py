@@ -358,14 +358,14 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
         cache.reserve(m)
 
     hn = tn.rms_norm(h_prev, tn.operand(head.norm_hidden), cfg.rms_eps)
-    en = tn.rms_norm(tn.embedding(tn.operand(head.embed), tokens),
+    en = tn.rms_norm(tn.embedding(tn.constant(head.embed), tokens),
                      tn.operand(head.norm_embed), cfg.rms_eps)
     x = tn.matmul(tn.concat_last(hn, en), tn.operand(head.combine))
     h_new = block_forward(head.block, x, cfg=cfg, rope=head.rope, pos_start=pos,
                           cache=cache, layer=0)
     if cache is not None:
         cache.advance(m)
-    pre_logit = tn.rms_norm(h_new, tn.operand(head.final_norm), cfg.rms_eps)
+    pre_logit = tn.rms_norm(h_new, tn.constant(head.final_norm), cfg.rms_eps)
     return (h_new, pre_logit) if isinstance(h_new, Tensor) else (Tensor(h_new), Tensor(pre_logit))
 
 

@@ -51,8 +51,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()  # a copy: a rule may hand the same g to two inputs
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -118,6 +119,11 @@ class Tape:
 def operand(t: Tensor):
     """How a forward passes `t` to the primitives: as is under a tape, its array otherwise."""
     return t if _ACTIVE_TAPE is not None else t.data
+
+
+def constant(t: Tensor):
+    """Like `operand` for a weight that must get no gradient: a grad-free Tensor under a tape."""
+    return Tensor(t.data) if _ACTIVE_TAPE is not None else t.data
 
 
 def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Tensor:

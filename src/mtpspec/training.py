@@ -4,7 +4,10 @@ The head trains with shifted multi-step teacher forcing: the backbone
 runs once without gradients, then the head runs K sequential passes,
 each consuming the previous pass's hidden chain plus embeddings of
 tokens shifted one step further. Per-step cross-entropies combine under
-exponentially decayed weights that sum to one.
+exponentially decayed weights that sum to one. The head reads the
+backbone's shared weights as constants, so no gradient reaches the
+backbone through it. Pretraining and head fine-tuning share one
+optimizer loop, `_fit`, and differ only in their batch loss.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ class LossReport:
     step_losses: list[float]
     total: float
     step: int
-    tokens_seen: int
     skipped: int = 0
 
 
@@ -104,7 +106,7 @@ def head_stream_loss(head: MTPHead, h_main: np.ndarray, tokens, prompt_len: int,
     seq_len = tokens.size
     if seq_len <= cfg.k_steps:
         raise StateError("sequence too short for the configured prediction depth")
-    w_t = tn.transpose(head.embed, (1, 0))
+    w_t = tn.transpose(Tensor(head.embed.data), (1, 0))  # shared output head, a constant
     chain: Tensor = Tensor(h_main)
     total: Tensor | None = None
     raw_sums: list[float] = []
@@ -133,32 +135,12 @@ def _contributing_counts(examples, cfg: TrainConfig) -> list[int]:
     return counts
 
 
-class _shield_backbone:
-    """Treat main-model parameters as constants for the duration.
-
-    The embedding table and final norm are shared into the head's
-    forward; without this, an unfrozen toy backbone would collect
-    gradients through them.
-    """
-
-    def __init__(self, main: MainModel):
-        self._params = [p for p in main.parameters().values() if p.requires_grad]
-
-    def __enter__(self):
-        for p in self._params:
-            p.requires_grad = False
-
-    def __exit__(self, *exc):
-        for p in self._params:
-            p.requires_grad = True
-
-
 def mtp_training_loss(main: MainModel, head: MTPHead, batch,
                       cfg: TrainConfig) -> LossReport:
     """Batch loss with gradients accumulated onto head parameters only.
 
-    The backbone runs outside any tape (and its shared tensors are
-    shielded inside it), so its parameters never receive gradients
+    The backbone runs outside any tape and the head reads its shared
+    tensors as constants, so its parameters never receive gradients
     regardless of freeze state. Sequences no longer than k_steps are
     skipped and counted.
     """
@@ -169,26 +151,22 @@ def mtp_training_loss(main: MainModel, head: MTPHead, batch,
     scales = [alphas[i] / counts[i] if counts[i] else 0.0 for i in range(cfg.k_steps)]
 
     step_sums = [0.0] * cfg.k_steps
-    tokens_seen = 0
-    with _shield_backbone(main):
-        for ex in usable:
-            tokens = ex.tokens
-            tokens_seen += len(tokens)
-            h_main = backbone_hidden(main, tokens)
-            with Tape() as tape:
-                loss, raw = head_stream_loss(head, h_main, tokens, len(ex.prompt),
-                                             cfg, scales)
-                tape.backward(loss)
-            for i, r in enumerate(raw):
-                step_sums[i] += r
+    for ex in usable:
+        tokens = ex.tokens
+        h_main = backbone_hidden(main, tokens)
+        with Tape() as tape:
+            loss, raw = head_stream_loss(head, h_main, tokens, len(ex.prompt),
+                                         cfg, scales)
+            tape.backward(loss)
+        for i, r in enumerate(raw):
+            step_sums[i] += r
 
     step_losses = [step_sums[i] / counts[i] if counts[i] else 0.0
                    for i in range(cfg.k_steps)]
     total = sum(a * l for a, l in zip(alphas, step_losses))
     if not math.isfinite(total):
         raise TrainingDiverged(f"non-finite training loss {total}")
-    return LossReport(step_losses=step_losses, total=total, step=0,
-                      tokens_seen=tokens_seen, skipped=skipped)
+    return LossReport(step_losses=step_losses, total=total, step=0, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +228,6 @@ def cosine_lr(step: int, total_steps: int, peak: float,
 @dataclass
 class TrainResult:
     reports: list[LossReport] = field(default_factory=list)
-    skipped: int = 0
 
     def final_epoch_step_means(self, steps_per_epoch: int) -> list[float]:
         tail = self.reports[-steps_per_epoch:] if steps_per_epoch else self.reports
@@ -258,6 +235,26 @@ class TrainResult:
             return []
         k = len(tail[0].step_losses)
         return [float(np.mean([r.step_losses[i] for r in tail])) for i in range(k)]
+
+
+def _fit(items, params: dict[str, Tensor], cfg: TrainConfig, batch_loss) -> list:
+    """The one optimizer loop: seeded shuffled batches, cosine-scheduled AdamW.
+
+    `batch_loss(batch)` accumulates gradients for one batch; what it
+    returns is collected, one entry per optimizer step.
+    """
+    opt = AdamW(params, cfg.lr, (cfg.adam_beta1, cfg.adam_beta2),
+                cfg.adam_eps, cfg.weight_decay)
+    rng = np.random.default_rng(cfg.seed)
+    total_steps = cfg.epochs * math.ceil(len(items) / cfg.batch_size)
+    results = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(items))
+        for start in range(0, len(items), cfg.batch_size):
+            opt.zero_grad()
+            results.append(batch_loss([items[i] for i in order[start:start + cfg.batch_size]]))
+            opt.step(lr=cosine_lr(len(results) - 1, total_steps, cfg.lr, cfg.warmup_ratio))
+    return results
 
 
 def train_mtp_head(dataset, main: MainModel, head: MTPHead,
@@ -272,26 +269,12 @@ def train_mtp_head(dataset, main: MainModel, head: MTPHead,
         raise StateError("backbone must be frozen before head training")
     if not dataset:
         raise ConfigError("empty training dataset")
-    opt = AdamW(head.parameters(), cfg.lr, (cfg.adam_beta1, cfg.adam_beta2),
-                cfg.adam_eps, cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
-    steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    result = TrainResult()
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(dataset), cfg.batch_size):
-            batch = [dataset[i] for i in order[start:start + cfg.batch_size]]
-            opt.zero_grad()
-            report = mtp_training_loss(main, head, batch, cfg)
-            report.step = step
-            opt.step(lr=cosine_lr(step, total_steps, cfg.lr, cfg.warmup_ratio))
-            result.reports.append(report)
-            result.skipped += report.skipped
-            step += 1
+    reports = _fit(dataset, head.parameters(), cfg,
+                   lambda batch: mtp_training_loss(main, head, batch, cfg))
+    for step, report in enumerate(reports):
+        report.step = step
     head.trained_depth = cfg.k_steps
-    return result
+    return TrainResult(reports)
 
 
 def pretrain_main(sequences, model: MainModel, cfg: TrainConfig) -> list[float]:
@@ -300,33 +283,23 @@ def pretrain_main(sequences, model: MainModel, cfg: TrainConfig) -> list[float]:
         raise StateError("backbone is already frozen")
     if not sequences:
         raise ConfigError("empty pretraining corpus")
-    opt = AdamW(model.parameters(), cfg.lr, (cfg.adam_beta1, cfg.adam_beta2),
-                cfg.adam_eps, cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
-    steps_per_epoch = math.ceil(len(sequences) / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    curve: list[float] = []
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(sequences))
-        for start in range(0, len(sequences), cfg.batch_size):
-            batch = [sequences[i] for i in order[start:start + cfg.batch_size]]
-            count = sum(len(s) - 1 for s in batch)
-            opt.zero_grad()
-            batch_loss = 0.0
-            for seq in batch:
-                tokens = np.asarray(seq, dtype=np.int64)
-                with Tape() as tape:
-                    _, logits = main_forward(model, tokens)
-                    head_rows = tn.rows(logits, 0, tokens.size - 1)
-                    ce = tn.cross_entropy_rows(head_rows, tokens[1:],
-                                               np.full(tokens.size - 1, 1.0 / count))
-                    tape.backward(ce)
-                batch_loss += float(ce.data)
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(f"non-finite pretraining loss at step {step}")
-            opt.step(lr=cosine_lr(step, total_steps, cfg.lr, cfg.warmup_ratio))
-            curve.append(batch_loss)
-            step += 1
+
+    def batch_loss(batch) -> float:
+        count = sum(len(s) - 1 for s in batch)
+        loss = 0.0
+        for seq in batch:
+            tokens = np.asarray(seq, dtype=np.int64)
+            with Tape() as tape:
+                _, logits = main_forward(model, tokens)
+                head_rows = tn.rows(logits, 0, tokens.size - 1)
+                ce = tn.cross_entropy_rows(head_rows, tokens[1:],
+                                           np.full(tokens.size - 1, 1.0 / count))
+                tape.backward(ce)
+            loss += float(ce.data)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"non-finite pretraining loss {loss}")
+        return loss
+
+    curve = _fit(sequences, model.parameters(), cfg, batch_loss)
     model.freeze()
     return curve

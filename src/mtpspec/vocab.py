@@ -45,10 +45,26 @@ class FrequencyTable:
 
     @classmethod
     def from_json(cls, obj: dict, vocab_size: int) -> "FrequencyTable":
+        pairs, total = obj["pairs"], obj["total"]
+        if type(total) is not int or any(
+                len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int
+                for pair in pairs):
+            raise ConfigError("frequency table pairs must be [id, count] integers, "
+                              "its total an integer")
+        ids = [token_id for token_id, _ in pairs]
+        if any(not 0 <= i < vocab_size for i in ids):
+            raise ConfigError(f"frequency table ids must lie in [0, {vocab_size})")
+        if len(set(ids)) != len(ids):
+            raise ConfigError("frequency table lists an id more than once")
+        if any(count < 0 for _, count in pairs):
+            raise ConfigError("frequency table counts must be nonnegative")
+        if total < 1 or sum(count for _, count in pairs) != total:
+            raise ConfigError(f"frequency table total {total} must be the positive sum "
+                              "of its counts")
         counts = np.zeros(vocab_size, dtype=np.int64)
-        for token_id, count in obj["pairs"]:
+        for token_id, count in pairs:
             counts[token_id] = count
-        return cls(lang=obj["lang"], counts=counts, total=int(obj["total"]))
+        return cls(lang=obj["lang"], counts=counts, total=total)
 
 
 def build_frequency_table(corpus, lang: str, vocab_size: int) -> FrequencyTable:
@@ -214,8 +230,7 @@ class VocabBank:
         return self.by_lang.get(lang, self.fallback)
 
 
-def detect_language(context, bank: VocabBank | None = None,
-                    window: int = DETECT_WINDOW,
+def detect_language(context, window: int = DETECT_WINDOW,
                     threshold: float = CJK_RATIO_THRESHOLD) -> str:
     """Classify the trailing context by its high-byte (CJK) token ratio.
 

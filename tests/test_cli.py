@@ -93,6 +93,12 @@ class TestPipelineArtifacts:
         vocab = json.loads((out / "vocab_syn-a_64.json").read_text())
         assert vocab["size"] == 64 and len(vocab["keep"]) == 64
 
+    def test_build_vocab_size_zero_rejected(self, workdir):
+        base, out = workdir
+        with pytest.raises(ConfigError):
+            main(base + ["build-vocab", "--lang", "syn-a", "--size", "0"])
+        assert not (out / "vocab_syn-a_128.json").exists()
+
 
 class TestBenchCommands:
     def test_bench_writes_reports_and_logs(self, workdir):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtpspec.data import TrainingExample, make_examples
-from mtpspec.errors import ConfigError, StateError
+from mtpspec.errors import ConfigError, StateError, TrainingDiverged
 from mtpspec.model import ModelConfig, init_model, mtp_step
 from mtpspec.tensor import grad_check, softmax_cross_entropy, transpose
 from mtpspec.training import (
@@ -236,3 +236,42 @@ class TestPretrainMain:
         main.freeze()
         with pytest.raises(StateError):
             pretrain_main([[1, 2, 3]], main, TrainConfig(epochs=1))
+
+
+class TestOptimizerLoop:
+    """Both trainers: one cosine-scheduled optimizer step per batch."""
+
+    def _run(self, trainer, main, head, data, cfg):
+        if trainer == "pretrain":
+            return pretrain_main([ex.tokens for ex in data], main, cfg)
+        main.freeze()
+        return train_mtp_head(data, main, head, cfg)
+
+    @pytest.mark.parametrize("trainer", ["pretrain", "head"])
+    def test_lr_schedule_per_step(self, monkeypatch, trainer):
+        lrs = []
+        step = AdamW.step
+
+        def recording_step(self, lr=None):
+            lrs.append(lr)
+            step(self, lr)
+
+        monkeypatch.setattr(AdamW, "step", recording_step)
+        main, head = init_model(TOY)
+        cfg = TrainConfig(k_steps=2, lr=1e-2, warmup_ratio=0.34, epochs=2, batch_size=2,
+                          seed=3)
+        out = self._run(trainer, main, head, [toy_example(i) for i in range(5)], cfg)
+        assert lrs == [cosine_lr(s, 6, cfg.lr, cfg.warmup_ratio) for s in range(6)]
+        if trainer == "pretrain":
+            assert len(out) == 6
+        else:
+            assert [r.step for r in out.reports] == list(range(6))
+
+    @pytest.mark.parametrize("trainer", ["pretrain", "head"])
+    def test_nan_weight_diverges(self, trainer):
+        main, head = init_model(TOY)
+        weight = main.final_norm if trainer == "pretrain" else head.norm_hidden
+        weight.data[0] = np.nan
+        with pytest.raises(TrainingDiverged):
+            self._run(trainer, main, head, [toy_example(i) for i in range(3)],
+                      TrainConfig(k_steps=2, epochs=1, batch_size=2))

@@ -61,6 +61,23 @@ class TestFrequencyTable:
         np.testing.assert_array_equal(loaded.counts, table.counts)
         assert loaded.total == table.total and loaded.lang == "t"
 
+    @pytest.mark.parametrize("pairs, total", [
+        ([[-3, 5], [7, 4]], 9),
+        ([[True, 4]], 4),
+        ([[3, 5], [3, 4]], 9),
+        ([[3, -1], [7, 10]], 9),
+        ([[3, 5], [7, 4]], 10),
+        ([[512, 5], [7, 4]], 9),
+        ([[1.5, 5], [7, 4]], 9),
+        ([[3, 2.5]], 2.5),
+        ([], 0),
+    ], ids=["negative-id", "bool-id", "duplicate-id", "negative-count", "wrong-total",
+            "out-of-range-id", "fractional-id", "fractional-count", "empty"])
+    def test_malformed_table_rejected_on_load(self, pairs, total):
+        with pytest.raises(ConfigError):
+            FrequencyTable.from_json({"lang": "t", "total": total, "pairs": pairs},
+                                     vocab_size=512)
+
 
 class TestCompressVocab:
     def test_tie_breaks_to_lower_id(self):
