@@ -100,10 +100,10 @@ def cmd_pretrain_main(args, cfg) -> int:
     d = cfg["data"]
     corpus = mixed_dataset(d["seed"], d["per_lang"], d["prompt_len"],
                            d["response_len"], tags=tuple(d["langs"]))
-    save_dataset(out / "corpus.jsonl", corpus)
     main, _ = init_model(_model_config(cfg))
     curve = pretrain_main([ex.tokens for ex in corpus], main,
-                          _train_config(cfg["pretrain"]))
+                          _train_config(cfg["pretrain"]))  # rejects a bad config before any write
+    save_dataset(out / "corpus.jsonl", corpus)
     main.save(out / "main.npz")
     (out / "pretrain_losses.json").write_text(json.dumps(curve))
     print(f"pretrained on {len(corpus)} sequences; "
@@ -138,7 +138,7 @@ def cmd_dedup(args, cfg) -> int:
     threshold = d.pop("jaccard_threshold")
     restore = d.pop("mix_back_langs", [])
     rules = FilterRules(**d)
-    dataset = load_dataset(src)
+    dataset = load_dataset(src, cfg["model"]["vocab_size"])
     kept = dedup_and_filter(dataset, threshold, rules)
     kept = mix_back(dataset, kept, langs=tuple(restore), rules=rules)
     save_dataset(dst, kept)
@@ -149,7 +149,7 @@ def cmd_dedup(args, cfg) -> int:
 def cmd_train_head(args, cfg) -> int:
     out = _out(args)
     main = MainModel.load(args.main or out / "main.npz")
-    dataset = load_dataset(args.data or out / "dataset.jsonl")
+    dataset = load_dataset(args.data or out / "dataset.jsonl", main.config.vocab_size)
     tcfg = _train_config(cfg["train"], k_steps=args.k)
     _, head = init_model(main.config)
     result = train_mtp_head(dataset, main, head, tcfg)
@@ -167,8 +167,8 @@ def cmd_train_head(args, cfg) -> int:
 
 def cmd_build_vocab(args, cfg) -> int:
     out = _out(args)
-    dataset = load_dataset(args.data or out / "dataset.jsonl")
     vocab_size = cfg["model"]["vocab_size"]
+    dataset = load_dataset(args.data or out / "dataset.jsonl", vocab_size)
     split = [ex.tokens for ex in dataset if ex.lang == args.lang]
     if not split:
         print(f"no examples tagged {args.lang!r} in the dataset", file=sys.stderr)
@@ -243,7 +243,7 @@ def cmd_sweep_vocab(args, cfg) -> int:
     out = _out(args)
     main = MainModel.load(args.main or out / "main.npz")
     head = MTPHead.load(args.head or out / "head.npz", main)
-    dataset = load_dataset(args.data or out / "dataset.jsonl")
+    dataset = load_dataset(args.data or out / "dataset.jsonl", main.config.vocab_size)
     b = cfg["bench"]
     tables = {}
     for lang in cfg["data"]["langs"]:

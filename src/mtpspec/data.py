@@ -16,6 +16,8 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def seed_key(*parts) -> list[int]:
     """Deterministic SeedSequence entropy from mixed int/str parts."""
@@ -81,6 +83,8 @@ class TrainingExample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainingExample":
+        if any(type(t) is not int or t < 0 for t in [*obj["prompt"], *obj["response"]]):
+            raise ConfigError("dataset token ids must be nonnegative integers")
         return cls(prompt=list(obj["prompt"]), response=list(obj["response"]),
                    lang=obj["lang"], source=obj["source"],
                    truncated=bool(obj.get("truncated", False)))
@@ -92,13 +96,17 @@ def save_dataset(path, examples) -> None:
             fh.write(json.dumps(ex.to_json()) + "\n")
 
 
-def load_dataset(path) -> list[TrainingExample]:
+def load_dataset(path, vocab_size: int) -> list[TrainingExample]:
+    """Read a JSON-lines dataset whose every id lies below `vocab_size`."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 out.append(TrainingExample.from_json(json.loads(line)))
+                if max(out[-1].tokens) >= vocab_size:
+                    raise ConfigError(f"{path}: example {len(out) - 1} has a token id "
+                                      f"outside [0, {vocab_size})")
     return out
 
 

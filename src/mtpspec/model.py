@@ -6,6 +6,13 @@ head combines a backbone hidden state with a shifted token embedding,
 runs one transformer block over its own stream, and projects logits
 through the main model's shared output head; one weight set is reused at
 every prediction step.
+
+Each block keeps its Q/K/V weights in one (3, d, d) buffer. The
+parameters `wq`, `wk` and `wv` are contiguous views into it, so
+checkpoints, the optimizer and gradient checks see three named weights
+and work on them in place, while the forward projects with one stacked
+matmul and rotates q and k with one rotary call. Those views must stay
+views: loading writes through them, and freezing locks the buffer too.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tn
-from .errors import CapacityError, ConfigError, ConsistencyError, NumericError, ShapeError
+from .errors import (CapacityError, ConfigError, ConsistencyError, NumericError, ShapeError,
+                     StateError)
 from .tensor import Tensor
 
 INIT_STD = 0.02
@@ -80,9 +88,10 @@ class TransformerBlock:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, resid_scale: float):
         d, f = cfg.model_dim, cfg.mlp_dim
         self.attn_norm = Tensor(np.ones(d), requires_grad=True)
-        self.wq = _param(rng, (d, d))
-        self.wk = _param(rng, (d, d))
-        self.wv = _param(rng, (d, d))
+        self.qkv = np.empty((3, d, d))
+        for w in self.qkv:
+            w[...] = rng.normal(scale=INIT_STD, size=(d, d))
+        self.wq, self.wk, self.wv = (Tensor(w, requires_grad=True) for w in self.qkv)
         self.wo = _param(rng, (d, d), std=INIT_STD * resid_scale)
         self.mlp_norm = Tensor(np.ones(d), requires_grad=True)
         self.w_gate = _param(rng, (d, f))
@@ -147,8 +156,9 @@ class KVCache:
 
 
 def _split_heads(x, n_heads: int):
-    m, d = x.shape
-    return tn.transpose(tn.reshape(x, (m, n_heads, d // n_heads)), (1, 0, 2))
+    """(n, m, d) stacked projections -> (n, heads, m, head_dim)."""
+    n, m, d = x.shape
+    return tn.transpose(tn.reshape(x, (n, m, n_heads, d // n_heads)), (0, 2, 1, 3))
 
 
 def _merge_heads(x):
@@ -165,9 +175,10 @@ def block_forward(block: TransformerBlock, x, *, cfg: ModelConfig,
     live = isinstance(x, Tensor)
 
     a = tn.rms_norm(x, tn.operand(block.attn_norm), cfg.rms_eps)
-    q = tn.rope_rotate(_split_heads(tn.matmul(a, tn.operand(block.wq)), cfg.n_heads), cos, sin)
-    k = tn.rope_rotate(_split_heads(tn.matmul(a, tn.operand(block.wk)), cfg.n_heads), cos, sin)
-    v = _split_heads(tn.matmul(a, tn.operand(block.wv)), cfg.n_heads)
+    w_qkv = tn.stacked(block.qkv, (block.wq, block.wk, block.wv))
+    qkv = _split_heads(tn.matmul(a, w_qkv), cfg.n_heads)
+    qk, v = tn.take(qkv, slice(0, 2), 2)
+    q, k = tn.take(tn.rope_rotate(qk, cos, sin), 0, 1)
 
     if cache is not None:
         cache.reserve(m)
@@ -210,6 +221,8 @@ class MainModel:
             p.requires_grad = False
             p.zero_grad()
             p.data.flags.writeable = False
+        for blk in self.blocks:
+            blk.qkv.flags.writeable = False
         self.frozen = True
 
     def new_cache(self) -> KVCache:
@@ -374,9 +387,22 @@ def greedy_argmax(logits) -> int:
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ShapeError("greedy_argmax expects a nonempty 1-D logit row")
-    if not np.all(np.isfinite(arr)):
+    return int(_greedy(arr))
+
+
+def greedy_rows(logits) -> list[int]:
+    """`greedy_argmax` of every row of a [rows x V] logit matrix at once."""
+    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ShapeError("greedy_rows expects a nonempty 2-D logit matrix")
+    return _greedy(arr).tolist()
+
+
+def _greedy(arr: np.ndarray):
+    """The one greedy rule: argmax over the last axis (first maximum wins), all finite."""
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericError("non-finite logit")
-    return int(np.argmax(arr))
+    return arr.argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +429,10 @@ def _load_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None
     extra = set(arrays) - set(params)
     if missing or extra:
         raise ConsistencyError(f"checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, p in params.items():
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != p.data.shape:
+    for name, p in params.items():  # every check before any write: a failed load changes nothing
+        if np.shape(arrays[name]) != p.data.shape:
             raise ConsistencyError(f"checkpoint shape mismatch for {name}")
         if not p.data.flags.writeable:
-            p.data = arr.copy()
-        else:
-            p.data[...] = arr
+            raise StateError(f"cannot load into frozen parameter {name}")
+    for name, p in params.items():
+        p.data[...] = arrays[name]  # in place: a parameter may be a view into a stacked buffer

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import EOS_TOKEN
 from .errors import CapacityError, ShapeError, StateError
-from .model import MTPHead, MainModel, greedy_argmax, main_forward, mtp_step
+from .model import MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step
 from .vocab import (CompressedVocab, VocabBank, detect_language, draft_logits_compressed,
                     identity_vocab)
 
@@ -214,7 +214,7 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome
     session.hiddens[session.hid_len:session.hid_len + rows] = hidden.data
     session.hid_len += rows
 
-    greedy = [greedy_argmax(logits.data[i]) for i in range(rows)]
+    greedy = greedy_rows(logits.data)
     flags = [d == greedy[i] for i, d in enumerate(rnd.tokens)]
     matched = 0
     for ok in flags:

@@ -1,13 +1,23 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 Each primitive's forward math and checks are written once and run on
-plain ndarrays. Called with arrays, a forward primitive (all but `rows`,
+plain ndarrays. Called with arrays, a forward primitive (all but
 `sum_all` and the losses) returns an array and records nothing: this is
 the inference path, taken whenever no tape is active. Called with
 Tensors under an active :class:`Tape`, a primitive touching a
 gradient-bearing tensor also appends a backward closure, and
 ``Tape.backward`` replays those in exact reverse order. Both paths make
-the same numpy calls, so their results are bitwise equal.
+the same numpy calls, so their results are bitwise equal. The hot
+primitives call ufunc methods (``np.add.reduce``, ``np.maximum.reduce``)
+rather than ``np.sum``/``np.max``, which give the same bits without
+numpy's Python wrappers.
+
+Weights that are used together can live in one buffer: `stacked` passes
+a (n, k, j) buffer whose n parts are the parameters' own views, and
+`matmul` of a 2-D left operand against it makes all n products in one
+call. Its backward adds the left operand's n gradients last part first,
+the order in which n separate products would have replayed, so trained
+bits do not depend on the stacking. `take` splits such a result again.
 
 Everything is float64. Determinism matters more than speed here: the
 whole verification story (gradient checks, lossless decoding) leans on
@@ -126,6 +136,16 @@ def constant(t: Tensor):
     return Tensor(t.data) if _ACTIVE_TAPE is not None else t.data
 
 
+def stacked(buffer: Array, parts: Sequence[Tensor]):
+    """How a forward passes weights that are consecutive views of one buffer.
+
+    With no tape active that is `buffer` itself. Under a tape it is a
+    Tensor over the same memory whose gradient goes to `parts`, one
+    slice of the first axis each.
+    """
+    return buffer if _ACTIVE_TAPE is None else _record(buffer, tuple, *parts)
+
+
 def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Tensor:
     """Wrap the result of a primitive called with Tensors.
 
@@ -175,15 +195,31 @@ def scale(a, s: float):
 
 
 def matmul(a, b):
-    """Matrix product; batched operands must share leading dimensions."""
+    """Matrix product; batched operands must share leading dimensions.
+
+    A 2-D left operand may also meet a stacked (n, k, j) right operand:
+    the result stacks its n products, (n, m, j), and the left operand's
+    gradient adds their n gradients from the last to the first.
+    """
     x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
     if x.ndim < 2 or y.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
-    if x.shape[-1] != y.shape[-2] or x.shape[:-2] != y.shape[:-2]:
+    stacked_right = x.ndim == 2 and y.ndim == 3
+    if x.shape[-1] != y.shape[-2] or (x.shape[:-2] != y.shape[:-2] and not stacked_right):
         raise ShapeError(f"matmul: shapes {x.shape} vs {y.shape}")
     out = x @ y
-    return out if x is a else _record(
-        out, lambda g: (g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g), a, b)
+    if x is a:
+        return out
+
+    def grads(g):
+        gx = g @ y.swapaxes(-1, -2)
+        if stacked_right:
+            parts, gx = gx, gx[-1]
+            for part in parts[-2::-1]:
+                gx = gx + part
+        return gx, x.swapaxes(-1, -2) @ g
+
+    return _record(out, grads, a, b)
 
 
 def transpose(a, axes: Sequence[int]):
@@ -200,16 +236,39 @@ def reshape(a, shape: Sequence[int]):
 
 
 def rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice rows [start, stop) along the first axis."""
+    """Slice rows [start, stop) along the first axis: `take` of one slice, bounds-checked."""
     if not (0 <= start <= stop <= a.shape[0]):
         raise ShapeError(f"rows: [{start}, {stop}) outside axis of size {a.shape[0]}")
+    return take(a, slice(start, stop))[0]
 
-    def grads(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
 
-    return _record(a.data[start:stop], grads, a)
+def take(a, *keys):
+    """The parts a[key] along the first axis, one per key (an int or a slice).
+
+    The keys must pick disjoint parts. With arrays the parts are views.
+    Under a tape this is the one primitive with several outputs, so it
+    records its own backward step rather than going through `_record`:
+    that step writes the parts' gradients into one zero array for `a`.
+    """
+    x = a.data if isinstance(a, Tensor) else a
+    parts = tuple([x[key] for key in keys])
+    if x is a:
+        return parts
+    outs = tuple([Tensor(part) for part in parts])
+    tape = _ACTIVE_TAPE
+    if tape is not None and a.requires_grad:
+        for out in outs:
+            out.requires_grad = True
+
+        def op():
+            if any(out.grad is not None for out in outs):
+                full = np.zeros_like(x)
+                for key, out in zip(keys, outs):
+                    if out.grad is not None:
+                        full[key] = out.grad
+                a.accumulate_grad(full)
+        tape._ops.append(op)
+    return outs
 
 
 def concat_last(a, b):
@@ -228,7 +287,7 @@ def embedding(table, ids):
     if ids.ndim != 1:
         raise ShapeError("embedding ids must be a 1-D sequence")
     n_rows = w.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+    if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= n_rows):
         raise IndexError(f"token id outside embedding table of size {n_rows}")
     out = w[ids]
     if w is table:
@@ -268,7 +327,7 @@ def rms_norm(x, gamma, eps: float = 1e-6):
     d = xd.shape[-1]
     if gd.shape != (d,):
         raise ShapeError(f"rms_norm: gamma shape {gd.shape} vs last dim {d}")
-    inv = 1.0 / np.sqrt(np.sum(xd * xd, axis=-1, keepdims=True) / d + eps)  # np.mean's bits
+    inv = 1.0 / np.sqrt(np.add.reduce(xd * xd, axis=-1, keepdims=True) / d + eps)  # np.mean's bits
     normed = xd * inv
     out = normed * gd
     if xd is x:
@@ -276,9 +335,9 @@ def rms_norm(x, gamma, eps: float = 1e-6):
 
     def grads(g):
         u = g * gd
-        s = np.sum(u * xd, axis=-1, keepdims=True)
+        s = np.add.reduce(u * xd, axis=-1, keepdims=True)
         return (inv * u - (inv ** 3) * xd * s / d,
-                np.sum(g * normed, axis=tuple(range(g.ndim - 1))))
+                np.add.reduce(g * normed, axis=tuple(range(g.ndim - 1))))
 
     return _record(out, grads, x, gamma)
 
@@ -291,12 +350,15 @@ def softmax_last(x, mask: Array | None = None):
     at least one finite entry.
     """
     xd = x.data if isinstance(x, Tensor) else x
-    z = xd if mask is None else xd + mask
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    if mask is None:
+        z = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
+    else:
+        z = xd + mask
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    y = np.exp(z, out=z)  # in place from here on: one score-sized buffer, not three
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     return y if xd is x else _record(
-        y, lambda g: (y * (g - np.sum(g * y, axis=-1, keepdims=True)),), x)
+        y, lambda g: (y * (g - np.add.reduce(g * y, axis=-1, keepdims=True)),), x)
 
 
 def rope_rotate(x, cos: Array, sin: Array):
@@ -382,11 +444,26 @@ def cross_entropy_rows(logits: Tensor, targets, row_weights) -> Tensor:
 # attention
 
 
+_last_mask: tuple = (None, None)  # the last (m, s, past_len) key and its mask
+
+
 def _causal_mask(m: int, s: int, past_len: int) -> Array:
+    # Every layer of a forward asks for the same mask, so the last one is
+    # kept (read-only); one per shape would grow with every length seen.
+    # The cache is one tuple, read once and replaced whole, so a thread
+    # never returns a mask that another thread stored for its own shape.
+    global _last_mask
+    key = (m, s, past_len)
+    cached = _last_mask
+    if cached[0] == key:
+        return cached[1]
     # query j may attend keys at absolute positions <= past_len + j
     cols = np.arange(s)[None, :]
     q_pos = past_len + np.arange(m)[:, None]
-    return np.where(cols <= q_pos, 0.0, -np.inf)
+    mask = np.where(cols <= q_pos, 0.0, -np.inf)
+    mask.flags.writeable = False
+    _last_mask = (key, mask)
+    return mask
 
 
 def causal_attention(q, k, v, past_len: int = 0):

@@ -283,6 +283,8 @@ def pretrain_main(sequences, model: MainModel, cfg: TrainConfig) -> list[float]:
         raise StateError("backbone is already frozen")
     if not sequences:
         raise ConfigError("empty pretraining corpus")
+    if cfg.epochs < 1:
+        raise ConfigError("pretraining needs at least one epoch")
 
     def batch_loss(batch) -> float:
         count = sum(len(s) - 1 for s in batch)

@@ -206,7 +206,7 @@ def draft_logits_compressed(pre_logit_state: np.ndarray, cv: CompressedVocab):
     """
     cv.check_bound()
     logits = cv.w_view @ pre_logit_state
-    comp_idx = int(np.argmax(logits))
+    comp_idx = int(logits.argmax())
     return logits, int(cv.keep[comp_idx])
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from mtpspec.bench import load_report_csv, load_report_json
 from mtpspec.cli import DEFAULT_CONFIG, load_config, main
-from mtpspec.data import load_dataset
+from mtpspec.data import TrainingExample, load_dataset, save_dataset
 from mtpspec.errors import ConfigError
 from mtpspec.model import MainModel, MTPHead
 from mtpspec.specdec import read_round_log
@@ -81,7 +81,7 @@ class TestPipelineArtifacts:
         assert head.trained_depth == 3
         vanilla = MTPHead.load(out / "head-vanilla.npz", main_model)
         assert vanilla.trained_depth == 1
-        dataset = load_dataset(out / "dataset.jsonl")
+        dataset = load_dataset(out / "dataset.jsonl", main_model.config.vocab_size)
         assert dataset and all(ex.source == "self-distill" for ex in dataset)
 
     def test_vocab_artifacts(self, workdir):
@@ -98,6 +98,25 @@ class TestPipelineArtifacts:
         with pytest.raises(ConfigError):
             main(base + ["build-vocab", "--lang", "syn-a", "--size", "0"])
         assert not (out / "vocab_syn-a_128.json").exists()
+
+    def test_pretrain_zero_epochs_rejected_before_writing(self, tmp_path):
+        cfg_path = tmp_path / "zero.json"
+        cfg_path.write_text(json.dumps({**TINY, "pretrain": {"epochs": 0}}))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="epoch"):
+            main(["--config", str(cfg_path), "--out-dir", str(out), "pretrain-main"])
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("stage", [["dedup", "--input"], ["train-head", "--data"],
+                                       ["build-vocab", "--lang", "syn-a", "--data"]])
+    def test_dataset_ids_beyond_vocab_rejected(self, workdir, tmp_path, stage):
+        base, out = workdir
+        path = tmp_path / "wide.jsonl"
+        save_dataset(path, [TrainingExample([1, 2], [3, 512], "syn-a", "self-distill")])
+        before = sorted(p.name for p in out.iterdir())
+        with pytest.raises(ConfigError, match="outside"):
+            main(base + stage + [str(path)])
+        assert sorted(p.name for p in out.iterdir()) == before
 
 
 class TestBenchCommands:

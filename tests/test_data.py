@@ -9,6 +9,7 @@ from mtpspec.data import (
     decode_tokens, encode_text, is_high_byte, language, load_dataset,
     make_examples, mixed_dataset, sample_prompts, save_dataset, seed_key,
 )
+from mtpspec.errors import ConfigError
 
 
 class TestTokenSpace:
@@ -43,12 +44,28 @@ class TestTrainingExample:
         ex = TrainingExample([1, 2], [3, 4], "zh", "corpus", truncated=True)
         assert TrainingExample.from_json(ex.to_json()) == ex
 
+    @pytest.mark.parametrize("bad", [1.5, -3, True])
+    def test_non_integer_or_negative_ids_rejected(self, bad):
+        obj = TrainingExample([1, 2], [3, 4], "zh", "corpus").to_json()
+        with pytest.raises(ConfigError):
+            TrainingExample.from_json({**obj, "response": [3, bad]})
+        with pytest.raises(ConfigError):
+            TrainingExample.from_json({**obj, "prompt": [bad, 2]})
+
+    def test_ids_beyond_vocab_rejected_on_load(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, [TrainingExample([1, 2], [3, 63], "t", "t"),
+                            TrainingExample([1, 64], [3], "t", "t")])
+        with pytest.raises(ConfigError, match="example 1"):
+            load_dataset(path, 64)
+        assert len(load_dataset(path, 65)) == 2
+
     def test_dataset_file_round_trip(self, tmp_path):
         examples = make_examples("syn-a", seed=3, count=5, prompt_len=4,
                                  response_len=8)
         path = tmp_path / "data.jsonl"
         save_dataset(path, examples)
-        assert load_dataset(path) == examples
+        assert load_dataset(path, VOCAB_SIZE) == examples
 
 
 class TestLanguages:

@@ -1,14 +1,20 @@
 """Model-layer tests: forwards, KV cache semantics, init, checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mtpspec.errors import CapacityError, ConfigError, ConsistencyError, NumericError, ShapeError
+from mtpspec.errors import (CapacityError, ConfigError, ConsistencyError, NumericError,
+                            ShapeError, StateError)
 from mtpspec.model import (
-    KVCache, ModelConfig, MainModel, MTPHead, greedy_argmax, init_model,
-    load_checkpoint, main_forward, mtp_step,
+    KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax, greedy_rows,
+    init_model, load_checkpoint, main_forward, mtp_step,
 )
-from mtpspec.tensor import Tape, Tensor
+from mtpspec import tensor as tn
+from mtpspec.tensor import Tape, Tensor, cross_entropy_rows, grad_check
+
+STACK = Path(__file__).resolve().parents[1] / "perfbench" / "stack"
 
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=2, n_heads=2,
                   max_seq_len=48, seed=42)
@@ -206,6 +212,86 @@ class TestTapeFreeForward:
             assert np.array_equal(a, b)
 
 
+class TestDeskShape:
+    """The stacked Q/K/V product equals the per-projection one only as a
+    property of BLAS at real shapes, so it is pinned at the desk config."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        return init_model(ModelConfig())
+
+    def test_main_forward_matches_taped(self, desk):
+        main, _ = desk
+        prompt = np.random.default_rng(2).integers(main.config.vocab_size, size=24).tolist()
+
+        def run():
+            cache = main.new_cache()
+            prefill = main_forward(main, prompt, cache)
+            verify = main_forward(main, [5, 6, 7, 2], cache)
+            step = main_forward(main, [8], cache)
+            full = main_forward(main, (prompt * 6)[:main.config.max_seq_len])
+            return [*prefill, *verify, *step, *full]
+
+        free, taped = TestTapeFreeForward.free_and_taped(run)
+        assert taped[-1].shape == (128, 512)
+        for a, b in zip(free, taped):
+            assert np.array_equal(a, b)
+
+    def test_mtp_step_matches_taped(self, desk):
+        _, head = desk
+        h = np.random.default_rng(3).normal(size=(24, head.config.model_dim))
+        tokens = np.random.default_rng(4).integers(head.config.vocab_size, size=24).tolist()
+
+        def run():
+            cache = head.new_cache()
+            stream = mtp_step(head, h, tokens, cache)
+            draft = mtp_step(head, stream[0].data[-1:], [17], cache)
+            return [*stream, *draft]
+
+        free, taped = TestTapeFreeForward.free_and_taped(run)
+        for a, b in zip(free, taped):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [1, 4, 24, 57, 128])
+    def test_stacked_product_equals_separate_products(self, desk, m):
+        blk = desk[0].blocks[0]
+        rng = np.random.default_rng(m)
+        a = Tensor(rng.normal(size=(m, 64)), requires_grad=True)
+        g = rng.normal(size=(3, m, 64))
+        parts = [Tensor(w.data, requires_grad=True) for w in (blk.wq, blk.wk, blk.wv)]
+        with Tape() as tape:
+            out = tn.matmul(a, tn.stacked(blk.qkv, parts))
+            tape.backward(tn.sum_all(tn.mul(out, Tensor(g))))
+        expected = g[2] @ parts[2].data.T
+        expected += g[1] @ parts[1].data.T
+        expected += g[0] @ parts[0].data.T
+        assert np.array_equal(a.grad, expected)
+        for i, w in enumerate(parts):
+            assert np.array_equal(out.data[i], a.data @ w.data)
+            assert np.array_equal(w.grad, a.data.T @ g[i])
+
+    def test_qkv_are_views_of_one_buffer(self, desk):
+        main, head = desk
+        for blk in [*main.blocks, head.block]:
+            for i, w in enumerate((blk.wq, blk.wk, blk.wv)):
+                assert w.data.base is blk.qkv and w.data.flags.c_contiguous
+                assert np.shares_memory(w.data, blk.qkv[i])
+
+    def test_gradients_through_stacked_projection(self):
+        # a toy size: finite differences at d=64 would take some 25k forwards
+        cfg = ModelConfig(vocab_size=12, model_dim=8, n_layers=1, n_heads=2,
+                          max_seq_len=8, seed=4)
+        main, _ = init_model(cfg)
+        blk = main.blocks[0]
+        tokens = [3, 1, 4, 1, 5]
+
+        def loss():
+            _, logits = main_forward(main, tokens)
+            return cross_entropy_rows(logits, [1, 4, 1, 5, 9], np.full(5, 0.2))
+
+        assert grad_check(loss, [blk.wq, blk.wk, blk.wv]) < 1e-4
+
+
 class TestGreedyArgmax:
     def test_basic(self):
         assert greedy_argmax(np.array([0.1, 0.9, 0.3])) == 1
@@ -219,6 +305,17 @@ class TestGreedyArgmax:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
             greedy_argmax(np.array([0.0, np.inf]))
+
+    def test_rows_match_row_by_row(self):
+        logits = np.random.default_rng(8).normal(size=(5, 7))
+        logits[2, [1, 4]] = logits[2].max() + 1.0  # a tie goes to the lowest id
+        assert greedy_rows(logits) == [greedy_argmax(row) for row in logits]
+        assert greedy_rows(logits)[2] == 1
+        logits[3, 6] = np.nan
+        with pytest.raises(NumericError):
+            greedy_rows(logits)
+        with pytest.raises(ShapeError):
+            greedy_rows(logits[0])
 
 
 class TestKVCache:
@@ -245,6 +342,9 @@ class TestFreeze:
         with pytest.raises(ValueError):
             main.embed.data[0, 0] = 1.0
         assert not main.embed.requires_grad
+        for blk in main.blocks:
+            with pytest.raises(ValueError):
+                blk.qkv[1, 0, 0] = 1.0
 
 
 class TestCheckpoint:
@@ -273,6 +373,57 @@ class TestCheckpoint:
         a, _ = mtp_step(head, h, [3], head.new_cache())
         b, _ = mtp_step(head2, h, [3], head2.new_cache())
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_loading_writes_through_stacked_views(self, tmp_path):
+        source, source_head = init_model(ModelConfig(**{**CFG.__dict__, "seed": 43}))
+        mp, hp = tmp_path / "main.npz", tmp_path / "head.npz"
+        source.save(mp)
+        source_head.save(hp)
+        fresh = MainModel.load(mp)
+        fresh_head = MTPHead.load(hp, fresh)
+        target, target_head = init_model(CFG)
+        _load_into(target.parameters(), load_checkpoint(mp)[1])
+        _load_into(target_head.parameters(),
+                   {k: v for k, v in load_checkpoint(hp)[1].items() if not k.startswith("__")})
+        for blk in [*target.blocks, target_head.block]:
+            assert all(w.data.base is blk.qkv for w in (blk.wq, blk.wk, blk.wv))
+        prompt = [4, 8, 15, 16, 23, 42]
+        for a, b in zip(main_forward(target, prompt), main_forward(fresh, prompt)):
+            np.testing.assert_array_equal(a.data, b.data)
+        h = np.random.default_rng(5).normal(size=(2, CFG.model_dim))
+        for a, b in zip(mtp_step(target_head, h, [3, 7]), mtp_step(fresh_head, h, [3, 7])):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_failed_load_changes_nothing(self):
+        main, _ = init_model(CFG)
+        before = {k: p.data.copy() for k, p in main.parameters().items()}
+        arrays = {k: np.zeros_like(v) for k, v in before.items()}
+        arrays["block1.w_down"] = np.zeros((3, 3))
+        with pytest.raises(ConsistencyError):
+            _load_into(main.parameters(), arrays)
+        for k, p in main.parameters().items():
+            np.testing.assert_array_equal(p.data, before[k])
+
+    def test_loading_into_frozen_model_rejected(self, tmp_path):
+        main, _ = init_model(CFG)
+        path = tmp_path / "main.npz"
+        main.save(path)
+        frozen = MainModel.load(path)
+        with pytest.raises(StateError):
+            _load_into(frozen.parameters(), load_checkpoint(path)[1])
+
+    @pytest.mark.parametrize("name", ["main.npz", "head.npz"])
+    def test_committed_stack_round_trips(self, tmp_path, name):
+        main = MainModel.load(STACK / "main.npz")
+        model = main if name == "main.npz" else MTPHead.load(STACK / name, main)
+        model.save(tmp_path / name)
+        with np.load(STACK / name) as old, np.load(tmp_path / name) as new:
+            params = sorted(k for k in old.files if k.startswith("param/"))
+            assert params and params == sorted(k for k in new.files if k.startswith("param/"))
+            for key in old.files:
+                assert old[key].dtype == new[key].dtype and old[key].shape == new[key].shape
+                assert old[key].tobytes() == new[key].tobytes(), key
+            assert sorted(old.files) == sorted(new.files)
 
     def test_config_mismatch_rejected(self, tmp_path):
         main, head = init_model(CFG)

@@ -191,6 +191,27 @@ class TestCausalAttention:
         np.testing.assert_array_equal(base[:2], poked[:2])
         assert np.abs(base[2] - poked[2]).max() > 1e-3
 
+    def test_mask_stored_mid_lookup_is_not_returned(self, monkeypatch):
+        # another thread may store the mask of its own shape between this
+        # call's cache check and its return; the mask returned stays ours
+        class Racing(tuple):
+            __hash__ = tuple.__hash__
+            raced = False
+
+            def __eq__(self, key):
+                if not self.raced:
+                    self.raced = True
+                    T._causal_mask(2, 7, 5)
+                return tuple(self) == key
+
+        want = T._causal_mask(3, 5, 2)
+        monkeypatch.setattr(T, "_last_mask", (Racing((3, 5, 2)), want))
+        np.testing.assert_array_equal(T._causal_mask(3, 5, 2), want)
+        monkeypatch.setattr(T, "_last_mask", (Racing((3, 5, 1)), want))
+        got = T._causal_mask(3, 5, 2)
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+
     def test_head_dim_mismatch(self):
         with pytest.raises(ShapeError):
             T.causal_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3))),
@@ -445,6 +466,69 @@ class TestGradCheck:
             return T.cross_entropy_rows(out, [0, 3], [0.5, 0.5])
 
         assert T.grad_check(loss, [q, k, v]) < 1e-4
+
+
+class TestStackedProjection:
+    """A 2-D operand against weights stacked in one buffer, and `take`."""
+
+    @staticmethod
+    def stack(rng, n=3, d=4):
+        buffer = rng.normal(size=(n, d, d))
+        return buffer, [Tensor(w, requires_grad=True) for w in buffer]
+
+    def test_values_and_gradients_equal_separate_products(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(5, 4))
+        g = rng.normal(size=(3, 5, 4))
+        buffer, parts = self.stack(rng)
+        a = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = T.matmul(a, T.stacked(buffer, parts))
+            tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+        assert type(T.stacked(buffer, parts)) is np.ndarray  # no tape: the buffer itself
+        assert np.array_equal(T.matmul(x, buffer), out.data)
+        for i, w in enumerate(buffer):
+            assert np.array_equal(out.data[i], x @ w)
+            assert np.array_equal(parts[i].grad, x.T @ g[i])
+        # replayed as three products would be: v's gradient first, then k's, then q's
+        expected = g[2] @ buffer[2].T
+        expected += g[1] @ buffer[1].T
+        expected += g[0] @ buffer[0].T
+        assert np.array_equal(a.grad, expected)
+
+    def test_gradient_check_through_take(self):
+        rng = np.random.default_rng(22)
+        buffer, parts = self.stack(rng)
+        x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+
+        def loss():  # a forward as the model writes one: arrays unless a tape records
+            w = T.stacked(buffer, parts)
+            first_two, last = T.take(T.matmul(T.operand(x), w), slice(0, 2), 2)
+            q, k = T.take(T.silu(first_two), 0, 1)
+            y = T.add(T.mul(q, k), last)
+            return T.cross_entropy_rows(y if isinstance(y, Tensor) else Tensor(y),
+                                        [0, 3], [0.5, 0.5])
+
+        assert T.grad_check(loss, [x, *parts]) < 1e-6
+
+    def test_take_array_call_gives_views_and_records_nothing(self):
+        a = np.arange(24.0).reshape(3, 2, 4)
+        with Tape() as tape:
+            free = T.take(a, slice(0, 2), 2)
+            assert len(tape) == 0
+        assert all(np.shares_memory(p, a) for p in free)
+        with Tape() as tape:
+            taped = T.take(Tensor(a, requires_grad=True), slice(0, 2), 2)
+            assert len(tape) == 1
+        for f, t in zip(free, taped):
+            assert np.array_equal(f, t.data)
+
+    def test_only_a_2d_left_operand_meets_a_stack(self):
+        with pytest.raises(ShapeError):
+            T.matmul(_ones(2, 2, 3), _ones(3, 3, 2))
+        with pytest.raises(ShapeError):
+            T.matmul(_ones(2, 3), _ones(3, 2, 2))
+        assert T.matmul(_ones(2, 3), _ones(4, 3, 5)).shape == (4, 2, 5)
 
 
 def _square(theta):

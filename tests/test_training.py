@@ -237,6 +237,12 @@ class TestPretrainMain:
         with pytest.raises(StateError):
             pretrain_main([[1, 2, 3]], main, TrainConfig(epochs=1))
 
+    def test_rejects_zero_epochs(self):
+        main, _ = init_model(TOY)
+        with pytest.raises(ConfigError, match="epoch"):
+            pretrain_main([[1, 2, 3]], main, TrainConfig(epochs=0))
+        assert not main.frozen
+
 
 class TestOptimizerLoop:
     """Both trainers: one cosine-scheduled optimizer step per batch."""
