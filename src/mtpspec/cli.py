@@ -11,6 +11,11 @@ below) plus a handful of flag overrides, and writes its artifacts into
     mtpspec train-head --k 1 --tag vanilla
     mtpspec build-vocab --lang en --size 128
     mtpspec bench
+
+Five stage functions build the stack in memory from the config alone:
+`pretrain_backbone`, `distill_dataset`, `dedup_dataset`, `train_head` and
+`frequency_tables`. A stack subcommand loads, runs one stage and saves;
+the test suite's session fixture calls the same stages on the defaults.
 """
 
 from __future__ import annotations
@@ -21,16 +26,18 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import data as data_mod
 from .bench import (BenchTask, RunConfig, argmax_speedup, emit_report, format_table,
                     load_report_json, run_benchmark, sweep_draft_depth, sweep_vocab_size)
-from .data import LANG_TAGS, load_dataset, mixed_dataset, save_dataset
+from .data import LANG_TAGS, TrainingExample, load_dataset, mixed_dataset, save_dataset
 from .dedup import FilterRules, dedup_and_filter, mix_back
 from .distill import GenerationConfig, self_distill
 from .errors import ConfigError
-from .model import MTPHead, MainModel, ModelConfig, init_model
-from .training import TrainConfig, pretrain_main, train_mtp_head
-from .vocab import (VocabBank, build_frequency_table, compress_vocab,
+from .model import MTPHead, MainModel, ModelConfig
+from .training import TrainConfig, TrainResult, pretrain_main, train_mtp_head
+from .vocab import (FrequencyTable, VocabBank, build_frequency_table, compress_vocab,
                     load_compressed_vocab, save_compressed_vocab,
                     save_frequency_table)
 
@@ -44,6 +51,8 @@ DEFAULT_CONFIG = {
     "distill": {"temperature": 0.6, "top_k": 20, "top_p": 0.95,
                 "max_new_tokens": 64, "seed": 11, "prompts_per_lang": 72,
                 "prompt_len": 24},
+    # desk corpora repeat themselves, so the n-gram bound is looser than the library's;
+    # the cycle slice collapses to one survivor under dedup and is mixed back
     "dedup": {"jaccard_threshold": 0.9, **asdict(FilterRules(max_ngram_ratio=0.3)),
               "mix_back_langs": ["cycle"]},
     "train": asdict(TrainConfig(k_steps=6, lr=3e-3, epochs=4, batch_size=8, seed=3)),
@@ -76,10 +85,6 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
     return cfg
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**cfg["model"])
-
-
 def _train_config(section: dict, **overrides) -> TrainConfig:
     merged = {**section, **{k: v for k, v in overrides.items() if v is not None}}
     return TrainConfig(**merged)
@@ -92,17 +97,70 @@ def _out(args) -> Path:
 
 
 # ---------------------------------------------------------------------------
+# stages: each builds one layer of the stack in memory from the config alone
+
+
+def pretrain_backbone(cfg) -> tuple[list[TrainingExample], MainModel, list[float]]:
+    """Build the source corpus and pretrain a fresh backbone on it."""
+    d = cfg["data"]
+    corpus = mixed_dataset(d["seed"], d["per_lang"], d["prompt_len"],
+                           d["response_len"], tags=tuple(d["langs"]))
+    model_cfg = ModelConfig(**cfg["model"])
+    main = MainModel(model_cfg, np.random.default_rng(model_cfg.seed))
+    curve = pretrain_main([ex.tokens for ex in corpus], main,
+                          _train_config(cfg["pretrain"]))
+    return corpus, main, curve
+
+
+def distill_dataset(cfg, main: MainModel) -> list[TrainingExample]:
+    """Sample the backbone's own responses to fresh prompts in every language."""
+    d = cfg["distill"]
+    prompts = [(p, tag) for tag in cfg["data"]["langs"]
+               for p in data_mod.sample_prompts(tag, d["seed"], d["prompts_per_lang"],
+                                                d["prompt_len"])]
+    gen_cfg = GenerationConfig(temperature=d["temperature"], top_k=d["top_k"],
+                               top_p=d["top_p"], max_new_tokens=d["max_new_tokens"],
+                               seed=d["seed"])
+    return self_distill(prompts, main, gen_cfg)
+
+
+def dedup_dataset(cfg, distilled) -> list[TrainingExample]:
+    """Near-duplicate removal and quality filters, then re-add the mix-back languages."""
+    d = dict(cfg["dedup"])
+    threshold = d.pop("jaccard_threshold")
+    restore = d.pop("mix_back_langs")
+    rules = FilterRules(**d)
+    kept = dedup_and_filter(distilled, threshold, rules)
+    return mix_back(distilled, kept, langs=tuple(restore), rules=rules)
+
+
+def train_head(cfg, main: MainModel, dataset, **overrides) -> tuple[MTPHead, TrainResult]:
+    """Fine-tune a fresh head on the backbone it drafts for.
+
+    Non-None `overrides` replace fields of the `train` section.
+    """
+    head = MTPHead(main, np.random.default_rng(main.config.seed))
+    result = train_mtp_head(dataset, main, head, _train_config(cfg["train"], **overrides))
+    return head, result
+
+
+def frequency_tables(cfg, dataset) -> dict[str, FrequencyTable]:
+    """Token counts per configured language, for each language the dataset holds."""
+    tables = {}
+    for lang in cfg["data"]["langs"]:
+        split = [ex.tokens for ex in dataset if ex.lang == lang]
+        if split:
+            tables[lang] = build_frequency_table(split, lang, cfg["model"]["vocab_size"])
+    return tables
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_pretrain_main(args, cfg) -> int:
     out = _out(args)
-    d = cfg["data"]
-    corpus = mixed_dataset(d["seed"], d["per_lang"], d["prompt_len"],
-                           d["response_len"], tags=tuple(d["langs"]))
-    main, _ = init_model(_model_config(cfg))
-    curve = pretrain_main([ex.tokens for ex in corpus], main,
-                          _train_config(cfg["pretrain"]))  # rejects a bad config before any write
+    corpus, main, curve = pretrain_backbone(cfg)  # rejects a bad config before any write
     save_dataset(out / "corpus.jsonl", corpus)
     main.save(out / "main.npz")
     (out / "pretrain_losses.json").write_text(json.dumps(curve))
@@ -113,17 +171,7 @@ def cmd_pretrain_main(args, cfg) -> int:
 
 def cmd_distill(args, cfg) -> int:
     out = _out(args)
-    main = MainModel.load(args.main or out / "main.npz")
-    d = cfg["distill"]
-    prompts = []
-    for tag in cfg["data"]["langs"]:
-        for p in data_mod.sample_prompts(tag, d["seed"], d["prompts_per_lang"],
-                                         d["prompt_len"]):
-            prompts.append((p, tag))
-    gen_cfg = GenerationConfig(temperature=d["temperature"], top_k=d["top_k"],
-                               top_p=d["top_p"], max_new_tokens=d["max_new_tokens"],
-                               seed=d["seed"])
-    examples = self_distill(prompts, main, gen_cfg)
+    examples = distill_dataset(cfg, MainModel.load(args.main or out / "main.npz"))
     path = out / "distilled.jsonl"
     save_dataset(path, examples)
     print(f"distilled {len(examples)} examples -> {path}")
@@ -132,17 +180,11 @@ def cmd_distill(args, cfg) -> int:
 
 def cmd_dedup(args, cfg) -> int:
     out = _out(args)
-    src = Path(args.input or out / "distilled.jsonl")
+    distilled = load_dataset(args.input or out / "distilled.jsonl", cfg["model"]["vocab_size"])
+    kept = dedup_dataset(cfg, distilled)
     dst = Path(args.output or out / "dataset.jsonl")
-    d = dict(cfg["dedup"])
-    threshold = d.pop("jaccard_threshold")
-    restore = d.pop("mix_back_langs", [])
-    rules = FilterRules(**d)
-    dataset = load_dataset(src, cfg["model"]["vocab_size"])
-    kept = dedup_and_filter(dataset, threshold, rules)
-    kept = mix_back(dataset, kept, langs=tuple(restore), rules=rules)
     save_dataset(dst, kept)
-    print(f"dedup/filter: {len(dataset)} -> {len(kept)} examples -> {dst}")
+    print(f"dedup/filter: {len(distilled)} -> {len(kept)} examples -> {dst}")
     return 0
 
 
@@ -150,9 +192,7 @@ def cmd_train_head(args, cfg) -> int:
     out = _out(args)
     main = MainModel.load(args.main or out / "main.npz")
     dataset = load_dataset(args.data or out / "dataset.jsonl", main.config.vocab_size)
-    tcfg = _train_config(cfg["train"], k_steps=args.k)
-    _, head = init_model(main.config)
-    result = train_mtp_head(dataset, main, head, tcfg)
+    head, result = train_head(cfg, main, dataset, k_steps=args.k)
     tag = f"-{args.tag}" if args.tag else ""
     path = out / f"head{tag}.npz"
     head.save(path)
@@ -160,28 +200,25 @@ def cmd_train_head(args, cfg) -> int:
               for r in result.reports]
     (out / f"head{tag}_losses.json").write_text(json.dumps(losses))
     final = result.reports[-1].step_losses if result.reports else []
-    print(f"trained head (K={tcfg.k_steps}) on {len(dataset)} examples; "
+    print(f"trained head (K={head.trained_depth}) on {len(dataset)} examples; "
           f"final per-step losses {[round(x, 4) for x in final]}; wrote {path}")
     return 0
 
 
 def cmd_build_vocab(args, cfg) -> int:
     out = _out(args)
-    vocab_size = cfg["model"]["vocab_size"]
-    dataset = load_dataset(args.data or out / "dataset.jsonl", vocab_size)
-    split = [ex.tokens for ex in dataset if ex.lang == args.lang]
-    if not split:
+    dataset = load_dataset(args.data or out / "dataset.jsonl", cfg["model"]["vocab_size"])
+    table = frequency_tables(cfg, dataset).get(args.lang)
+    if table is None:
         print(f"no examples tagged {args.lang!r} in the dataset", file=sys.stderr)
         return 1
-    table = build_frequency_table(split, args.lang, vocab_size)
     size = args.size if args.size is not None else cfg["vocab"]["size"]
     cv = compress_vocab(table, size, tuple(cfg["vocab"]["specials"]))
     save_frequency_table(out / f"freq_{args.lang}.json", table)
     vpath = out / f"vocab_{args.lang}_{size}.json"
     save_compressed_vocab(vpath, cv)
-    coverage = table.coverage(cv.keep)
     print(f"built {args.lang} vocabulary of {size} tokens "
-          f"(coverage {coverage:.3f}) -> {vpath}")
+          f"(coverage {table.coverage(cv.keep):.3f}) -> {vpath}")
     return 0
 
 
@@ -244,13 +281,8 @@ def cmd_sweep_vocab(args, cfg) -> int:
     main = MainModel.load(args.main or out / "main.npz")
     head = MTPHead.load(args.head or out / "head.npz", main)
     dataset = load_dataset(args.data or out / "dataset.jsonl", main.config.vocab_size)
+    tables = frequency_tables(cfg, dataset)
     b = cfg["bench"]
-    tables = {}
-    for lang in cfg["data"]["langs"]:
-        split = [ex.tokens for ex in dataset if ex.lang == lang]
-        if split:
-            tables[lang] = build_frequency_table(split, lang,
-                                                 cfg["model"]["vocab_size"])
     task = _bench_task(cfg, args.task_lang or b["langs"][0])
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = sweep_vocab_size(task, sizes, main=main, head=head, tables=tables,

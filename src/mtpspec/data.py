@@ -71,7 +71,7 @@ class TrainingExample:
 
     def __post_init__(self):
         if not self.response:
-            raise ValueError("response must be nonempty")
+            raise ConfigError("response must be nonempty")
 
     @property
     def tokens(self) -> list[int]:
@@ -83,6 +83,11 @@ class TrainingExample:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainingExample":
+        missing = [key for key in ("prompt", "response", "lang", "source") if key not in obj]
+        if missing:
+            raise ConfigError(f"dataset example lacks {missing}")
+        if not isinstance(obj["prompt"], list) or not isinstance(obj["response"], list):
+            raise ConfigError("dataset prompt and response must be lists of token ids")
         if any(type(t) is not int or t < 0 for t in [*obj["prompt"], *obj["response"]]):
             raise ConfigError("dataset token ids must be nonnegative integers")
         return cls(prompt=list(obj["prompt"]), response=list(obj["response"]),
@@ -96,17 +101,34 @@ def save_dataset(path, examples) -> None:
             fh.write(json.dumps(ex.to_json()) + "\n")
 
 
+def read_json_lines(path):
+    """Yield (line number, object) for each nonblank line of a JSON-lines file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise ConfigError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, obj
+
+
 def load_dataset(path, vocab_size: int) -> list[TrainingExample]:
     """Read a JSON-lines dataset whose every id lies below `vocab_size`."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(TrainingExample.from_json(json.loads(line)))
-                if max(out[-1].tokens) >= vocab_size:
-                    raise ConfigError(f"{path}: example {len(out) - 1} has a token id "
-                                      f"outside [0, {vocab_size})")
+    for lineno, obj in read_json_lines(path):
+        try:
+            ex = TrainingExample.from_json(obj)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        if max(ex.tokens) >= vocab_size:
+            raise ConfigError(f"{path}:{lineno}: example {len(out)} has a token id "
+                              f"outside [0, {vocab_size})")
+        out.append(ex)
     return out
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import EOS_TOKEN
-from .errors import CapacityError, ShapeError, StateError
+from .data import EOS_TOKEN, read_json_lines
+from .errors import CapacityError, ConfigError, ShapeError, StateError
 from .model import MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step
 from .vocab import (CompressedVocab, VocabBank, detect_language, draft_logits_compressed,
                     identity_vocab)
@@ -315,13 +315,29 @@ def write_round_log(path, records) -> None:
 
 
 def read_round_log(path) -> list[dict]:
+    """Read a round log; each record's counts must fit its own drafts and width."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
+    for lineno, rec in read_json_lines(path):
+        problem = _round_record_problem(rec)
+        if problem:
+            raise ConfigError(f"{path}:{lineno}: {problem}")
+        out.append(rec)
     return out
+
+
+def _round_record_problem(rec: dict) -> str | None:
+    width, drafts = rec.get("verify_vocab_width"), rec.get("drafts")
+    if type(width) is not int or width < 1:
+        return "verify_vocab_width must be a positive integer"
+    if not isinstance(drafts, list) or any(type(t) is not int or not 0 <= t < width
+                                           for t in drafts):
+        return f"drafts must be a list of token ids in [0, {width})"
+    matched, committed = rec.get("matched"), rec.get("committed")
+    if type(matched) is not int or not 0 <= matched <= len(drafts):
+        return f"matched must be an integer in [0, {len(drafts)}]"
+    if type(committed) is not int or not 1 <= committed <= matched + 1:
+        return f"committed must be an integer in [1, {matched + 1}]"
+    return None
 
 
 def tau_from_records(records) -> float:

@@ -267,6 +267,8 @@ def train_mtp_head(dataset, main: MainModel, head: MTPHead,
     """
     if not main.frozen:
         raise StateError("backbone must be frozen before head training")
+    if head.main is not main:
+        raise StateError("head is bound to a different backbone than the one it trains on")
     if not dataset:
         raise ConfigError("empty training dataset")
     reports = _fit(dataset, head.parameters(), cfg,

@@ -45,6 +45,7 @@ class FrequencyTable:
 
     @classmethod
     def from_json(cls, obj: dict, vocab_size: int) -> "FrequencyTable":
+        _require_keys(obj, ("lang", "total", "pairs"), "frequency table")
         pairs, total = obj["pairs"], obj["total"]
         if type(total) is not int or any(
                 len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int
@@ -65,6 +66,11 @@ class FrequencyTable:
         for token_id, count in pairs:
             counts[token_id] = count
         return cls(lang=obj["lang"], counts=counts, total=total)
+
+
+def _require_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict) or any(key not in obj for key in keys):
+        raise ConfigError(f"{what} must be an object with keys {list(keys)}")
 
 
 def build_frequency_table(corpus, lang: str, vocab_size: int) -> FrequencyTable:
@@ -115,6 +121,7 @@ class CompressedVocab:
 
     @classmethod
     def from_json(cls, obj: dict, vocab_size: int) -> "CompressedVocab":
+        _require_keys(obj, ("lang", "keep"), "compressed vocabulary")
         ids = obj["keep"]
         if any(type(i) is not int for i in ids):
             raise ConfigError("compressed vocabulary ids must be integers")

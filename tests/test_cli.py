@@ -11,6 +11,7 @@ from mtpspec.data import TrainingExample, load_dataset, save_dataset
 from mtpspec.errors import ConfigError
 from mtpspec.model import MainModel, MTPHead
 from mtpspec.specdec import read_round_log
+from mtpspec.training import TrainConfig, train_mtp_head
 
 TINY = {
     "model": {"model_dim": 32, "n_layers": 1, "n_heads": 2, "max_seq_len": 96,
@@ -83,6 +84,17 @@ class TestPipelineArtifacts:
         assert vanilla.trained_depth == 1
         dataset = load_dataset(out / "dataset.jsonl", main_model.config.vocab_size)
         assert dataset and all(ex.source == "self-distill" for ex in dataset)
+
+    def test_head_trained_against_the_loaded_backbone(self, workdir):
+        base, out = workdir
+        main_model = MainModel.load(out / "main.npz")
+        dataset = load_dataset(out / "dataset.jsonl", main_model.config.vocab_size)
+        head = MTPHead(main_model, np.random.default_rng(TINY["model"]["seed"]))
+        train_mtp_head(dataset, main_model, head,
+                       TrainConfig(**load_config(base[1])["train"]))
+        with np.load(out / "head.npz") as saved:
+            for name, p in head.parameters().items():
+                np.testing.assert_array_equal(saved[f"param/{name}"], p.data, err_msg=name)
 
     def test_vocab_artifacts(self, workdir):
         _, out = workdir

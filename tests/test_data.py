@@ -60,6 +60,22 @@ class TestTrainingExample:
             load_dataset(path, 64)
         assert len(load_dataset(path, 65)) == 2
 
+    @pytest.mark.parametrize("line", [
+        '{"prompt": [1], "response": [2',
+        '[1, 2, 3]',
+        '{"prompt": [1], "response": [2], "lang": "t"}',
+        '{"prompt": [1], "response": [], "lang": "t", "source": "t"}',
+        '{"prompt": 1, "response": [2], "lang": "t", "source": "t"}',
+    ], ids=["invalid-json", "not-an-object", "missing-key", "empty-response",
+            "prompt-not-a-list"])
+    def test_malformed_line_rejected_on_load(self, tmp_path, line):
+        path = tmp_path / "data.jsonl"
+        save_dataset(path, [TrainingExample([1, 2], [3, 4], "t", "t")])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(ConfigError, match=f"{path.name}:2: "):
+            load_dataset(path, 64)
+
     def test_dataset_file_round_trip(self, tmp_path):
         examples = make_examples("syn-a", seed=3, count=5, prompt_len=4,
                                  response_len=8)

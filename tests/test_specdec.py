@@ -4,11 +4,13 @@ Losslessness does not depend on draft quality, so random models exercise
 the full accept/reject/rollback machinery cheaply.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from mtpspec.data import sample_zipf_tokens
-from mtpspec.errors import CapacityError, StateError
+from mtpspec.errors import CapacityError, ConfigError, StateError
 from mtpspec.model import ModelConfig, init_model
 from mtpspec.specdec import (
     DecodeMetrics, DecodeSession, DraftRound, baseline_decode, cache_consistency_gap,
@@ -196,6 +198,34 @@ class TestMetrics:
         for k in (1, 2):
             if m.reached.get(k):
                 assert replayed_rates[k - 1] == pytest.approx(m.rate(k), abs=1e-12)
+
+    # each case replaces fields of a valid record; the last two lines are not objects
+    @pytest.mark.parametrize("fields", [
+        {"drafts": [1, 64]},
+        {"drafts": [1, -2]},
+        {"drafts": [1, 2.0]},
+        {"drafts": "12"},
+        {"matched": 3},
+        {"matched": -1},
+        {"committed": 0},
+        {"committed": 3},
+        {"drafts": [1, 2], "matched": 5, "committed": -1},
+        {"verify_vocab_width": None},
+        "[1, 2]",
+        "7",
+    ], ids=["draft-id-at-width", "negative-draft", "float-draft", "drafts-not-a-list",
+            "matched-beyond-drafts", "negative-matched", "zero-committed",
+            "committed-beyond-matched", "all-out-of-range", "missing-width",
+            "list-line", "number-line"])
+    def test_malformed_round_log_rejected(self, tmp_path, fields):
+        valid = {"round": 0, "drafts": [1, 2], "matched": 1, "committed": 2,
+                 "verify_vocab_width": 64}
+        path = tmp_path / "rounds.jsonl"
+        bad = fields if isinstance(fields, str) else json.dumps(
+            {k: v for k, v in {**valid, **fields}.items() if v is not None})
+        path.write_text(json.dumps(valid) + "\n" + bad + "\n")
+        with pytest.raises(ConfigError, match="rounds.jsonl:2: "):
+            read_round_log(path)
 
     def test_merge_pools_counters_and_replays_rates(self, stack):
         main, head, small = stack

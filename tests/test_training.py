@@ -193,6 +193,17 @@ class TestTrainMtpHead:
         with pytest.raises(StateError):
             train_mtp_head([toy_example()], main, head, TrainConfig(epochs=1))
 
+    def test_rejects_head_bound_to_another_backbone(self):
+        # an identical copy is still another backbone: the head would project
+        # its loss through the copy's embeddings, not the ones it drafts with
+        main, _ = self._frozen_toy()
+        _, head = self._frozen_toy()
+        before = {k: v.data.copy() for k, v in head.parameters().items()}
+        with pytest.raises(StateError, match="different backbone"):
+            train_mtp_head([toy_example()], main, head, TrainConfig(epochs=1))
+        for k, v in head.parameters().items():
+            np.testing.assert_array_equal(v.data, before[k])
+
     def test_deterministic_given_seed(self):
         data = [toy_example(i) for i in range(6)]
         cfg = TrainConfig(k_steps=2, epochs=2, batch_size=3, lr=1e-3, seed=5)

@@ -61,21 +61,26 @@ class TestFrequencyTable:
         np.testing.assert_array_equal(loaded.counts, table.counts)
         assert loaded.total == table.total and loaded.lang == "t"
 
-    @pytest.mark.parametrize("pairs, total", [
-        ([[-3, 5], [7, 4]], 9),
-        ([[True, 4]], 4),
-        ([[3, 5], [3, 4]], 9),
-        ([[3, -1], [7, 10]], 9),
-        ([[3, 5], [7, 4]], 10),
-        ([[512, 5], [7, 4]], 9),
-        ([[1.5, 5], [7, 4]], 9),
-        ([[3, 2.5]], 2.5),
-        ([], 0),
+    # each case replaces fields of a valid table; None removes the field
+    @pytest.mark.parametrize("fields", [
+        {"pairs": [[-3, 5], [7, 4]]},
+        {"pairs": [[True, 4]], "total": 4},
+        {"pairs": [[3, 5], [3, 4]]},
+        {"pairs": [[3, -1], [7, 10]]},
+        {"total": 10},
+        {"pairs": [[512, 5], [7, 4]]},
+        {"pairs": [[1.5, 5], [7, 4]]},
+        {"pairs": [[3, 2.5]], "total": 2.5},
+        {"pairs": [], "total": 0},
+        {"pairs": None},
+        {"lang": None},
     ], ids=["negative-id", "bool-id", "duplicate-id", "negative-count", "wrong-total",
-            "out-of-range-id", "fractional-id", "fractional-count", "empty"])
-    def test_malformed_table_rejected_on_load(self, pairs, total):
+            "out-of-range-id", "fractional-id", "fractional-count", "empty",
+            "missing-pairs", "missing-lang"])
+    def test_malformed_table_rejected_on_load(self, fields):
+        obj = {"lang": "t", "total": 9, "pairs": [[3, 5], [7, 4]], **fields}
         with pytest.raises(ConfigError):
-            FrequencyTable.from_json({"lang": "t", "total": total, "pairs": pairs},
+            FrequencyTable.from_json({k: v for k, v in obj.items() if v is not None},
                                      vocab_size=512)
 
 
@@ -143,12 +148,16 @@ class TestCompressVocab:
         np.testing.assert_array_equal(loaded.keep, cv.keep)
         assert loaded.lang == cv.lang
 
-    @pytest.mark.parametrize("keep", [[1, 1, 5], [-3, 2, 5], [70]],
-                             ids=["duplicate", "negative", "out-of-range"])
-    def test_malformed_ids_rejected_on_load(self, keep):
+    @pytest.mark.parametrize("obj", [
+        {"lang": "t", "size": 3, "keep": [1, 1, 5]},
+        {"lang": "t", "size": 3, "keep": [-3, 2, 5]},
+        {"lang": "t", "size": 1, "keep": [70]},
+        {"lang": "t", "size": 2},
+        {"size": 2, "keep": [1, 7]},
+    ], ids=["duplicate", "negative", "out-of-range", "missing-keep", "missing-lang"])
+    def test_malformed_ids_rejected_on_load(self, obj):
         with pytest.raises(ConfigError):
-            CompressedVocab.from_json({"lang": "t", "size": len(keep), "keep": keep},
-                                      vocab_size=64)
+            CompressedVocab.from_json(obj, vocab_size=64)
 
     @pytest.mark.parametrize("keep", [[1.5, 7.9], [True, 3], [2.0, 5]],
                              ids=["fractional", "bool", "integral-float"])
