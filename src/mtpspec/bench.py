@@ -1,4 +1,9 @@
-"""Benchmark harness: method comparisons, depth sweeps, vocab sweeps, reports.
+"""Benchmark harness: the method comparison, depth sweeps, vocab sweeps, reports.
+
+`run_benchmark` builds the method comparison from the heads and the
+vocabulary bank it is given, every head at one draft depth K: greedy
+baseline rows, then vanilla-head rows when a vanilla head is given,
+finetuned-head rows, and finetuned-head+FR rows when a bank is given.
 
 Acceptance length tau pools committed tokens over main-model decode
 forwards across a task's prompts. Two speedup figures are reported:
@@ -17,15 +22,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import EOS_TOKEN, SPECIAL_TOKENS
-from .errors import ConfigError, SequencingError
+from .data import EOS_TOKEN, SPECIAL_TOKENS, read_json
+from .errors import ConfigError
 from .model import MTPHead, MainModel
 from .specdec import DecodeMetrics, baseline_decode, speculative_decode, write_round_log
 from .vocab import VocabBank, compress_vocab
 
 log = logging.getLogger(__name__)
-
-METHODS = ("baseline", "vanilla-head", "finetuned-head", "finetuned-head+FR")
 
 
 @dataclass(frozen=True)
@@ -38,21 +41,6 @@ class BenchTask:
     def __post_init__(self):
         if not self.prompts:
             raise ConfigError("a benchmark task needs at least one prompt")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    method: str
-    k_depth: int = 3
-    repetitions: int = 1
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.k_depth < 0:
-            raise ConfigError("k_depth must be >= 0")
-        if self.method == "baseline" and self.k_depth != 0:
-            raise ConfigError("baseline rows use k_depth 0")
 
 
 def _round9(x: float) -> float:
@@ -146,46 +134,41 @@ def _decode_task(task: BenchTask, k_depth: int, main: MainModel, head: MTPHead |
     return first[0], float(np.mean(per_rep_tps)), float(np.std(per_rep_tps))
 
 
-def run_benchmark(tasks, cfgs, *, main: MainModel, vanilla_head: MTPHead | None = None,
-                  finetuned_head: MTPHead | None = None, bank: VocabBank | None = None,
-                  log_dir=None) -> list[ReportRow]:
-    """Execute every (task, config) pair; baseline rows are computed first
-    because they are the speedup denominators."""
-    ordered = sorted(cfgs, key=lambda c: c.method != "baseline")
-    if ordered and ordered[0].method != "baseline":
-        raise SequencingError("no baseline configuration; speedups need a denominator")
+def run_benchmark(tasks, *, main: MainModel, finetuned_head: MTPHead,
+                  vanilla_head: MTPHead | None = None, bank: VocabBank | None = None,
+                  k_depth: int = 3, repetitions: int = 1, log_dir=None) -> list[ReportRow]:
+    """The method comparison: one row per method and task, method by method.
+
+    The greedy `baseline` rows come first because they are the speedup
+    denominators. Then `vanilla-head` when that head is given,
+    `finetuned-head`, and `finetuned-head+FR` (the finetuned head
+    drafting over `bank`) when a bank is given, all at `k_depth`.
+    """
+    if k_depth < 0:
+        raise ConfigError("k_depth must be >= 0")
+    methods = [("baseline", None, None)]
+    if vanilla_head is not None:
+        methods.append(("vanilla-head", vanilla_head, None))
+    methods.append(("finetuned-head", finetuned_head, None))
+    if bank is not None:
+        methods.append(("finetuned-head+FR", finetuned_head, bank))
 
     rows: list[ReportRow] = []
     baseline_tps: dict[str, float] = {}
-    for cfg in ordered:
+    for method, head, vocab in methods:
+        k = 0 if head is None else k_depth
         for task in tasks:
-            if cfg.method != "baseline" and task.name not in baseline_tps:
-                raise SequencingError(f"missing baseline row for task {task.name!r}")
-            head, vocab = _resolve_method(cfg.method, vanilla_head, finetuned_head, bank)
-            pooled, tps, tps_std = _decode_task(task, cfg.k_depth, main, head, vocab,
-                                                cfg.repetitions)
-            if cfg.method == "baseline":
+            pooled, tps, tps_std = _decode_task(task, k, main, head, vocab, repetitions)
+            if head is None:
                 baseline_tps[task.name] = tps
-            vocab_size = (bank.get(task.lang if task.lang else "?").size
+            vocab_size = (vocab.get(task.lang or "?").size
                           if vocab is not None else main.config.vocab_size)
-            rows.append(_row(task, cfg.method, cfg.k_depth, vocab_size, pooled,
+            rows.append(_row(task, method, k, vocab_size, pooled,
                              tps, tps_std, baseline_tps[task.name]))
-            if log_dir is not None and cfg.method != "baseline":
-                name = f"rounds_{task.name}_{cfg.method.replace('+', '_')}_k{cfg.k_depth}.jsonl"
+            if log_dir is not None and head is not None:
+                name = f"rounds_{task.name}_{method.replace('+', '_')}_k{k}.jsonl"
                 write_round_log(f"{log_dir}/{name}", pooled.records)
     return rows
-
-
-def _resolve_method(method, vanilla_head, finetuned_head, bank):
-    """(head, vocab) a RunConfig method decodes with; the baseline has neither."""
-    if method == "baseline":
-        return None, None
-    if method == "finetuned-head+FR" and bank is None:
-        raise ConfigError("finetuned-head+FR requires a vocabulary bank")
-    head = vanilla_head if method == "vanilla-head" else finetuned_head
-    if head is None:
-        raise ConfigError(f"method {method!r} requires its head")
-    return head, (bank if method == "finetuned-head+FR" else None)
 
 
 def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel, head: MTPHead,
@@ -280,8 +263,14 @@ def load_report_csv(path) -> list[ReportRow]:
 
 
 def load_report_json(path) -> list[ReportRow]:
-    with open(path, encoding="utf-8") as fh:
-        return [ReportRow.from_json(obj) for obj in json.load(fh)]
+    rows = read_json(path)
+    if not isinstance(rows, list):
+        raise ConfigError(f"{path}: a report must be a JSON list of rows")
+    for i, obj in enumerate(rows):
+        if not isinstance(obj, dict) or obj.keys() != set(REPORT_COLUMNS):
+            raise ConfigError(f"{path}: report row {i} must be an object with "
+                              f"keys {REPORT_COLUMNS}")
+    return [ReportRow.from_json(obj) for obj in rows]
 
 
 def format_table(rows) -> str:

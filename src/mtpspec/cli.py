@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .bench import (BenchTask, RunConfig, argmax_speedup, emit_report, format_table,
+from .bench import (BenchTask, argmax_speedup, emit_report, format_table,
                     load_report_json, run_benchmark, sweep_draft_depth, sweep_vocab_size)
 from .data import LANG_TAGS, TrainingExample, load_dataset, mixed_dataset, save_dataset
 from .dedup import FilterRules, dedup_and_filter, mix_back
@@ -66,8 +66,9 @@ DEFAULT_CONFIG = {
 def load_config(path: str | None, seed: int | None = None) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+        user = data_mod.read_json(path)
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object")
         for section, values in user.items():
             if section not in cfg:
                 raise ConfigError(f"{path}: unknown config section {section!r}")
@@ -246,17 +247,10 @@ def cmd_bench(args, cfg) -> int:
     vanilla = MTPHead.load(args.vanilla_head, main) if args.vanilla_head else None
     bank = _load_bank(args, main)
     b = cfg["bench"]
-    k = args.k if args.k is not None else b["k_depth"]
-    methods = ["baseline", "finetuned-head"]
-    if vanilla is not None:
-        methods.insert(1, "vanilla-head")
-    if bank is not None:
-        methods.append("finetuned-head+FR")
-    cfgs = [RunConfig(method=m, k_depth=0 if m == "baseline" else k,
-                      repetitions=b["repetitions"]) for m in methods]
     tasks = [_bench_task(cfg, tag) for tag in b["langs"]]
-    rows = run_benchmark(tasks, cfgs, main=main, vanilla_head=vanilla,
-                         finetuned_head=head, bank=bank, log_dir=str(out))
+    rows = run_benchmark(tasks, main=main, finetuned_head=head, vanilla_head=vanilla,
+                         bank=bank, k_depth=args.k if args.k is not None else b["k_depth"],
+                         repetitions=b["repetitions"], log_dir=str(out))
     paths = emit_report(rows, str(out))
     print(format_table(rows))
     print(f"wrote {paths['csv']} and {paths['json']}")

@@ -101,6 +101,15 @@ def save_dataset(path, examples) -> None:
             fh.write(json.dumps(ex.to_json()) + "\n")
 
 
+def read_json(path):
+    """The JSON value a file holds; invalid JSON is a `ConfigError` naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+
+
 def read_json_lines(path):
     """Yield (line number, object) for each nonblank line of a JSON-lines file."""
     with open(path, encoding="utf-8") as fh:

@@ -21,10 +21,6 @@ class StateError(RuntimeError):
     """An operation was applied to session state it was not derived from."""
 
 
-class SequencingError(RuntimeError):
-    """Pipeline stages were invoked out of their required order."""
-
-
 class ConsistencyError(RuntimeError):
     """Derived data (e.g. a compressed head view) no longer matches its source."""
 

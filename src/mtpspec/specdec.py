@@ -122,8 +122,8 @@ class DecodeSession:
         self.eos = eos_token
         self.main_cache = main.new_cache()
         self.draft_cache = head.new_cache() if head is not None else None
+        # the backbone's hidden at each position the main cache holds
         self.hiddens = np.zeros((main.config.max_seq_len, main.config.model_dim))
-        self.hid_len = 0
         self.verified: list[int] = list(prompt)
         self.metrics = DecodeMetrics()
         self.finished = False
@@ -148,7 +148,6 @@ class DecodeSession:
         self.metrics.main_forwards += 1
         n = len(self.verified)
         self.hiddens[:n] = hidden.data
-        self.hid_len = n
         first = greedy_argmax(logits.data[-1])
         self.verified.append(first)
         if first == self.eos or self.generated >= self.max_new:
@@ -174,8 +173,9 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
                           stream_len_after_extend=session.draft_cache.length)
 
     stream_len = session.draft_cache.length
-    h_in = session.hiddens[stream_len:session.hid_len]
-    step_tokens = session.verified[stream_len + 1:session.hid_len + 1]
+    n_hidden = session.main_cache.length
+    h_in = session.hiddens[stream_len:n_hidden]
+    step_tokens = session.verified[stream_len + 1:n_hidden + 1]
     tokens: list[int] = []
     round_ns = 0
     while not tokens or (len(tokens) < k_depth and tokens[-1] != session.eos):
@@ -210,9 +210,8 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome
     session.metrics.verify_ns += verify_ns
     session.metrics.main_forwards += 1
 
-    rows = len(input_tokens)
-    session.hiddens[session.hid_len:session.hid_len + rows] = hidden.data
-    session.hid_len += rows
+    end = session.main_cache.length
+    session.hiddens[end - len(input_tokens):end] = hidden.data
 
     greedy = greedy_rows(logits.data)
     flags = [d == greedy[i] for i, d in enumerate(rnd.tokens)]
@@ -239,7 +238,6 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome
 
     new_len = len(session.verified)
     session.main_cache.truncate(new_len - 1)
-    session.hid_len = new_len - 1
     if session.draft_cache is not None:
         session.draft_cache.truncate(min(rnd.stream_len_after_extend, new_len - 1))
 

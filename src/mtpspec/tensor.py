@@ -152,6 +152,8 @@ def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Ten
     If a tape is active and an input needs gradients, the tape gets a
     backward step: for the output gradient g, `grads(g)` returns each
     input's gradient in input order, and they accumulate in that order.
+    Every consumer of the output replays before this step, so g is final
+    here and the step releases it: the tape holds only live gradients.
     """
     if not all(isinstance(t, Tensor) for t in inputs):
         raise TypeError("a primitive's operands must be all Tensors or all arrays")
@@ -161,9 +163,10 @@ def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Ten
         result.requires_grad = True
 
         def op():
-            if result.grad is not None:
-                for t, g in zip(inputs, grads(result.grad)):
-                    t.accumulate_grad(g)
+            g, result.grad = result.grad, None
+            if g is not None:
+                for t, gi in zip(inputs, grads(g)):
+                    t.accumulate_grad(gi)
         tape._ops.append(op)
     return result
 
@@ -248,7 +251,7 @@ def take(a, *keys):
     The keys must pick disjoint parts. With arrays the parts are views.
     Under a tape this is the one primitive with several outputs, so it
     records its own backward step rather than going through `_record`:
-    that step writes the parts' gradients into one zero array for `a`.
+    that step moves the parts' gradients into one zero array for `a`.
     """
     x = a.data if isinstance(a, Tensor) else a
     parts = tuple([x[key] for key in keys])
@@ -265,7 +268,7 @@ def take(a, *keys):
                 full = np.zeros_like(x)
                 for key, out in zip(keys, outs):
                     if out.grad is not None:
-                        full[key] = out.grad
+                        full[key], out.grad = out.grad, None
                 a.accumulate_grad(full)
         tape._ops.append(op)
     return outs

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FALLBACK_LANG, SPECIAL_TOKENS, is_high_byte
+from .data import FALLBACK_LANG, SPECIAL_TOKENS, is_high_byte, read_json
 from .errors import ConfigError, ConsistencyError, EmptyCorpusError
 from .model import MainModel
 
@@ -90,11 +90,10 @@ def build_frequency_table(corpus, lang: str, vocab_size: int) -> FrequencyTable:
 
 @dataclass
 class CompressedVocab:
-    """A high-frequency token subset plus index maps and the head-row view."""
+    """A high-frequency token subset and its rows of the shared output head."""
 
     lang: str
     keep: np.ndarray                      # sorted ascending full-vocab ids
-    full_to_comp: np.ndarray              # full id -> compressed index, -1 if absent
     w_view: np.ndarray | None = None      # rows of the shared output head, keep order
     _w_source: np.ndarray | None = field(default=None, repr=False)
 
@@ -133,14 +132,7 @@ class CompressedVocab:
                               f"subset of [0, {vocab_size})")
         if np.any(keep[1:] == keep[:-1]):
             raise ConfigError("compressed vocabulary lists an id more than once")
-        return cls(lang=obj["lang"], keep=keep,
-                   full_to_comp=_inverse_map(keep, vocab_size))
-
-
-def _inverse_map(keep: np.ndarray, vocab_size: int) -> np.ndarray:
-    inv = np.full(vocab_size, -1, dtype=np.int64)
-    inv[keep] = np.arange(keep.size)
-    return inv
+        return cls(lang=obj["lang"], keep=keep)
 
 
 def compress_vocab(table: FrequencyTable, size: int,
@@ -172,8 +164,7 @@ def compress_vocab(table: FrequencyTable, size: int,
                 chosen.add(special)
                 break
     keep = np.asarray(sorted(selected), dtype=np.int64)
-    cv = CompressedVocab(lang=table.lang, keep=keep,
-                         full_to_comp=_inverse_map(keep, vocab_size))
+    cv = CompressedVocab(lang=table.lang, keep=keep)
     if main is not None:
         cv.bind(main)
     return cv
@@ -183,7 +174,7 @@ def identity_vocab(main: MainModel, lang: str = FALLBACK_LANG) -> CompressedVoca
     """The full vocabulary expressed as a (bound) compression; the fallback entry."""
     v = main.config.vocab_size
     keep = np.arange(v, dtype=np.int64)
-    cv = CompressedVocab(lang=lang, keep=keep, full_to_comp=keep.copy())
+    cv = CompressedVocab(lang=lang, keep=keep)
     cv.w_view = main.output_w.data
     cv._w_source = main.output_w.data
     return cv
@@ -261,8 +252,7 @@ def save_frequency_table(path, table: FrequencyTable) -> None:
 
 
 def load_frequency_table(path, vocab_size: int) -> FrequencyTable:
-    with open(path, encoding="utf-8") as fh:
-        return FrequencyTable.from_json(json.load(fh), vocab_size)
+    return FrequencyTable.from_json(read_json(path), vocab_size)
 
 
 def save_compressed_vocab(path, cv: CompressedVocab) -> None:
@@ -271,5 +261,4 @@ def save_compressed_vocab(path, cv: CompressedVocab) -> None:
 
 
 def load_compressed_vocab(path, vocab_size: int) -> CompressedVocab:
-    with open(path, encoding="utf-8") as fh:
-        return CompressedVocab.from_json(json.load(fh), vocab_size)
+    return CompressedVocab.from_json(read_json(path), vocab_size)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import pool_metrics
-from mtpspec.bench import BenchTask, RunConfig, argmax_speedup, run_benchmark, sweep_draft_depth
+from mtpspec.bench import BenchTask, argmax_speedup, run_benchmark, sweep_draft_depth
 from mtpspec.data import (EOS_TOKEN, LANG_TAGS, SPECIAL_TOKENS, TrainingExample,
                           sample_prompts)
 from mtpspec.dedup import FilterRules, dedup_and_filter, repetition_ratio
@@ -176,9 +176,8 @@ class TestCriterion7MetricConsistency:
         tasks = [BenchTask(name=tag, prompts=sample_prompts(tag, 43, 6, 24),
                            lang=tag, max_new_tokens=32)
                  for tag in ("syn-a", "zh")]
-        cfgs = [RunConfig("baseline", k_depth=0), RunConfig("finetuned-head", k_depth=3)]
-        rows = run_benchmark(tasks, cfgs, main=stack.main,
-                             finetuned_head=stack.finetuned, log_dir=str(tmp_path))
+        rows = run_benchmark(tasks, main=stack.main, finetuned_head=stack.finetuned,
+                             k_depth=3, log_dir=str(tmp_path))
         baselines_exact = all(r.tau == 1.0 for r in rows if r.method == "baseline")
         replay_ok = True
         for row in rows:

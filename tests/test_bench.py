@@ -1,16 +1,17 @@
-"""Harness-level tests: row math, sequencing, emission round-trips."""
+"""Harness-level tests: row math, method rows, emission round-trips."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from mtpspec.bench import (
-    REPORT_COLUMNS, BenchTask, ReportRow, RunConfig, argmax_speedup, emit_report,
+    REPORT_COLUMNS, BenchTask, ReportRow, argmax_speedup, emit_report,
     format_table, load_report_csv, load_report_json, run_benchmark,
     sweep_draft_depth, sweep_vocab_size,
 )
-from mtpspec.errors import ConfigError, SequencingError
+from mtpspec.errors import ConfigError
 from mtpspec.model import ModelConfig, init_model
 from mtpspec.specdec import rates_from_records, read_round_log, tau_from_records
 from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab
@@ -29,12 +30,8 @@ def rig():
     return main, head, task
 
 
-class TestRunConfig:
+class TestBenchTask:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(method="nope")
-        with pytest.raises(ConfigError):
-            RunConfig(method="baseline", k_depth=2)
         with pytest.raises(ConfigError):
             BenchTask(name="x", prompts=[], lang=None, max_new_tokens=4)
 
@@ -42,21 +39,15 @@ class TestRunConfig:
 class TestRunBenchmark:
     def test_baseline_rows_have_exact_unit_metrics(self, rig):
         main, head, task = rig
-        rows = run_benchmark([task], [RunConfig("baseline", k_depth=0)], main=main)
+        rows = run_benchmark([task], main=main, finetuned_head=head)
+        assert rows[0].method == "baseline" and rows[0].k == 0
         assert rows[0].tau == 1.0
         assert rows[0].analytic_speedup == 1.0
         assert rows[0].wall_speedup == 1.0
 
-    def test_missing_baseline_is_sequencing_error(self, rig):
-        main, head, task = rig
-        with pytest.raises(SequencingError):
-            run_benchmark([task], [RunConfig("finetuned-head")], main=main,
-                          finetuned_head=head)
-
     def test_rows_and_round_logs_agree(self, rig, tmp_path):
         main, head, task = rig
-        cfgs = [RunConfig("baseline", k_depth=0), RunConfig("finetuned-head", k_depth=2)]
-        rows = run_benchmark([task], cfgs, main=main, finetuned_head=head,
+        rows = run_benchmark([task], main=main, finetuned_head=head, k_depth=2,
                              log_dir=str(tmp_path))
         spec_row = rows[-1]
         records = read_round_log(tmp_path / "rounds_toy_finetuned-head_k2.jsonl")
@@ -66,19 +57,12 @@ class TestRunBenchmark:
     def test_row_rates_equal_round_log_replay(self, rig, tmp_path):
         # the untrained head never matches, so no round reaches steps 2..4
         main, head, task = rig
-        cfgs = [RunConfig("baseline", k_depth=0), RunConfig("finetuned-head", k_depth=4)]
-        rows = run_benchmark([task], cfgs, main=main, finetuned_head=head,
+        rows = run_benchmark([task], main=main, finetuned_head=head, k_depth=4,
                              log_dir=str(tmp_path))
         records = read_round_log(tmp_path / "rounds_toy_finetuned-head_k4.jsonl")
         replayed = rates_from_records(records, 4)
         assert any(math.isnan(r) for r in replayed)
         np.testing.assert_allclose(rows[-1].rates, replayed, rtol=0, atol=1e-9)
-
-    def test_fr_method_requires_bank(self, rig):
-        main, head, task = rig
-        cfgs = [RunConfig("baseline", k_depth=0), RunConfig("finetuned-head+FR")]
-        with pytest.raises(ConfigError):
-            run_benchmark([task], cfgs, main=main, finetuned_head=head)
 
     def test_all_methods_emit_identical_outputs(self, rig):
         # losslessness holds through the harness: same committed token
@@ -86,14 +70,31 @@ class TestRunBenchmark:
         main, head, task = rig
         table = build_frequency_table(task.prompts, "toy", CFG.vocab_size)
         bank = VocabBank(main, [compress_vocab(table, 16, specials=(), main=main)])
-        cfgs = [RunConfig("baseline", k_depth=0),
-                RunConfig("vanilla-head", k_depth=2),
-                RunConfig("finetuned-head", k_depth=3),
-                RunConfig("finetuned-head+FR", k_depth=3)]
-        rows = run_benchmark([task], cfgs, main=main, vanilla_head=head,
-                             finetuned_head=head, bank=bank)
+        rows = run_benchmark([task], main=main, vanilla_head=head,
+                             finetuned_head=head, bank=bank, k_depth=3)
         generated = {r.method: r.output_tokens + r.prompts for r in rows}
         assert len(set(generated.values())) == 1
+
+    def test_rows_follow_the_heads_and_bank_given(self, rig):
+        main, head, task = rig
+        other = BenchTask(name="other", prompts=task.prompts[:2], lang="toy",
+                          max_new_tokens=6)
+        table = build_frequency_table(task.prompts, "toy", CFG.vocab_size)
+        bank = VocabBank(main, [compress_vocab(table, 16, specials=(), main=main)])
+        rows = run_benchmark([task, other], main=main, vanilla_head=head,
+                             finetuned_head=head, bank=bank, k_depth=2)
+        assert [(r.method, r.task, r.k, r.vocab_size) for r in rows] == [
+            ("baseline", "toy", 0, 64), ("baseline", "other", 0, 64),
+            ("vanilla-head", "toy", 2, 64), ("vanilla-head", "other", 2, 64),
+            ("finetuned-head", "toy", 2, 64), ("finetuned-head", "other", 2, 64),
+            ("finetuned-head+FR", "toy", 2, 64), ("finetuned-head+FR", "other", 2, 16)]
+        rows = run_benchmark([task], main=main, finetuned_head=head, k_depth=1)
+        assert [(r.method, r.k) for r in rows] == [("baseline", 0), ("finetuned-head", 1)]
+
+    def test_negative_depth_rejected(self, rig):
+        main, head, task = rig
+        with pytest.raises(ConfigError):
+            run_benchmark([task], main=main, finetuned_head=head, k_depth=-1)
 
 
 class TestSweeps:
@@ -131,8 +132,7 @@ class TestSweeps:
 class TestEmission:
     def _rows(self, rig):
         main, head, task = rig
-        cfgs = [RunConfig("baseline", k_depth=0), RunConfig("finetuned-head", k_depth=3)]
-        return run_benchmark([task], cfgs, main=main, finetuned_head=head)
+        return run_benchmark([task], main=main, finetuned_head=head, k_depth=3)
 
     def test_round_trip_csv_and_json(self, rig, tmp_path):
         rows = self._rows(rig)
@@ -188,6 +188,23 @@ class TestEmission:
         for loaded in (load_report_csv(paths["csv"]), load_report_json(paths["json"])):
             assert loaded == [row]
             assert loaded[0].rates[0] == 0.0 and math.isnan(loaded[0].rates[1])
+
+    @pytest.mark.parametrize("case", ["invalid-json", "not-a-list", "row-not-an-object",
+                                      "missing-column", "extra-column"])
+    def test_malformed_report_json_rejected(self, tmp_path, case):
+        good = ReportRow(task="toy", method="baseline", k=0, vocab_size=64, prompts=4,
+                         output_tokens=48, rounds=48, tau=1.0, rates=[],
+                         tokens_per_s=800.0, tokens_per_s_std=0.0, c_draft=0.0,
+                         analytic_speedup=1.0, wall_speedup=1.0).to_json()
+        rows = {"invalid-json": json.dumps([good])[:-2],
+                "not-a-list": json.dumps(good),
+                "row-not-an-object": json.dumps([list(good.values())]),
+                "missing-column": json.dumps([{k: v for k, v in good.items() if k != "tau"}]),
+                "extra-column": json.dumps([{**good, "speedup": 1.0}])}[case]
+        path = tmp_path / "report.json"
+        path.write_text(rows)
+        with pytest.raises(ConfigError, match="report.json"):
+            load_report_json(path)
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

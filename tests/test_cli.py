@@ -53,13 +53,16 @@ class TestConfig:
             if isinstance(section, dict) and "seed" in section:
                 assert section["seed"] == 99
 
+    # a string user config is the whole file's text
     @pytest.mark.parametrize("user, named", [
         ({"model": {"dim": 3}}, "'dim'"),
         ({"bnech": {"repetitions": 2}}, "'bnech'"),
+        ('{"model": {"dim": 3}', "bad.json: invalid JSON"),
+        ([{"model": {}}], "bad.json: a config must be a JSON object"),
     ])
     def test_unknown_section_or_key_rejected(self, tmp_path, user, named):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(user))
+        path.write_text(user if isinstance(user, str) else json.dumps(user))
         with pytest.raises(ConfigError, match=named):
             load_config(str(path))
 

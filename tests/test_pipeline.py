@@ -4,7 +4,7 @@ method orderings, language dispatch."""
 import numpy as np
 
 from conftest import pool_metrics
-from mtpspec.bench import BenchTask, RunConfig, run_benchmark, sweep_draft_depth
+from mtpspec.bench import BenchTask, run_benchmark, sweep_draft_depth
 from mtpspec.data import EOS_TOKEN, language, sample_prompts
 from mtpspec.dedup import FilterRules, dedup_and_filter
 from mtpspec.distill import GenerationConfig, response_perplexity, self_distill
@@ -108,13 +108,8 @@ class TestMethodOrdering:
                          max_new_tokens=32)
         bank = VocabBank(stack.main, [compress_vocab(stack.tables["syn-b"], 64,
                                                      main=stack.main)])
-        cfgs = [RunConfig("baseline", k_depth=0),
-                RunConfig("vanilla-head", k_depth=3),
-                RunConfig("finetuned-head", k_depth=3),
-                RunConfig("finetuned-head+FR", k_depth=3)]
-        rows = run_benchmark([task], cfgs, main=stack.main,
-                             vanilla_head=stack.vanilla,
-                             finetuned_head=stack.finetuned, bank=bank)
+        rows = run_benchmark([task], main=stack.main, vanilla_head=stack.vanilla,
+                             finetuned_head=stack.finetuned, bank=bank, k_depth=3)
         totals = {r.method: r.output_tokens + r.prompts for r in rows}
         assert len(set(totals.values())) == 1
 

@@ -329,6 +329,20 @@ class TestTape:
         assert a.grad is not None and a.grad.shape == a.data.shape
         assert b.grad is not None and b.grad.shape == b.data.shape
 
+    def test_backward_releases_intermediate_gradients(self):
+        rng = np.random.default_rng(18)
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with Tape() as tape:
+            h = a @ b
+            top, bottom = T.take(h, slice(0, 1), slice(1, 2))
+            loss = T.sum_all(T.add(T.mul(top, top), T.scale(bottom, 3.0)))
+            tape.backward(loss)
+        assert all(t.grad is None for t in (h, top, bottom, loss))
+        g_h = np.vstack([2.0 * h.data[:1], np.full((1, 4), 3.0)])
+        np.testing.assert_allclose(a.grad, g_h @ b.data.T, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b.grad, a.data.T @ g_h, rtol=1e-12, atol=0)
+
     def test_no_recording_without_tape(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         out = a @ a

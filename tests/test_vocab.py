@@ -1,5 +1,7 @@
 """Vocabulary compression: frequency stats, keep-set rules, compressed drafting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mtpspec.data import EOS_TOKEN, PAD_TOKEN, sample_zipf_tokens
 from mtpspec.errors import ConfigError, ConsistencyError, EmptyCorpusError
 from mtpspec.model import ModelConfig, greedy_argmax, init_model
 from mtpspec.vocab import (
-    CompressedVocab, FrequencyTable, VocabBank,
+    CompressedVocab, VocabBank,
     build_frequency_table, compress_vocab, detect_language, draft_logits_compressed,
     identity_vocab, load_compressed_vocab, load_frequency_table,
     save_compressed_vocab, save_frequency_table, size_for_coverage,
@@ -61,7 +63,8 @@ class TestFrequencyTable:
         np.testing.assert_array_equal(loaded.counts, table.counts)
         assert loaded.total == table.total and loaded.lang == "t"
 
-    # each case replaces fields of a valid table; None removes the field
+    # each case replaces fields of a valid table (None removes the field),
+    # or is a string: the whole file's text
     @pytest.mark.parametrize("fields", [
         {"pairs": [[-3, 5], [7, 4]]},
         {"pairs": [[True, 4]], "total": 4},
@@ -74,14 +77,19 @@ class TestFrequencyTable:
         {"pairs": [], "total": 0},
         {"pairs": None},
         {"lang": None},
+        '{"lang": "t", "total": 9, "pairs": [[3, 5]',
+        '[["t", 9]]',
     ], ids=["negative-id", "bool-id", "duplicate-id", "negative-count", "wrong-total",
             "out-of-range-id", "fractional-id", "fractional-count", "empty",
-            "missing-pairs", "missing-lang"])
-    def test_malformed_table_rejected_on_load(self, fields):
-        obj = {"lang": "t", "total": 9, "pairs": [[3, 5], [7, 4]], **fields}
+            "missing-pairs", "missing-lang", "invalid-json", "not-an-object"])
+    def test_malformed_table_rejected_on_load(self, tmp_path, fields):
+        if isinstance(fields, dict):
+            obj = {"lang": "t", "total": 9, "pairs": [[3, 5], [7, 4]], **fields}
+            fields = json.dumps({k: v for k, v in obj.items() if v is not None})
+        path = tmp_path / "freq.json"
+        path.write_text(fields)
         with pytest.raises(ConfigError):
-            FrequencyTable.from_json({k: v for k, v in obj.items() if v is not None},
-                                     vocab_size=512)
+            load_frequency_table(path, vocab_size=512)
 
 
 class TestCompressVocab:
@@ -121,13 +129,6 @@ class TestCompressVocab:
         with pytest.raises(ConfigError):
             compress_vocab(table, 1, specials=(PAD_TOKEN, EOS_TOKEN))
 
-    def test_index_maps_are_consistent(self):
-        table = build_frequency_table([[5, 5, 9, 9, 9, 1]], "t", vocab_size=16)
-        cv = compress_vocab(table, size=3, specials=())
-        for comp, full in enumerate(cv.keep):
-            assert cv.full_to_comp[full] == comp
-        assert (cv.full_to_comp >= 0).sum() == cv.size
-
     def test_size_for_coverage(self):
         rng = np.random.default_rng(9)
         tokens = sample_zipf_tokens(rng, list(range(64)), 20000)
@@ -154,10 +155,15 @@ class TestCompressVocab:
         {"lang": "t", "size": 1, "keep": [70]},
         {"lang": "t", "size": 2},
         {"size": 2, "keep": [1, 7]},
-    ], ids=["duplicate", "negative", "out-of-range", "missing-keep", "missing-lang"])
-    def test_malformed_ids_rejected_on_load(self, obj):
+        '{"lang": "t", "size": 2, "keep": [1, 7',
+        '[1, 7]',
+    ], ids=["duplicate", "negative", "out-of-range", "missing-keep", "missing-lang",
+            "invalid-json", "not-an-object"])
+    def test_malformed_ids_rejected_on_load(self, tmp_path, obj):
+        path = tmp_path / "cv.json"
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         with pytest.raises(ConfigError):
-            CompressedVocab.from_json(obj, vocab_size=64)
+            load_compressed_vocab(path, vocab_size=64)
 
     @pytest.mark.parametrize("keep", [[1.5, 7.9], [True, 3], [2.0, 5]],
                              ids=["fractional", "bool", "integral-float"])
