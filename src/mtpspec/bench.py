@@ -179,6 +179,8 @@ def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel, head: MTPHea
     across the sweep so the depth optimum reflects one cost ratio.
     """
     k_range = list(k_range)
+    if not k_range or min(k_range) < 0:
+        raise ConfigError("a depth sweep needs at least one depth, each >= 0")
     if head.trained_depth is not None and max(k_range) > head.trained_depth:
         log.warning("sweeping K up to %d beyond trained depth %d",
                     max(k_range), head.trained_depth)

@@ -63,14 +63,21 @@ class ModelConfig:
 
 
 class RotaryTable:
-    """Precomputed cos/sin tables for split-half rotary embedding."""
+    """Precomputed full-width tables for split-half rotary embedding.
+
+    Per position, `cos` holds [cos, cos] and `sin` holds [-sin, sin]
+    over the head width, the form `tensor.rope_rotate` takes. Rotating
+    with them gives the split-half formula's bits: x1*cos + x2*(-sin) is
+    exactly x1*cos - x2*sin, and addition commutes.
+    """
 
     def __init__(self, cfg: ModelConfig):
         half = cfg.head_dim // 2
         inv_freq = cfg.rope_base ** (-np.arange(half, dtype=np.float64) / half)
         angles = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * inv_freq[None, :]
-        self.cos = np.cos(angles)
-        self.sin = np.sin(angles)
+        cos, sin = np.cos(angles), np.sin(angles)
+        self.cos = np.concatenate([cos, cos], axis=-1)
+        self.sin = np.concatenate([-sin, sin], axis=-1)
 
     def slices(self, start: int, count: int):
         if start < 0 or start + count > self.cos.shape[0]:
@@ -347,8 +354,20 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     return (x, logits) if isinstance(x, Tensor) else (Tensor(x), Tensor(logits))
 
 
+def token_input_table(head: MTPHead) -> np.ndarray:
+    """The head's token-side input for every vocabulary id, one row each.
+
+    Row t is `rms_norm(embed[t], norm_embed)`, the input `mtp_step`
+    computes for token t, with the same bits: the norm works row by row.
+    Drafting never changes `norm_embed` but training updates it in
+    place, so a decode session builds this table once and hands it to
+    `mtp_step`, and a head keeps none.
+    """
+    return tn.rms_norm(head.embed.data, head.norm_embed.data, head.config.rms_eps)
+
+
 def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None,
-             pos_offset: int = 0):
+             pos_offset: int = 0, token_table: np.ndarray | None = None):
     """Advance the draft head's stream by the given hidden/token pairs.
 
     Each position combines the normalized previous hidden state with the
@@ -359,20 +378,29 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     and the pre-logit states as Tensors; logits are produced separately
     by projecting the latter through the shared output head. Like
     `main_forward`, it runs on plain arrays when no tape is active.
+    A tape-free caller may pass `token_input_table(head)` as
+    `token_table` to gather the token-side rows rather than normalize
+    each embedding (the same bits); under a tape, where `norm_embed`
+    needs its gradient, a table raises `StateError`.
     """
     cfg = head.config
     h_prev = tn.operand(h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev))
     tokens = np.asarray(shifted_tokens, dtype=np.int64)
     if h_prev.ndim != 2 or h_prev.shape[0] != tokens.size or tokens.size == 0:
         raise ShapeError(f"h_prev rows {h_prev.shape} must match token count {tokens.size}")
+    if token_table is not None and isinstance(h_prev, Tensor):
+        raise StateError("a token input table serves tape-free steps only")
     m = tokens.size
     pos = cache.length if cache is not None else pos_offset
     if cache is not None:
         cache.reserve(m)
 
     hn = tn.rms_norm(h_prev, tn.operand(head.norm_hidden), cfg.rms_eps)
-    en = tn.rms_norm(tn.embedding(tn.constant(head.embed), tokens),
-                     tn.operand(head.norm_embed), cfg.rms_eps)
+    if token_table is None:
+        en = tn.rms_norm(tn.embedding(tn.constant(head.embed), tokens),
+                         tn.operand(head.norm_embed), cfg.rms_eps)
+    else:
+        en = tn.embedding(token_table, tokens)
     x = tn.matmul(tn.concat_last(hn, en), tn.operand(head.combine))
     h_new = block_forward(head.block, x, cfg=cfg, rope=head.rope, pos_start=pos,
                           cache=cache, layer=0)

@@ -6,6 +6,12 @@ accepted left to right until the first position where they differ from
 the backbone's greedy choice, whose own token is then committed as well.
 Both KV caches roll back to the verified prefix after every round, so
 the output is token-exact equal to plain greedy decoding.
+
+Each session normalizes the shared embedding table with the head's
+`norm_embed` once (`model.token_input_table`), and every draft step
+gathers its token-side rows from that table: the norm works row by row,
+so the rows are the per-token bits. The table lives on the session, not
+the head, because training updates `norm_embed` in place.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import numpy as np
 
 from .data import EOS_TOKEN, read_json_lines
 from .errors import CapacityError, ConfigError, ShapeError, StateError
-from .model import MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step
+from .model import (MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step,
+                    token_input_table)
 from .vocab import (CompressedVocab, VocabBank, detect_language, draft_logits_compressed,
                     identity_vocab)
 
@@ -97,7 +104,8 @@ class VerificationOutcome:
 
 
 class DecodeSession:
-    """Mutable per-generation state: caches, hidden history, metrics."""
+    """Mutable per-generation state: caches, hidden history, metrics, and
+    the head's token-input table (built only when there is a head)."""
 
     def __init__(self, main: MainModel, head: MTPHead | None, prompt,
                  max_new_tokens: int, vocab=None, lang: str | None = None,
@@ -117,7 +125,7 @@ class DecodeSession:
         self.head = head
         self.prompt_len = len(prompt)
         self.max_new = max_new_tokens
-        self.vocab = vocab
+        self.vocab = vocab if vocab is not None else identity_vocab(main)
         self.lang = lang
         self.eos = eos_token
         self.main_cache = main.new_cache()
@@ -127,15 +135,13 @@ class DecodeSession:
         self.verified: list[int] = list(prompt)
         self.metrics = DecodeMetrics()
         self.finished = False
-        self._full_vocab = identity_vocab(main)
+        self.token_table = token_input_table(head) if head is not None else None
 
     @property
     def generated(self) -> int:
         return len(self.verified) - self.prompt_len
 
     def active_vocab(self) -> CompressedVocab:
-        if self.vocab is None:
-            return self._full_vocab
         if isinstance(self.vocab, VocabBank):
             tag = self.lang if self.lang is not None else detect_language(self.verified)
             return self.vocab.get(tag)
@@ -180,7 +186,8 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
     round_ns = 0
     while not tokens or (len(tokens) < k_depth and tokens[-1] != session.eos):
         t0 = time.perf_counter_ns()
-        h_new, pre = mtp_step(session.head, h_in, step_tokens, session.draft_cache)
+        h_new, pre = mtp_step(session.head, h_in, step_tokens, session.draft_cache,
+                              token_table=session.token_table)
         _, tok = draft_logits_compressed(pre.data[-1], cv)
         round_ns += time.perf_counter_ns() - t0
         if not tokens:
@@ -269,6 +276,8 @@ def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: i
     prompt, depth and vocabulary mode: drafts only ever propose, the
     backbone's greedy choices decide.
     """
+    if k_depth < 0:
+        raise ConfigError("k_depth must be >= 0")
     session = DecodeSession(main, head, prompt, max_new_tokens,
                             vocab=vocab, lang=lang, eos_token=eos_token)
     if max_new_tokens == 0:

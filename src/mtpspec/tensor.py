@@ -368,24 +368,34 @@ def rope_rotate(x, cos: Array, sin: Array):
     """Rotary position transform on the last axis, split-half pairing.
 
     The last axis is split into two halves (x1, x2); the output is
-    (x1*cos - x2*sin, x1*sin + x2*cos). `cos`/`sin` have shape
-    (positions, last_dim/2) and broadcast over leading axes.
+    (x1*cos - x2*sin, x1*sin + x2*cos). The tables come full width,
+    `cos` as [cos, cos] and `sin` as [-sin, sin], with shape (positions,
+    last_dim), and broadcast over leading axes. The output is then
+    x*cos + swap(x)*sin, where swap exchanges the halves: one half-swap,
+    one multiply and one multiply-add. Those are the split-half bits,
+    since x1*cos + x2*(-sin) is exactly x1*cos - x2*sin and addition
+    commutes. The gradient g*cos + swap(g*sin) is the same bits as the
+    split-half rule (g1*cos + g2*sin, -g1*sin + g2*cos) for the same
+    reasons.
     """
     xd = x.data if isinstance(x, Tensor) else x
     dh = xd.shape[-1]
     if dh % 2:
         raise ShapeError("rope_rotate needs an even last dimension")
+    if cos.shape[-1] != dh or sin.shape[-1] != dh:
+        raise ShapeError("rope tables do not match the full width")
     h = dh // 2
-    if cos.shape[-1] != h or sin.shape[-1] != h:
-        raise ShapeError("rope tables do not match half width")
-    x1, x2 = xd[..., :h], xd[..., h:]
-    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    out = np.concatenate([xd[..., h:], xd[..., :h]], axis=-1)
+    out *= sin
+    out += xd * cos
     if xd is x:
         return out
 
     def grads(g):
-        g1, g2 = g[..., :h], g[..., h:]
-        return (np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1),)
+        gs = g * sin
+        gx = np.concatenate([gs[..., h:], gs[..., :h]], axis=-1)
+        gx += g * cos
+        return (gx,)
 
     return _record(out, grads, x)
 

@@ -98,6 +98,12 @@ class TestRunBenchmark:
 
 
 class TestSweeps:
+    @pytest.mark.parametrize("k_range", [range(0, 0), range(-1, 2)])
+    def test_empty_or_negative_depth_range_rejected(self, rig, k_range):
+        main, head, task = rig
+        with pytest.raises(ConfigError):
+            sweep_draft_depth(task, k_range, main=main, head=head)
+
     def test_k_zero_row_is_exact_unit(self, rig):
         main, head, task = rig
         rows = sweep_draft_depth(task, range(0, 3), main=main, head=head)

@@ -9,8 +9,9 @@ from mtpspec.errors import (CapacityError, ConfigError, ConsistencyError, Numeri
                             ShapeError, StateError)
 from mtpspec.model import (
     KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax, greedy_rows,
-    init_model, load_checkpoint, main_forward, mtp_step,
+    init_model, load_checkpoint, main_forward, mtp_step, token_input_table,
 )
+from mtpspec.specdec import DecodeSession
 from mtpspec import tensor as tn
 from mtpspec.tensor import Tape, Tensor, cross_entropy_rows, grad_check
 
@@ -23,6 +24,37 @@ CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=2, n_heads=2,
 @pytest.fixture(scope="module")
 def models():
     return init_model(CFG)
+
+
+def head_with_scaled_inputs(cfg: ModelConfig) -> MTPHead:
+    """A fresh head whose `norm_embed` is not all ones, so it shows in its inputs."""
+    _, head = init_model(cfg)
+    head.norm_embed.data[...] = np.random.default_rng(7).normal(1.0, 0.3, size=cfg.model_dim)
+    return head
+
+
+def assert_token_table_parity(head: MTPHead) -> None:
+    """A session's table holds, for every id, the bits of the per-token input."""
+    cfg = head.config
+    table = DecodeSession(head.main, head, [1], 1).token_table
+    assert table.shape == (cfg.vocab_size, cfg.model_dim)
+    for t in range(cfg.vocab_size):
+        row = tn.rms_norm(tn.embedding(head.embed.data, [t]), head.norm_embed.data, cfg.rms_eps)
+        assert np.array_equal(table[t:t + 1], row), t
+
+
+def assert_draft_steps_equal_through_table(head: MTPHead, h, tokens) -> None:
+    """Extension plus one draft step, with and without the token table: same bits."""
+    table = token_input_table(head)
+
+    def run(**table_arg):
+        cache = head.new_cache()
+        stream = mtp_step(head, h, tokens, cache, **table_arg)
+        draft = mtp_step(head, stream[0].data[-1:], [17], cache, **table_arg)
+        return [t.data for t in (*stream, *draft)]
+
+    for a, b in zip(run(), run(token_table=table)):
+        assert np.array_equal(a, b)
 
 
 class TestModelConfig:
@@ -211,6 +243,19 @@ class TestTapeFreeForward:
         for a, b in zip(free, taped):
             assert np.array_equal(a, b)
 
+    def test_token_table_rows_equal_per_token_inputs(self):
+        assert_token_table_parity(head_with_scaled_inputs(CFG))
+
+    def test_draft_step_through_token_table_equals_per_token(self):
+        head = head_with_scaled_inputs(CFG)
+        h = np.random.default_rng(6).normal(size=(5, CFG.model_dim))
+        assert_draft_steps_equal_through_table(head, h, [11, 23, 5, 9, 40])
+
+    def test_token_table_rejected_under_tape(self, models):
+        _, head = models
+        with Tape(), pytest.raises(StateError):
+            mtp_step(head, np.zeros((1, CFG.model_dim)), [3], token_table=token_input_table(head))
+
 
 class TestDeskShape:
     """The stacked Q/K/V product equals the per-projection one only as a
@@ -251,6 +296,15 @@ class TestDeskShape:
         free, taped = TestTapeFreeForward.free_and_taped(run)
         for a, b in zip(free, taped):
             assert np.array_equal(a, b)
+
+    def test_token_table_rows_equal_per_token_inputs(self):
+        assert_token_table_parity(head_with_scaled_inputs(ModelConfig()))
+
+    def test_draft_step_through_token_table_equals_per_token(self):
+        head = head_with_scaled_inputs(ModelConfig())
+        h = np.random.default_rng(3).normal(size=(24, head.config.model_dim))
+        tokens = np.random.default_rng(4).integers(head.config.vocab_size, size=24).tolist()
+        assert_draft_steps_equal_through_table(head, h, tokens)
 
     @pytest.mark.parametrize("m", [1, 4, 24, 57, 128])
     def test_stacked_product_equals_separate_products(self, desk, m):

@@ -5,19 +5,23 @@ the full accept/reject/rollback machinery cheaply.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtpspec.data import sample_zipf_tokens
+from mtpspec import specdec
+from mtpspec.data import LANG_TAGS, sample_prompts, sample_zipf_tokens
 from mtpspec.errors import CapacityError, ConfigError, StateError
-from mtpspec.model import ModelConfig, init_model
+from mtpspec.model import MainModel, ModelConfig, MTPHead, init_model
 from mtpspec.specdec import (
     DecodeMetrics, DecodeSession, DraftRound, baseline_decode, cache_consistency_gap,
     draft_round, rates_from_records, read_round_log, speculative_decode, tau_from_records,
     verify_round, write_round_log,
 )
-from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab
+from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab, load_compressed_vocab
+
+STACK = Path(__file__).resolve().parents[1] / "perfbench" / "stack"
 
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=2, n_heads=2,
                   max_seq_len=64, seed=5)
@@ -84,6 +88,31 @@ class TestLosslessness:
         for k in (1, 2, 4):
             got, _ = speculative_decode(main, head, p, 20, k, eos_token=eos)
             assert got == expected
+
+    def test_negative_depth_rejected(self, stack):
+        main, head, _ = stack
+        with pytest.raises(ConfigError):
+            speculative_decode(main, head, prompts(1)[0], 8, -1)
+
+    def test_committed_stack_drafts_alike_without_token_table(self, monkeypatch):
+        main = MainModel.load(STACK / "main.npz")
+        head = MTPHead.load(STACK / "head.npz", main)
+        bank = VocabBank(main, [load_compressed_vocab(STACK / f"vocab_{tag}_128.json", 512)
+                                for tag in LANG_TAGS])
+        requests = [(tag, p) for tag in LANG_TAGS for p in sample_prompts(tag, 111, 2, 24)]
+
+        def decode_all():
+            runs = []
+            for tag, p in requests:
+                out, m = speculative_decode(main, head, p, 32, 3, vocab=bank, lang=tag)
+                runs.append((out, [(r["drafts"], r["matched"], r["committed"])
+                                   for r in m.records]))
+            return runs
+
+        with_table = decode_all()
+        monkeypatch.setattr(specdec, "token_input_table", lambda head: None)
+        assert decode_all() == with_table
+        assert sum(len(r) for _, r in with_table) > len(requests)  # several rounds each
 
 
 class TestVerifyRule:

@@ -39,6 +39,25 @@ def assert_grads_match(loss_fn, params, rtol=1e-6, atol=1e-8):
         np.testing.assert_allclose(a, fd_grad(loss_fn, p), rtol=rtol, atol=atol)
 
 
+def full_width(cos, sin):
+    """Half-width rotary tables in the full-width form `rope_rotate` takes."""
+    return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
+
+
+def split_half_rope(x, cos, sin):
+    """The split-half rotary formula on half-width tables, the reference
+    for `rope_rotate`: its output and its gradient rule."""
+    h = x.shape[-1] // 2
+    x1, x2 = x[..., :h], x[..., h:]
+    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+    def grad(g):
+        g1, g2 = g[..., :h], g[..., h:]
+        return np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
+
+    return out, grad
+
+
 class TestRmsNorm:
     def test_constant_vector_normalizes_to_ones(self):
         out = T.rms_norm(Tensor([2.0, 2.0, 2.0, 2.0]), Tensor([1.0] * 4), eps=0.0)
@@ -266,8 +285,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         y = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        cos = np.cos(rng.normal(size=(4, 3)))
-        sin = np.sin(rng.normal(size=(4, 3)))
+        cos, sin = full_width(np.cos(rng.normal(size=(4, 3))), np.sin(rng.normal(size=(4, 3))))
 
         def loss():
             cat = T.concat_last(T.silu(x), T.rope_rotate(y, cos, sin))
@@ -386,8 +404,8 @@ BAD_CALLS = {
     "concat-rows": (T.concat_last, (_ones(2, 3), _ones(3, 3)), (), ShapeError),
     "gamma-width": (T.rms_norm, (_ones(2, 3), _ones(4)), (), ShapeError),
     "negative-eps": (T.rms_norm, (_ones(2, 3), _ones(3)), (-1.0,), ValueError),
-    "rope-odd": (T.rope_rotate, (_ones(2, 3),), (_ones(2, 1), _ones(2, 1)), ShapeError),
-    "rope-table": (T.rope_rotate, (_ones(2, 4),), (_ones(2, 3), _ones(2, 3)), ShapeError),
+    "rope-odd": (T.rope_rotate, (_ones(2, 3),), (_ones(2, 3), _ones(2, 3)), ShapeError),
+    "rope-table": (T.rope_rotate, (_ones(2, 4),), (_ones(2, 2), _ones(2, 2)), ShapeError),
     "kv-shapes": (T.causal_attention, (_ones(2, 4), _ones(2, 4), _ones(3, 4)), (), ShapeError),
     "head-dims": (T.causal_attention, (_ones(2, 4), _ones(2, 6), _ones(2, 6)), (), ShapeError),
     "past-len": (T.causal_attention, (_ones(2, 4), _ones(3, 4), _ones(3, 4)), (0,), ShapeError),
@@ -420,7 +438,7 @@ class TestArrayCalls:
     def test_array_calls_equal_tensor_calls_and_record_nothing(self):
         rng = np.random.default_rng(18)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        cos, sin = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        cos, sin = full_width(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
         calls = [
             (T.add, (a, b), ()), (T.mul, (a, b), ()), (T.scale, (a,), (0.5,)),
             (T.matmul, (a, b.T), ()), (T.transpose, (a,), ((1, 0),)),
@@ -440,6 +458,28 @@ class TestArrayCalls:
                 assert len(tape) == 0
             assert type(free) is np.ndarray
             assert np.array_equal(free, taped.data), fn.__name__
+
+
+class TestRopeRotate:
+    @pytest.mark.parametrize("shape", [(4, 6), (2, 4, 1, 16), (2, 4, 5, 16)])
+    def test_full_width_equals_split_half(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-2])
+        x = rng.normal(size=shape)
+        x.flat[::7] = 0.0
+        x.flat[3::7] = -0.0
+        angles = 50.0 * rng.normal(size=(shape[-2], shape[-1] // 2))
+        cos, sin = np.cos(angles), np.sin(angles)
+        g = rng.normal(size=shape)
+        expected, expected_grad = split_half_rope(x, cos, sin)
+
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = T.rope_rotate(xt, *full_width(cos, sin))
+            tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+        for got, want in ((T.rope_rotate(x, *full_width(cos, sin)), expected),
+                          (out.data, expected), (xt.grad, expected_grad(g))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestGradCheck:
