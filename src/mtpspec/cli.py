@@ -41,13 +41,15 @@ from .vocab import (FrequencyTable, VocabBank, build_frequency_table, compress_v
                     load_compressed_vocab, save_compressed_vocab,
                     save_frequency_table)
 
-# Sections passed whole to a config class list every field of that class, so
-# the keys here are exactly the keys a config file may set.
+# Sections passed whole to a config class list the fields of that class their
+# stage reads, so the keys here are exactly the keys a config file may set;
+# pretraining drafts nothing, so its section has no `k_steps` or `beta`.
 DEFAULT_CONFIG = {
     "model": asdict(ModelConfig(max_seq_len=160, seed=1234)),
     "data": {"per_lang": 96, "prompt_len": 24, "response_len": 56, "seed": 7,
              "langs": list(LANG_TAGS)},
-    "pretrain": asdict(TrainConfig(lr=0.01, epochs=8, batch_size=8, seed=1)),
+    "pretrain": {k: v for k, v in asdict(TrainConfig(lr=0.01, epochs=8, batch_size=8, seed=1))
+                 .items() if k not in ("k_steps", "beta")},
     "distill": {"temperature": 0.6, "top_k": 20, "top_p": 0.95,
                 "max_new_tokens": 64, "seed": 11, "prompts_per_lang": 72,
                 "prompt_len": 24},

@@ -176,10 +176,10 @@ def _merge_heads(x):
 def block_forward(block: TransformerBlock, x, *, cfg: ModelConfig,
                   rope: RotaryTable, pos_start: int,
                   cache: KVCache | None = None, layer: int = 0):
-    """One block over `x`: a Tensor under a tape, a plain array otherwise."""
+    """One block over `x`: a Tensor under a tape, a plain array otherwise.
+    A `cache` holds arrays, so only tape-free forwards pass one."""
     m = x.shape[0]
     cos, sin = rope.slices(pos_start, m)
-    live = isinstance(x, Tensor)
 
     a = tn.rms_norm(x, tn.operand(block.attn_norm), cfg.rms_eps)
     w_qkv = tn.stacked(block.qkv, (block.wq, block.wk, block.wv))
@@ -189,8 +189,8 @@ def block_forward(block: TransformerBlock, x, *, cfg: ModelConfig,
 
     if cache is not None:
         cache.reserve(m)
-        cache.write(layer, k.data if live else k, v.data if live else v)
-        k, v = (Tensor(t) if live else t for t in cache.view(layer, extra=m))
+        cache.write(layer, k, v)
+        k, v = cache.view(layer, extra=m)
     attn = tn.causal_attention(q, k, v, past_len=cache.length if cache is not None else 0)
 
     x = tn.add(x, tn.matmul(_merge_heads(attn), tn.operand(block.wo)))
@@ -333,6 +333,9 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     last-layer hidden states (pre final norm) and full-vocabulary logits
     for each new position, as Tensors. With no tape active the forward
     runs on plain arrays and records nothing (see ``tensor.operand``).
+    The cache stores arrays, which carry no gradient, so a cache under a
+    tape raises `StateError` rather than drop the gradient through the
+    cached keys and values.
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -343,7 +346,10 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     if past + n > cfg.max_seq_len:
         raise CapacityError(f"{past} cached + {n} new tokens exceed max_seq_len {cfg.max_seq_len}")
 
-    x = tn.embedding(tn.operand(model.embed), tokens)
+    table = tn.operand(model.embed)
+    if cache is not None and isinstance(table, Tensor):
+        raise StateError("a KV cache serves tape-free forwards only")
+    x = tn.embedding(table, tokens)
     for i, blk in enumerate(model.blocks):
         x = block_forward(blk, x, cfg=cfg, rope=model.rope, pos_start=past,
                           cache=cache, layer=i)
@@ -381,7 +387,8 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     A tape-free caller may pass `token_input_table(head)` as
     `token_table` to gather the token-side rows rather than normalize
     each embedding (the same bits); under a tape, where `norm_embed`
-    needs its gradient, a table raises `StateError`.
+    needs its gradient, a table raises `StateError`, and so does a cache,
+    as in `main_forward`.
     """
     cfg = head.config
     h_prev = tn.operand(h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev))
@@ -390,6 +397,8 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
         raise ShapeError(f"h_prev rows {h_prev.shape} must match token count {tokens.size}")
     if token_table is not None and isinstance(h_prev, Tensor):
         raise StateError("a token input table serves tape-free steps only")
+    if cache is not None and isinstance(h_prev, Tensor):
+        raise StateError("a KV cache serves tape-free steps only")
     m = tokens.size
     pos = cache.length if cache is not None else pos_offset
     if cache is not None:

@@ -1,17 +1,20 @@
 """Lossless speculative decoding with a recursive single-head drafter.
 
-Each round drafts up to K tokens by running the head recursively over
+Each round drafts up to K tokens (none at K=0) by running the head over
 its own stream, then verifies them with one backbone forward: drafts are
 accepted left to right until the first position where they differ from
 the backbone's greedy choice, whose own token is then committed as well.
-Both KV caches roll back to the verified prefix after every round, so
-the output is token-exact equal to plain greedy decoding.
+One rollback rule follows: the backbone cache keeps every verified token
+but the last, and the draft cache keeps only the positions whose hidden
+came from the backbone. So the output is token-exact equal to plain
+greedy decoding. `verify_round` returns the record it logs.
 
-Each session normalizes the shared embedding table with the head's
-`norm_embed` once (`model.token_input_table`), and every draft step
-gathers its token-side rows from that table: the norm works row by row,
-so the rows are the per-token bits. The table lives on the session, not
-the head, because training updates `norm_embed` in place.
+A session's head must be bound to its backbone, whose embeddings it
+drafts from. Each session normalizes the shared embedding table with the
+head's `norm_embed` once (`model.token_input_table`), and every draft
+step gathers its token-side rows from that table: the norm works row by
+row, so the rows are the per-token bits. The table lives on the session,
+not the head, because training updates `norm_embed` in place.
 """
 
 from __future__ import annotations
@@ -91,23 +94,14 @@ class DraftRound:
     tokens: list[int]
     lang: str
     base_verified: int
-    stream_len_after_extend: int
     draft_ns: int = 0
-
-
-@dataclass
-class VerificationOutcome:
-    accepted_count: int               # matched drafts, left to right
-    bonus_token: int | None           # the backbone's own next token, if committed
-    match_flags: list[bool]
-    committed: list[int]
 
 
 class DecodeSession:
     """Mutable per-generation state: caches, hidden history, metrics, and
-    the head's token-input table (built only when there is a head)."""
+    the head's token-input table."""
 
-    def __init__(self, main: MainModel, head: MTPHead | None, prompt,
+    def __init__(self, main: MainModel, head: MTPHead, prompt,
                  max_new_tokens: int, vocab=None, lang: str | None = None,
                  eos_token: int | None = EOS_TOKEN):
         prompt = [int(t) for t in prompt]
@@ -117,6 +111,8 @@ class DecodeSession:
             raise CapacityError(
                 f"prompt {len(prompt)} + max_new {max_new_tokens} exceeds "
                 f"max_seq_len {main.config.max_seq_len}")
+        if head.main is not main:
+            raise StateError("draft head is bound to a different model")
         if isinstance(vocab, CompressedVocab):
             vocab.check_bound(main.output_w.data)
         if isinstance(vocab, VocabBank) and vocab.main is not main:
@@ -129,13 +125,13 @@ class DecodeSession:
         self.lang = lang
         self.eos = eos_token
         self.main_cache = main.new_cache()
-        self.draft_cache = head.new_cache() if head is not None else None
+        self.draft_cache = head.new_cache()
         # the backbone's hidden at each position the main cache holds
         self.hiddens = np.zeros((main.config.max_seq_len, main.config.model_dim))
         self.verified: list[int] = list(prompt)
         self.metrics = DecodeMetrics()
         self.finished = False
-        self.token_table = token_input_table(head) if head is not None else None
+        self.token_table = token_input_table(head)
 
     @property
     def generated(self) -> int:
@@ -169,44 +165,33 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
     steps feed the head's own output hidden plus the previous draft's
     embedding. Greedy choice runs over the active vocabulary.
     """
-    if session.head is None:
-        raise StateError("session has no draft head")
     cv = session.active_vocab()
-    base = len(session.verified)
-    if k_depth == 0:
-        return DraftRound(tokens=[], lang=cv.lang,
-                          base_verified=base,
-                          stream_len_after_extend=session.draft_cache.length)
-
     stream_len = session.draft_cache.length
     n_hidden = session.main_cache.length
     h_in = session.hiddens[stream_len:n_hidden]
     step_tokens = session.verified[stream_len + 1:n_hidden + 1]
     tokens: list[int] = []
     round_ns = 0
-    while not tokens or (len(tokens) < k_depth and tokens[-1] != session.eos):
+    while len(tokens) < k_depth and (not tokens or tokens[-1] != session.eos):
         t0 = time.perf_counter_ns()
         h_new, pre = mtp_step(session.head, h_in, step_tokens, session.draft_cache,
                               token_table=session.token_table)
         _, tok = draft_logits_compressed(pre.data[-1], cv)
         round_ns += time.perf_counter_ns() - t0
-        if not tokens:
-            after_extend = session.draft_cache.length
         tokens.append(tok)
         h_in, step_tokens = h_new.data[-1:], [tok]
 
     session.metrics.draft_ns += round_ns
     session.metrics.draft_forwards += len(tokens)
     session.metrics.draft_mults += len(tokens) * cv.w_view.size
-    return DraftRound(tokens=tokens, lang=cv.lang,
-                      base_verified=base, stream_len_after_extend=after_extend,
+    return DraftRound(tokens=tokens, lang=cv.lang, base_verified=len(session.verified),
                       draft_ns=round_ns)
 
 
-def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome:
+def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
     """One backbone forward over [last verified token, drafts]; commit the
-    matched prefix plus the backbone's own next token, then roll both
-    caches back to the verified prefix."""
+    matched prefix plus the backbone's own next token, roll both caches
+    back, and return the round's record (also appended to the metrics)."""
     if rnd.base_verified != len(session.verified):
         raise StateError("draft round does not match current session state")
 
@@ -221,11 +206,8 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome
     session.hiddens[end - len(input_tokens):end] = hidden.data
 
     greedy = greedy_rows(logits.data)
-    flags = [d == greedy[i] for i, d in enumerate(rnd.tokens)]
     matched = 0
-    for ok in flags:
-        if not ok:
-            break
+    while matched < len(rnd.tokens) and rnd.tokens[matched] == greedy[matched]:
         matched += 1
     bonus = greedy[matched]
     committed = rnd.tokens[:matched] + [bonus]
@@ -243,16 +225,15 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome
     if session.generated >= session.max_new:
         session.finished = True
 
-    new_len = len(session.verified)
-    session.main_cache.truncate(new_len - 1)
-    if session.draft_cache is not None:
-        session.draft_cache.truncate(min(rnd.stream_len_after_extend, new_len - 1))
+    session.main_cache.truncate(len(session.verified) - 1)
+    # drop the drafted positions: keep those whose hidden came from the backbone
+    session.draft_cache.truncate(min(session.draft_cache.length, rnd.base_verified - 1))
 
     m = session.metrics
     m.rounds += 1
     m.output_tokens += len(committed)
     m.tally(len(rnd.tokens), matched)
-    m.records.append({
+    record = {
         "round": m.rounds - 1,
         "lang": rnd.lang,
         "drafts": list(rnd.tokens),
@@ -262,9 +243,9 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> VerificationOutcome
         "draft_ns": rnd.draft_ns,
         "verify_ns": verify_ns,
         "verify_vocab_width": int(logits.shape[-1]),
-    })
-    return VerificationOutcome(accepted_count=matched, bonus_token=bonus_committed,
-                               match_flags=flags, committed=committed)
+    }
+    m.records.append(record)
+    return record
 
 
 def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: int,
@@ -278,11 +259,11 @@ def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: i
     """
     if k_depth < 0:
         raise ConfigError("k_depth must be >= 0")
+    t0 = time.perf_counter_ns()
     session = DecodeSession(main, head, prompt, max_new_tokens,
                             vocab=vocab, lang=lang, eos_token=eos_token)
     if max_new_tokens == 0:
         return [], session.metrics
-    t0 = time.perf_counter_ns()
     session.prefill()
     while not session.finished:
         remaining = session.max_new - session.generated

@@ -59,6 +59,7 @@ class TestConfig:
         ({"bnech": {"repetitions": 2}}, "'bnech'"),
         ('{"model": {"dim": 3}', "bad.json: invalid JSON"),
         ([{"model": {}}], "bad.json: a config must be a JSON object"),
+        ({"pretrain": {"k_steps": 2}}, "'k_steps'"),
     ])
     def test_unknown_section_or_key_rejected(self, tmp_path, user, named):
         path = tmp_path / "bad.json"

@@ -203,7 +203,9 @@ class TestMTPStep:
 
 class TestTapeFreeForward:
     """With no tape active the forwards run on plain arrays; their results
-    must equal the taped forwards' bit for bit."""
+    must equal the taped forwards' bit for bit. A KV cache serves tape-free
+    forwards only, so both sides run cache-free, at the row counts and
+    positions of a decode."""
 
     @staticmethod
     def free_and_taped(run):
@@ -218,10 +220,9 @@ class TestTapeFreeForward:
         main, _ = models
 
         def run():
-            cache = main.new_cache()
-            prefill = main_forward(main, [3, 9, 27, 1, 4, 33], cache)
-            step = main_forward(main, [8], cache)
-            verify = main_forward(main, [5, 6, 7, 2], cache)  # K+1 rows at K=3
+            prefill = main_forward(main, [3, 9, 27, 1, 4, 33])
+            step = main_forward(main, [8])
+            verify = main_forward(main, [5, 6, 7, 2])  # K+1 rows at K=3
             full = main_forward(main, list(range(40)))
             return [*prefill, *step, *verify, *full]
 
@@ -234,9 +235,8 @@ class TestTapeFreeForward:
         h = np.random.default_rng(6).normal(size=(5, CFG.model_dim))
 
         def run():
-            cache = head.new_cache()
-            stream = mtp_step(head, h, [11, 23, 5, 9, 40], cache)
-            draft = mtp_step(head, stream[0].data[-1:], [17], cache)
+            stream = mtp_step(head, h, [11, 23, 5, 9, 40])
+            draft = mtp_step(head, stream[0].data[-1:], [17], pos_offset=5)
             return [*stream, *draft]
 
         free, taped = self.free_and_taped(run)
@@ -256,6 +256,20 @@ class TestTapeFreeForward:
         with Tape(), pytest.raises(StateError):
             mtp_step(head, np.zeros((1, CFG.model_dim)), [3], token_table=token_input_table(head))
 
+    def test_main_forward_cache_rejected_under_tape(self, models):
+        main, _ = models
+        cache = main.new_cache()
+        with Tape(), pytest.raises(StateError, match="KV cache"):
+            main_forward(main, [3, 9, 27], cache)
+        assert cache.length == 0
+
+    def test_mtp_step_cache_rejected_under_tape(self, models):
+        _, head = models
+        cache = head.new_cache()
+        with Tape(), pytest.raises(StateError, match="KV cache"):
+            mtp_step(head, np.zeros((2, CFG.model_dim)), [3, 4], cache)
+        assert cache.length == 0
+
 
 class TestDeskShape:
     """The stacked Q/K/V product equals the per-projection one only as a
@@ -270,10 +284,9 @@ class TestDeskShape:
         prompt = np.random.default_rng(2).integers(main.config.vocab_size, size=24).tolist()
 
         def run():
-            cache = main.new_cache()
-            prefill = main_forward(main, prompt, cache)
-            verify = main_forward(main, [5, 6, 7, 2], cache)
-            step = main_forward(main, [8], cache)
+            prefill = main_forward(main, prompt)
+            verify = main_forward(main, [5, 6, 7, 2])
+            step = main_forward(main, [8])
             full = main_forward(main, (prompt * 6)[:main.config.max_seq_len])
             return [*prefill, *verify, *step, *full]
 
@@ -288,9 +301,8 @@ class TestDeskShape:
         tokens = np.random.default_rng(4).integers(head.config.vocab_size, size=24).tolist()
 
         def run():
-            cache = head.new_cache()
-            stream = mtp_step(head, h, tokens, cache)
-            draft = mtp_step(head, stream[0].data[-1:], [17], cache)
+            stream = mtp_step(head, h, tokens)
+            draft = mtp_step(head, stream[0].data[-1:], [17], pos_offset=len(tokens))
             return [*stream, *draft]
 
         free, taped = TestTapeFreeForward.free_and_taped(run)

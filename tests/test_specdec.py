@@ -5,10 +5,12 @@ the full accept/reject/rollback machinery cheaply.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtpspec import specdec
 from mtpspec.data import LANG_TAGS, sample_prompts, sample_zipf_tokens
@@ -115,6 +117,86 @@ class TestLosslessness:
         assert sum(len(r) for _, r in with_table) > len(requests)  # several rounds each
 
 
+class TestDecodeLoopProperties:
+    """The draft/verify/rollback loop over drawn prompts, budgets, depths,
+    end-of-sequence tokens, heads and vocabulary modes."""
+
+    @pytest.fixture(scope="class")
+    def drafting(self):
+        """A toy backbone whose greedy runs vary, and two heads bound to it:
+        a random one, whose drafts are almost all rejected, and one whose
+        block is a copy of the backbone's first block reading only the
+        token stream, whose drafts are mostly accepted. Block 0's weights
+        are scaled up so that it, not the copied input token, decides the
+        next token; unit-rms embeddings make the backbone's input rows the
+        head's normalized token rows."""
+        main, random_head = init_model(CFG)
+        emb = main.embed.data
+        emb /= np.sqrt(np.mean(emb * emb, axis=-1, keepdims=True))
+        b0 = main.blocks[0]
+        for w in (b0.qkv, b0.wo.data, b0.w_gate.data, b0.w_up.data, b0.w_down.data):
+            w *= 40.0
+        mirror = MTPHead(main, np.random.default_rng(1))
+        d = CFG.model_dim
+        mirror.combine.data[...] = np.vstack([np.zeros((d, d)), np.eye(d)])
+        mirror.block.qkv[...] = b0.qkv
+        for name in ("attn_norm", "wo", "mlp_norm", "w_gate", "w_up", "w_down"):
+            getattr(mirror.block, name).data[...] = getattr(b0, name).data
+        main.freeze()
+
+        rng = np.random.default_rng(3)
+        corpus = [sample_zipf_tokens(rng, list(range(CFG.vocab_size)), 2000)]
+        toy, en = (compress_vocab(build_frequency_table(corpus, tag, vocab_size=CFG.vocab_size),
+                                  size, specials=(), main=main)
+                   for tag, size in (("toy", 16), ("en", 24)))
+        bank = VocabBank(main, [toy, en])
+        # (vocab, lang): lang None on a bank means detection, which picks "en" here
+        modes = [(None, None), (toy, None), (bank, "toy"), (bank, None)]
+        return main, [random_head, mirror], modes
+
+    def test_drafting_fixture_reaches_every_round_shape(self, drafting):
+        main, (_, mirror), _ = drafting
+        shapes = set()
+        for p in prompts(6, seed=21):
+            free_run = baseline_decode(main, p, 30, eos_token=None)
+            for eos in (None, free_run[-1]):
+                _, m = speculative_decode(main, mirror, p, 30, 4, eos_token=eos)
+                shapes |= {("all accepted" if r["matched"] == len(r["drafts"]) else
+                            "none accepted" if r["matched"] == 0 else "some accepted",
+                            "cut by eos" if r["committed"] < r["matched"] + 1 else "whole")
+                           for r in m.records if r["drafts"]}
+        assert {s for s, _ in shapes} == {"all accepted", "some accepted", "none accepted"}
+        assert ("all accepted", "cut by eos") in shapes
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_loop_is_lossless_and_counts_agree(self, drafting, data):
+        main, heads, modes = drafting
+        prompt = data.draw(st.lists(st.integers(0, CFG.vocab_size - 1), min_size=1,
+                                    max_size=12), label="prompt")
+        max_new = data.draw(st.integers(0, 40), label="max_new")
+        k = data.draw(st.integers(0, 5), label="k")
+        head = data.draw(st.sampled_from(heads), label="head")
+        vocab, lang = data.draw(st.sampled_from(modes), label="vocab mode")
+        free_run = baseline_decode(main, prompt, max_new, eos_token=None)
+        eos = data.draw(st.one_of(st.none(), st.sampled_from(free_run)) if free_run
+                        else st.none(), label="eos")
+
+        out, m = speculative_decode(main, head, prompt, max_new, k, vocab=vocab, lang=lang,
+                                    eos_token=eos)
+        assert out == baseline_decode(main, prompt, max_new, eos_token=eos)
+        assert m.rounds == len(m.records)
+        if max_new == 0:
+            assert m.main_forwards == 0 and m.output_tokens == 0
+            return
+        assert m.output_tokens == sum(r["committed"] for r in m.records) == len(out) - 1
+        assert m.main_forwards == m.rounds + 1
+        # assert_array_equal takes nan as equal to nan
+        np.testing.assert_array_equal(tau_from_records(m.records), m.tau)
+        np.testing.assert_array_equal(rates_from_records(m.records, k),
+                                      [m.rate(j) for j in range(1, k + 1)])
+
+
 class TestVerifyRule:
     def _session_with_prefill(self, main, head, p, max_new=16):
         session = DecodeSession(main, head, p, max_new, eos_token=None)
@@ -122,9 +204,7 @@ class TestVerifyRule:
         return session
 
     def _manual_round(self, session, drafts):
-        return DraftRound(tokens=drafts, lang="*",
-                          base_verified=len(session.verified),
-                          stream_len_after_extend=session.draft_cache.length)
+        return DraftRound(tokens=drafts, lang="*", base_verified=len(session.verified))
 
     def test_prefix_match_then_correction(self, stack):
         main, head, _ = stack
@@ -133,20 +213,21 @@ class TestVerifyRule:
         session = self._session_with_prefill(main, head, p)
         assert session.verified[-1] == greedy[0]
         wrong = (greedy[3] + 1) % CFG.vocab_size
-        out = verify_round(session, self._manual_round(session, [greedy[1], greedy[2], wrong]))
-        assert out.accepted_count == 2
-        assert out.match_flags == [True, True, False]
-        assert out.committed == [greedy[1], greedy[2], greedy[3]]
-        assert out.bonus_token == greedy[3]
+        rec = verify_round(session, self._manual_round(session, [greedy[1], greedy[2], wrong]))
+        assert rec["matched"] == 2
+        assert rec["committed"] == 3 and session.verified[-3:] == greedy[1:4]
+        assert rec["next_token"] == greedy[3]
+        assert rec is session.metrics.records[-1]
 
     def test_all_match_gives_bonus(self, stack):
         main, head, _ = stack
         p = prompts(1, seed=5)[0]
         greedy = baseline_decode(main, p, 6, eos_token=None)
         session = self._session_with_prefill(main, head, p)
-        out = verify_round(session, self._manual_round(session, greedy[1:4]))
-        assert out.accepted_count == 3
-        assert out.committed == greedy[1:5]
+        rec = verify_round(session, self._manual_round(session, greedy[1:4]))
+        assert rec["matched"] == 3
+        assert rec["committed"] == 4 and session.verified[-4:] == greedy[1:5]
+        assert rec["next_token"] == greedy[4]
 
     def test_first_mismatch_accepts_zero(self, stack):
         main, head, _ = stack
@@ -154,19 +235,26 @@ class TestVerifyRule:
         greedy = baseline_decode(main, p, 4, eos_token=None)
         session = self._session_with_prefill(main, head, p)
         wrong = (greedy[1] + 1) % CFG.vocab_size
-        out = verify_round(session, self._manual_round(session, [wrong, 0, 0]))
-        assert out.accepted_count == 0
-        assert out.committed == [greedy[1]]
+        rec = verify_round(session, self._manual_round(session, [wrong, 0, 0]))
+        assert rec["matched"] == 0
+        assert rec["committed"] == 1 and session.verified[-1] == greedy[1]
 
     def test_round_session_mismatch_rejected(self, stack):
         main, head, _ = stack
         p = prompts(1, seed=7)[0]
         session = self._session_with_prefill(main, head, p)
-        stale = DraftRound(tokens=[1], lang="*",
-                           base_verified=len(session.verified) - 1,
-                           stream_len_after_extend=0)
+        stale = DraftRound(tokens=[1], lang="*", base_verified=len(session.verified) - 1)
         with pytest.raises(StateError):
             verify_round(session, stale)
+
+    def test_head_bound_to_another_backbone_rejected(self, stack):
+        main, _, _ = stack
+        other, foreign_head = init_model(ModelConfig(**{**CFG.__dict__, "seed": 99}))
+        other.freeze()
+        with pytest.raises(StateError, match="different model"):
+            DecodeSession(main, foreign_head, [1, 2], 4)
+        with pytest.raises(StateError, match="different model"):
+            speculative_decode(main, foreign_head, prompts(1)[0], 8, 3, eos_token=None)
 
 
 class TestDraftRound:
@@ -176,8 +264,8 @@ class TestDraftRound:
         session.prefill()
         rnd = draft_round(session, 0)
         assert rnd.tokens == []
-        out = verify_round(session, rnd)
-        assert len(out.committed) == 1
+        rec = verify_round(session, rnd)
+        assert rec["committed"] == 1 and rec["matched"] == 0
 
     def test_draft_cache_grows_by_drafted_steps(self, stack):
         main, head, _ = stack
@@ -187,8 +275,7 @@ class TestDraftRound:
         rnd = draft_round(session, k)
         assert len(rnd.tokens) == k
         # extend phase reaches the backbone-backed prefix, then one slot per extra draft
-        assert rnd.stream_len_after_extend == len(session.verified) - 1
-        assert session.draft_cache.length == rnd.stream_len_after_extend + (k - 1)
+        assert session.draft_cache.length == len(session.verified) - 1 + (k - 1)
         assert session.draft_cache.length <= session.main_cache.length + k
 
     def test_rollback_restores_backbone_backed_prefix(self, stack):
@@ -214,6 +301,18 @@ class TestMetrics:
         assert 1.0 <= m.tau <= 4.0
         matched_total = sum(r["matched"] for r in m.records)
         assert sum(m.accepted.values()) == matched_total
+
+    def test_wall_time_covers_session_setup(self, stack, monkeypatch):
+        main, head, _ = stack
+        build_table = specdec.token_input_table
+
+        def slow_table(head):
+            time.sleep(0.02)
+            return build_table(head)
+
+        monkeypatch.setattr(specdec, "token_input_table", slow_table)
+        _, m = speculative_decode(main, head, prompts(1, seed=11)[0], 4, 2, eos_token=None)
+        assert m.wall_ns >= 20_000_000
 
     def test_tau_and_rates_equal_log_replay(self, stack, tmp_path):
         main, head, _ = stack
