@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .data import EOS_TOKEN, TrainingExample, seed_key
+from .errors import CapacityError, ConfigError
 from .model import MainModel, greedy_argmax, main_forward
 
 
@@ -23,6 +25,16 @@ class GenerationConfig:
     max_new_tokens: int = 64
     seed: int = 0
     eos_token: int = EOS_TOKEN
+
+    def __post_init__(self):
+        if not self.temperature >= 0:
+            raise ConfigError("temperature must be nonnegative")
+        if self.top_k < 0:
+            raise ConfigError("top_k must be nonnegative (0 keeps every token)")
+        if not (0.0 < self.top_p <= 1.0):
+            raise ConfigError("top_p must lie in (0, 1]")
+        if self.max_new_tokens < 1:
+            raise ConfigError("max_new_tokens must be >= 1")
 
 
 def sample_token(rng: np.random.Generator, logits: np.ndarray,
@@ -65,15 +77,37 @@ def self_distill(prompts, main: MainModel, cfg: GenerationConfig) -> list[Traini
     """Generate one example per (prompt tokens, lang tag) pair.
 
     Responses that hit the length cap are truncated and flagged so the
-    cleaning heuristics can drop them later.
+    cleaning heuristics can drop them later. A prompt and its longest
+    response must fit the backbone (`CapacityError` before anything is
+    generated). With workers (`workers.extra_processes`) this process
+    generates the first share of the prompts and each worker a later
+    one; per-prompt seeds make the examples the same either way.
     """
-    out = []
-    for idx, (prompt, lang) in enumerate(prompts):
+    prompts = [(list(prompt), lang) for prompt, lang in prompts]
+    limit = main.config.max_seq_len
+    for idx, (prompt, _) in enumerate(prompts):
+        if len(prompt) + cfg.max_new_tokens > limit:
+            raise CapacityError(f"prompt {idx}: {len(prompt)} tokens + max_new_tokens "
+                                f"{cfg.max_new_tokens} exceed max_seq_len {limit}")
+
+    def example(idx: int) -> TrainingExample:
+        prompt, lang = prompts[idx]
         rng = np.random.default_rng(seed_key(cfg.seed, "distill", idx))
-        response, truncated = generate(main, list(prompt), cfg, rng)
-        out.append(TrainingExample(prompt=list(prompt), response=response,
-                                   lang=lang, source="self-distill",
-                                   truncated=truncated))
+        response, truncated = generate(main, prompt, cfg, rng)
+        return TrainingExample(prompt=prompt, response=response, lang=lang,
+                               source="self-distill", truncated=truncated)
+
+    cuts = workers.shares(len(prompts), 1 + workers.extra_processes(len(prompts)))
+
+    def serve(i, link) -> None:
+        done = [example(idx) for idx in cuts[i]]  # all first: the caller reads after its share
+        for ex in done:
+            link.send(ex)
+
+    with workers.forked(len(cuts) - 1, serve) as links:
+        out = [example(idx) for idx in cuts[0]]
+        for link, cut in zip(links, cuts[1:]):
+            out += [link.recv() for _ in cut]
     return out
 
 

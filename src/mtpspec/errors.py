@@ -35,3 +35,7 @@ class TrainingDiverged(RuntimeError):
 
 class EmptyCorpusError(ValueError):
     """A corpus-level statistic was requested over an empty corpus."""
+
+
+class WorkerError(RuntimeError):
+    """A forked worker died, or raised an exception that is not an mtpspec error."""

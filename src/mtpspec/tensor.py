@@ -26,6 +26,7 @@ repeated forward passes being bit-identical.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -57,10 +58,21 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def accumulate_grad(self, g: Array) -> None:
+    def accumulate_grad(self, g: Array, rows: Array | None = None) -> None:
+        """Add `g` into the gradient; with `rows`, add row i of `g` at row rows[i].
+
+        Every gradient a trainable leaf receives passes here, so a
+        `diverted_grads` block can take them in tape order instead.
+        """
         if not self.requires_grad:
             return
-        if self.grad is None:
+        if _DIVERTED is not None and id(self) in _DIVERTED:
+            _DIVERTED[id(self)](g, rows)
+        elif rows is not None:  # a scatter-add; repeated rows add up
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            np.add.at(self.grad, rows, g)
+        elif self.grad is None:
             self.grad = g.copy()  # a copy: a rule may hand the same g to two inputs
         else:
             self.grad += g
@@ -86,6 +98,25 @@ class Tensor:
 
 
 _ACTIVE_TAPE: "Tape | None" = None
+_DIVERTED: "dict[int, Callable[[Array, Array | None], None]] | None" = None
+
+
+@contextmanager
+def diverted_grads(params: Sequence[Tensor], take: Callable[[int, Array, Array | None], None]):
+    """Within the block, each gradient contribution to `params[i]` goes to
+    ``take(i, g, rows)`` instead of into its `grad`, in tape order.
+
+    Applying the taken contributions later with ``params[i].accumulate_grad(g,
+    rows)``, in the same order, leaves the same gradient bits.
+    """
+    global _DIVERTED
+    if _DIVERTED is not None:
+        raise StateError("gradients are already diverted")
+    _DIVERTED = {id(p): (lambda g, rows, i=i: take(i, g, rows)) for i, p in enumerate(params)}
+    try:
+        yield
+    finally:
+        _DIVERTED = None
 
 
 class Tape:
@@ -297,10 +328,7 @@ def embedding(table, ids):
         return out
 
     def scatter_add(g):  # adds into the table's gradient itself, so returns no gradients
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(w)
-            np.add.at(table.grad, ids, g)
+        table.accumulate_grad(g, ids)
         return ()
 
     return _record(out, scatter_add, table)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tn
+from . import workers
 from .errors import ConfigError, StateError, TrainingDiverged
 from .model import MTPHead, MainModel, main_forward, mtp_step
 from .tensor import Tape, Tensor
@@ -44,6 +45,16 @@ class TrainConfig:
             raise ConfigError("beta must lie in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("invalid batch_size/epochs")
+        if not self.lr > 0:
+            raise ConfigError("lr must be positive")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ConfigError("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps must be positive")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay must be nonnegative")
+        if not (0.0 <= self.warmup_ratio <= 1.0):
+            raise ConfigError("warmup_ratio must lie in [0, 1]")
 
 
 def step_weights(k_steps: int, beta: float) -> list[float]:
@@ -144,29 +155,39 @@ def mtp_training_loss(main: MainModel, head: MTPHead, batch,
     regardless of freeze state. Sequences no longer than k_steps are
     skipped and counted.
     """
+    usable, one, finish = _head_batch(main, head, batch, cfg)
+    return finish([one(ex) for ex in usable])
+
+
+def _head_batch(main: MainModel, head: MTPHead, batch, cfg: TrainConfig):
+    """`mtp_training_loss` in the three parts `_fit` takes: the examples
+    that run, one example's taped loss and backward, and the report."""
     usable = [ex for ex in batch if len(ex.tokens) > cfg.k_steps]
-    skipped = len(batch) - len(usable)
     alphas = step_weights(cfg.k_steps, cfg.beta)
     counts = _contributing_counts(usable, cfg)
     scales = [alphas[i] / counts[i] if counts[i] else 0.0 for i in range(cfg.k_steps)]
 
-    step_sums = [0.0] * cfg.k_steps
-    for ex in usable:
-        tokens = ex.tokens
-        h_main = backbone_hidden(main, tokens)
+    def one(ex) -> list[float]:
+        h_main = backbone_hidden(main, ex.tokens)
         with Tape() as tape:
-            loss, raw = head_stream_loss(head, h_main, tokens, len(ex.prompt),
-                                         cfg, scales)
+            loss, raw = head_stream_loss(head, h_main, ex.tokens, len(ex.prompt), cfg, scales)
             tape.backward(loss)
-        for i, r in enumerate(raw):
-            step_sums[i] += r
+        return raw
 
-    step_losses = [step_sums[i] / counts[i] if counts[i] else 0.0
-                   for i in range(cfg.k_steps)]
-    total = sum(a * l for a, l in zip(alphas, step_losses))
-    if not math.isfinite(total):
-        raise TrainingDiverged(f"non-finite training loss {total}")
-    return LossReport(step_losses=step_losses, total=total, step=0, skipped=skipped)
+    def finish(raws) -> LossReport:
+        step_sums = [0.0] * cfg.k_steps
+        for raw in raws:
+            for i, r in enumerate(raw):
+                step_sums[i] += r
+        step_losses = [step_sums[i] / counts[i] if counts[i] else 0.0
+                       for i in range(cfg.k_steps)]
+        total = sum(a * l for a, l in zip(alphas, step_losses))
+        if not math.isfinite(total):
+            raise TrainingDiverged(f"non-finite training loss {total}")
+        return LossReport(step_losses=step_losses, total=total, step=0,
+                          skipped=len(batch) - len(usable))
+
+    return usable, one, finish
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +261,102 @@ class TrainResult:
 def _fit(items, params: dict[str, Tensor], cfg: TrainConfig, batch_loss) -> list:
     """The one optimizer loop: seeded shuffled batches, cosine-scheduled AdamW.
 
-    `batch_loss(batch)` accumulates gradients for one batch; what it
-    returns is collected, one entry per optimizer step.
+    `batch_loss(batch)` returns three parts: the batch's work items,
+    `one(item)`, which runs one item's taped loss and backward and
+    returns its values, and `finish(values)`, which takes every item's
+    values in order and returns the step's entry; the entries are
+    collected, one per optimizer step.
+
+    With workers (`workers.extra_processes`), this process runs the
+    first share of each batch's items and each worker a later share
+    (`_serve_shares`). A worker takes the weights of this step, and
+    sends back each of its items' values and gradient contributions in
+    tape order (`tensor.diverted_grads`). This process applies those,
+    item after item, through the same `accumulate_grad` calls that
+    would have made them here, so gradients, updates and losses are the
+    serial run's bits.
     """
     opt = AdamW(params, cfg.lr, (cfg.adam_beta1, cfg.adam_beta2),
                 cfg.adam_eps, cfg.weight_decay)
+    trainable = list(opt.params.values())
     rng = np.random.default_rng(cfg.seed)
-    total_steps = cfg.epochs * math.ceil(len(items) / cfg.batch_size)
-    results = []
+    batches = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(items))
-        for start in range(0, len(items), cfg.batch_size):
+        batches += [[items[i] for i in order[start:start + cfg.batch_size]]
+                    for start in range(0, len(items), cfg.batch_size)]
+    count = workers.extra_processes(max(map(len, batches), default=0))
+
+    def serve(_, link) -> None:
+        _serve_shares(link, batches, trainable, batch_loss)
+
+    results = []
+    with workers.forked(count, serve) as links:
+        replay = _Replay(trainable)
+        for step, batch in enumerate(batches):
             opt.zero_grad()
-            results.append(batch_loss([items[i] for i in order[start:start + cfg.batch_size]]))
-            opt.step(lr=cosine_lr(len(results) - 1, total_steps, cfg.lr, cfg.warmup_ratio))
+            work, one, finish = batch_loss(batch)
+            cuts = workers.shares(len(work), 1 + len(links))
+            for link, cut in zip(links, cuts[1:]):
+                if cut:
+                    link.send((step, cut))
+                    for p in trainable:
+                        link.send_array(p.data)
+            values = [one(work[i]) for i in cuts[0]]
+            for link, cut in zip(links, cuts[1:]):
+                values += [replay(link) for _ in cut]
+            results.append(finish(values))
+            opt.step(lr=cosine_lr(step, len(batches), cfg.lr, cfg.warmup_ratio))
     return results
+
+
+def _serve_shares(link, batches, trainable: list[Tensor], batch_loss) -> None:
+    """A worker's side of `_fit`: per job, run a share of one batch's items
+    and send each item's values and gradient contributions.
+
+    A job is the step and the share, then the weights. The share runs to
+    its end before anything is sent: the caller reads only after its
+    own share, and a pipe holds far less than a share's gradients.
+    """
+    while True:
+        try:
+            step, cut = link.recv()
+        except EOFError:
+            return
+        for p in trainable:
+            link.recv_into(p.data)
+        work, one, _ = batch_loss(batches[step])
+        done = []
+        for i in cut:
+            taken = []
+            with tn.diverted_grads(trainable, lambda j, g, rows: taken.append((j, g.copy(), rows))):
+                done.append((one(work[i]), taken))
+        for value, taken in done:
+            link.send((value, [(j, rows) for j, _, rows in taken]))
+            for _, g, _ in taken:
+                link.send_array(g)
+
+
+class _Replay:
+    """Applies one item a worker sent: its gradient contributions, in order,
+    read into one reused buffer; returns the item's values."""
+
+    def __init__(self, trainable: list[Tensor]):
+        self.trainable = trainable
+        self.buffer = np.empty(max((p.size for p in trainable), default=0))
+
+    def __call__(self, link):
+        value, taken = link.recv()
+        for j, rows in taken:
+            p = self.trainable[j]
+            shape = p.shape if rows is None else (len(rows), *p.shape[1:])
+            size = math.prod(shape)
+            if size > self.buffer.size:
+                self.buffer = np.empty(size)
+            g = self.buffer[:size].reshape(shape)
+            link.recv_into(g)
+            p.accumulate_grad(g, rows)
+        return value
 
 
 def train_mtp_head(dataset, main: MainModel, head: MTPHead,
@@ -272,7 +374,7 @@ def train_mtp_head(dataset, main: MainModel, head: MTPHead,
     if not dataset:
         raise ConfigError("empty training dataset")
     reports = _fit(dataset, head.parameters(), cfg,
-                   lambda batch: mtp_training_loss(main, head, batch, cfg))
+                   lambda batch: _head_batch(main, head, batch, cfg))
     for step, report in enumerate(reports):
         report.step = step
     head.trained_depth = cfg.k_steps
@@ -288,10 +390,10 @@ def pretrain_main(sequences, model: MainModel, cfg: TrainConfig) -> list[float]:
     if cfg.epochs < 1:
         raise ConfigError("pretraining needs at least one epoch")
 
-    def batch_loss(batch) -> float:
+    def batch_loss(batch):
         count = sum(len(s) - 1 for s in batch)
-        loss = 0.0
-        for seq in batch:
+
+        def one(seq) -> float:
             tokens = np.asarray(seq, dtype=np.int64)
             with Tape() as tape:
                 _, logits = main_forward(model, tokens)
@@ -299,10 +401,17 @@ def pretrain_main(sequences, model: MainModel, cfg: TrainConfig) -> list[float]:
                 ce = tn.cross_entropy_rows(head_rows, tokens[1:],
                                            np.full(tokens.size - 1, 1.0 / count))
                 tape.backward(ce)
-            loss += float(ce.data)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(f"non-finite pretraining loss {loss}")
-        return loss
+            return float(ce.data)
+
+        def finish(losses) -> float:
+            loss = 0.0
+            for item in losses:  # left to right: from Python 3.12, sum() compensates
+                loss += item
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"non-finite pretraining loss {loss}")
+            return loss
+
+        return batch, one, finish
 
     curve = _fit(sequences, model.parameters(), cfg, batch_loss)
     model.freeze()

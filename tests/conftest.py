@@ -6,8 +6,12 @@ finetuned head and per-language frequency tables. Two controls sit
 beside them: a vanilla head (K=1, two epochs on the source corpus) and
 an untrained head. Everything is seeded, so the stack is bit-identical
 across runs.
+
+Training and distillation fork workers; the session fails if any child
+of the test process is left when it ends.
 """
 
+import os
 import time
 from types import SimpleNamespace
 
@@ -17,6 +21,16 @@ import pytest
 from mtpspec import cli
 from mtpspec.data import sample_prompts
 from mtpspec.model import MTPHead
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_children():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # raises ChildProcessError when there is no child
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the call that started it (waitpid gave pid {pid})")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from mtpspec import distill
 from mtpspec.distill import GenerationConfig, generate, sample_token, self_distill
+from mtpspec.errors import CapacityError, ConfigError
 from mtpspec.model import ModelConfig, init_model
 from mtpspec.specdec import baseline_decode
 
@@ -16,6 +18,18 @@ def main():
     model, _ = init_model(CFG)
     model.freeze()
     return model
+
+
+class TestGenerationConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", -1.0), ("temperature", float("nan")),
+        ("top_k", -2),
+        ("top_p", 0.0), ("top_p", -0.5), ("top_p", 1.01),
+        ("max_new_tokens", 0), ("max_new_tokens", -3),
+    ])
+    def test_bad_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GenerationConfig(**{field: value})
 
 
 class TestSampleToken:
@@ -87,3 +101,18 @@ class TestSelfDistill:
         b = self_distill(prompts, main, GenerationConfig(max_new_tokens=12, seed=1,
                                                          eos_token=None))
         assert any(x.response != y.response for x, y in zip(a, b))
+
+    def test_prompt_beyond_capacity_rejected_before_generating(self, monkeypatch):
+        # 30 prompt tokens + 10 new ones cannot fit 32 positions; the first prompt fits
+        model, _ = init_model(ModelConfig(vocab_size=64, model_dim=16, n_layers=1, n_heads=2,
+                                          max_seq_len=32, seed=21))
+        model.freeze()
+        calls = []
+        real = distill.generate
+        monkeypatch.setattr(distill, "generate", lambda *a: calls.append(1) or real(*a))
+        prompts = [([1, 2], "syn-a"), (list(range(30)), "syn-b")]
+        with pytest.raises(CapacityError, match="prompt 1"):
+            self_distill(prompts, model, GenerationConfig(max_new_tokens=10, eos_token=None))
+        assert calls == []
+        assert len(self_distill(prompts[:1], model,
+                                GenerationConfig(max_new_tokens=30, eos_token=None))) == 1

@@ -40,6 +40,49 @@ def stack():
     return main, head, small
 
 
+@pytest.fixture(scope="module")
+def drafting():
+    """A toy backbone whose greedy runs vary, and two heads bound to it:
+    a random one, whose drafts are almost all rejected, and one whose
+    block is a copy of the backbone's first block reading only the
+    token stream, whose drafts are mostly accepted. Block 0's weights
+    are scaled up so that it, not the copied input token, decides the
+    next token; unit-rms embeddings make the backbone's input rows the
+    head's normalized token rows."""
+    main, random_head = init_model(CFG)
+    emb = main.embed.data
+    emb /= np.sqrt(np.mean(emb * emb, axis=-1, keepdims=True))
+    b0 = main.blocks[0]
+    for w in (b0.qkv, b0.wo.data, b0.w_gate.data, b0.w_up.data, b0.w_down.data):
+        w *= 40.0
+    mirror = MTPHead(main, np.random.default_rng(1))
+    d = CFG.model_dim
+    mirror.combine.data[...] = np.vstack([np.zeros((d, d)), np.eye(d)])
+    mirror.block.qkv[...] = b0.qkv
+    for name in ("attn_norm", "wo", "mlp_norm", "w_gate", "w_up", "w_down"):
+        getattr(mirror.block, name).data[...] = getattr(b0, name).data
+    main.freeze()
+
+    rng = np.random.default_rng(3)
+    corpus = [sample_zipf_tokens(rng, list(range(CFG.vocab_size)), 2000)]
+    toy, en = (compress_vocab(build_frequency_table(corpus, tag, vocab_size=CFG.vocab_size),
+                              size, specials=(), main=main)
+               for tag, size in (("toy", 16), ("en", 24)))
+    bank = VocabBank(main, [toy, en])
+    # (vocab, lang): lang None on a bank means detection, which picks "en" here
+    modes = [(None, None), (toy, None), (bank, "toy"), (bank, None)]
+    return main, [random_head, mirror], modes
+
+
+@pytest.fixture(scope="module")
+def decoders(stack, drafting):
+    """(main, head, 16-id compressed vocab, whether drafts get accepted) for
+    the stack's random head, whose drafts are all rejected, and for the
+    drafting fixture's mirror head, whose drafts are mostly accepted."""
+    main, (_, mirror), modes = drafting
+    return [(*stack, False), (main, mirror, modes[1][0], True)]
+
+
 def prompts(n, length=6, seed=1):
     rng = np.random.default_rng(seed)
     return [rng.integers(CFG.vocab_size, size=length).tolist() for _ in range(n)]
@@ -64,32 +107,48 @@ class TestBaselineDecode:
 
 class TestLosslessness:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
-    def test_matches_baseline_full_vocab(self, stack, k):
-        main, head, _ = stack
-        for p in prompts(6):
-            expected = baseline_decode(main, p, 16, eos_token=None)
-            got, _ = speculative_decode(main, head, p, 16, k, eos_token=None)
-            assert got == expected
+    def test_matches_baseline_full_vocab(self, decoders, k):
+        for main, head, _, accepts in decoders:
+            matched = 0
+            for p in prompts(6):
+                expected = baseline_decode(main, p, 16, eos_token=None)
+                got, m = speculative_decode(main, head, p, 16, k, eos_token=None)
+                assert got == expected
+                matched = max([matched] + [r["matched"] for r in m.records])
+            if accepts and k:
+                assert matched >= 1
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_matches_baseline_compressed(self, stack, k):
-        main, head, small = stack
-        for p in prompts(6, seed=2):
-            expected = baseline_decode(main, p, 16, eos_token=None)
-            got, _ = speculative_decode(main, head, p, 16, k, vocab=small,
-                                        eos_token=None)
-            assert got == expected
+    def test_matches_baseline_compressed(self, decoders, k):
+        for main, head, small, accepts in decoders:
+            matched = 0
+            for p in prompts(6, seed=2):
+                expected = baseline_decode(main, p, 16, eos_token=None)
+                got, m = speculative_decode(main, head, p, 16, k, vocab=small,
+                                            eos_token=None)
+                assert got == expected
+                matched = max([matched] + [r["matched"] for r in m.records])
+            if accepts:
+                assert matched >= 1
 
-    def test_eos_stops_both_paths_identically(self, stack):
-        main, head, _ = stack
+    def test_eos_stops_both_paths_identically(self, drafting):
+        main, (random_head, mirror), _ = drafting
         p = prompts(1, seed=3)[0]
         free_run = baseline_decode(main, p, 20, eos_token=None)
-        eos = free_run[7]  # declare a token the model actually emits as EOS
+        # declare as EOS a token the model first emits a few steps in, so it lands in a round
+        at = next(i for i, t in enumerate(free_run) if i >= 3 and t not in free_run[:i])
+        eos = free_run[at]
         expected = baseline_decode(main, p, 20, eos_token=eos)
-        assert expected[-1] == eos and len(expected) <= 8
-        for k in (1, 2, 4):
-            got, _ = speculative_decode(main, head, p, 20, k, eos_token=eos)
-            assert got == expected
+        assert expected == free_run[:at + 1]
+        for head in (random_head, mirror):
+            for k in (1, 2, 4):
+                got, m = speculative_decode(main, head, p, 20, k, eos_token=eos)
+                assert got == expected
+                assert m.rounds >= 1 and sum(r["committed"] for r in m.records) == at
+                last = m.records[-1]
+                if head is mirror:  # the EOS arrives as an accepted draft and cuts its round
+                    assert last["matched"] >= last["committed"]
+                    assert last["drafts"][last["committed"] - 1] == eos
 
     def test_negative_depth_rejected(self, stack):
         main, head, _ = stack
@@ -120,39 +179,6 @@ class TestLosslessness:
 class TestDecodeLoopProperties:
     """The draft/verify/rollback loop over drawn prompts, budgets, depths,
     end-of-sequence tokens, heads and vocabulary modes."""
-
-    @pytest.fixture(scope="class")
-    def drafting(self):
-        """A toy backbone whose greedy runs vary, and two heads bound to it:
-        a random one, whose drafts are almost all rejected, and one whose
-        block is a copy of the backbone's first block reading only the
-        token stream, whose drafts are mostly accepted. Block 0's weights
-        are scaled up so that it, not the copied input token, decides the
-        next token; unit-rms embeddings make the backbone's input rows the
-        head's normalized token rows."""
-        main, random_head = init_model(CFG)
-        emb = main.embed.data
-        emb /= np.sqrt(np.mean(emb * emb, axis=-1, keepdims=True))
-        b0 = main.blocks[0]
-        for w in (b0.qkv, b0.wo.data, b0.w_gate.data, b0.w_up.data, b0.w_down.data):
-            w *= 40.0
-        mirror = MTPHead(main, np.random.default_rng(1))
-        d = CFG.model_dim
-        mirror.combine.data[...] = np.vstack([np.zeros((d, d)), np.eye(d)])
-        mirror.block.qkv[...] = b0.qkv
-        for name in ("attn_norm", "wo", "mlp_norm", "w_gate", "w_up", "w_down"):
-            getattr(mirror.block, name).data[...] = getattr(b0, name).data
-        main.freeze()
-
-        rng = np.random.default_rng(3)
-        corpus = [sample_zipf_tokens(rng, list(range(CFG.vocab_size)), 2000)]
-        toy, en = (compress_vocab(build_frequency_table(corpus, tag, vocab_size=CFG.vocab_size),
-                                  size, specials=(), main=main)
-                   for tag, size in (("toy", 16), ("en", 24)))
-        bank = VocabBank(main, [toy, en])
-        # (vocab, lang): lang None on a bank means detection, which picks "en" here
-        modes = [(None, None), (toy, None), (bank, "toy"), (bank, None)]
-        return main, [random_head, mirror], modes
 
     def test_drafting_fixture_reaches_every_round_shape(self, drafting):
         main, (_, mirror), _ = drafting
@@ -289,18 +315,20 @@ class TestDraftRound:
 
 
 class TestMetrics:
-    def test_bookkeeping_invariants(self, stack):
-        main, head, _ = stack
-        out, m = speculative_decode(main, head, prompts(1, seed=11)[0], 20, 3,
-                                    eos_token=None)
-        assert len(out) == 20
-        assert m.output_tokens == sum(r["committed"] for r in m.records)
-        assert m.output_tokens == len(out) - 1  # prefill commits the first token
-        assert m.main_forwards == m.rounds + 1
-        assert m.draft_forwards == sum(len(r["drafts"]) for r in m.records)
-        assert 1.0 <= m.tau <= 4.0
-        matched_total = sum(r["matched"] for r in m.records)
-        assert sum(m.accepted.values()) == matched_total
+    def test_bookkeeping_invariants(self, decoders):
+        for main, head, _, accepts in decoders:
+            out, m = speculative_decode(main, head, prompts(1, seed=11)[0], 20, 3,
+                                        eos_token=None)
+            assert len(out) == 20
+            assert m.output_tokens == sum(r["committed"] for r in m.records)
+            assert m.output_tokens == len(out) - 1  # prefill commits the first token
+            assert m.main_forwards == m.rounds + 1
+            assert m.draft_forwards == sum(len(r["drafts"]) for r in m.records)
+            assert 1.0 <= m.tau <= 4.0
+            matched_total = sum(r["matched"] for r in m.records)
+            assert sum(m.accepted.values()) == matched_total
+            if accepts:
+                assert matched_total >= 1
 
     def test_wall_time_covers_session_setup(self, stack, monkeypatch):
         main, head, _ = stack
@@ -314,18 +342,20 @@ class TestMetrics:
         _, m = speculative_decode(main, head, prompts(1, seed=11)[0], 4, 2, eos_token=None)
         assert m.wall_ns >= 20_000_000
 
-    def test_tau_and_rates_equal_log_replay(self, stack, tmp_path):
-        main, head, _ = stack
-        _, m = speculative_decode(main, head, prompts(1, seed=12)[0], 18, 2,
-                                  eos_token=None)
-        path = tmp_path / "rounds.jsonl"
-        write_round_log(path, m.records)
-        records = read_round_log(path)
-        assert tau_from_records(records) == pytest.approx(m.tau, abs=1e-12)
-        replayed_rates = rates_from_records(records, 2)
-        for k in (1, 2):
-            if m.reached.get(k):
-                assert replayed_rates[k - 1] == pytest.approx(m.rate(k), abs=1e-12)
+    def test_tau_and_rates_equal_log_replay(self, decoders, tmp_path):
+        for main, head, _, accepts in decoders:
+            _, m = speculative_decode(main, head, prompts(1, seed=12)[0], 18, 2,
+                                      eos_token=None)
+            path = tmp_path / "rounds.jsonl"
+            write_round_log(path, m.records)
+            records = read_round_log(path)
+            assert tau_from_records(records) == pytest.approx(m.tau, abs=1e-12)
+            replayed_rates = rates_from_records(records, 2)
+            for k in (1, 2):
+                if m.reached.get(k):
+                    assert replayed_rates[k - 1] == pytest.approx(m.rate(k), abs=1e-12)
+            if accepts:
+                assert m.tau > 1.0
 
     # each case replaces fields of a valid record; the last two lines are not objects
     @pytest.mark.parametrize("fields", [
@@ -355,22 +385,24 @@ class TestMetrics:
         with pytest.raises(ConfigError, match="rounds.jsonl:2: "):
             read_round_log(path)
 
-    def test_merge_pools_counters_and_replays_rates(self, stack):
-        main, head, small = stack
-        runs = [speculative_decode(main, head, p, 14, 3, vocab=small, eos_token=None)[1]
-                for p in prompts(3, seed=18)]
-        pooled = DecodeMetrics()
-        for m in runs:
-            pooled.merge(m)
-        for name in ("rounds", "output_tokens", "main_forwards", "draft_forwards",
-                     "wall_ns", "prefill_ns", "draft_ns", "verify_ns", "draft_mults"):
-            assert getattr(pooled, name) == sum(getattr(m, name) for m in runs), name
-        for k in (1, 2, 3):
-            assert pooled.reached.get(k, 0) == sum(m.reached.get(k, 0) for m in runs)
-            assert pooled.accepted.get(k, 0) == sum(m.accepted.get(k, 0) for m in runs)
-        assert pooled.records == [r for m in runs for r in m.records]
-        replayed = rates_from_records(pooled.records, 3)
-        np.testing.assert_array_equal(replayed, [pooled.rate(k) for k in (1, 2, 3)])
+    def test_merge_pools_counters_and_replays_rates(self, decoders):
+        for main, head, small, accepts in decoders:
+            runs = [speculative_decode(main, head, p, 14, 3, vocab=small, eos_token=None)[1]
+                    for p in prompts(3, seed=18)]
+            pooled = DecodeMetrics()
+            for m in runs:
+                pooled.merge(m)
+            for name in ("rounds", "output_tokens", "main_forwards", "draft_forwards",
+                         "wall_ns", "prefill_ns", "draft_ns", "verify_ns", "draft_mults"):
+                assert getattr(pooled, name) == sum(getattr(m, name) for m in runs), name
+            for k in (1, 2, 3):
+                assert pooled.reached.get(k, 0) == sum(m.reached.get(k, 0) for m in runs)
+                assert pooled.accepted.get(k, 0) == sum(m.accepted.get(k, 0) for m in runs)
+            assert pooled.records == [r for m in runs for r in m.records]
+            replayed = rates_from_records(pooled.records, 3)
+            np.testing.assert_array_equal(replayed, [pooled.rate(k) for k in (1, 2, 3)])
+            if accepts:
+                assert sum(pooled.accepted.values()) >= 1
 
     def test_untrained_head_has_chance_level_tau(self):
         cfg = ModelConfig(vocab_size=512, model_dim=16, n_layers=1, n_heads=2,
@@ -387,20 +419,20 @@ class TestMetrics:
         tau = total_out / total_rounds
         assert tau - 1.0 < 0.1
 
-    def test_verification_always_full_vocab_width(self, stack):
-        main, head, small = stack
-        _, m = speculative_decode(main, head, prompts(1, seed=15)[0], 12, 3,
-                                  vocab=small, eos_token=None)
-        assert all(r["verify_vocab_width"] == CFG.vocab_size for r in m.records)
+    def test_verification_always_full_vocab_width(self, decoders):
+        for main, head, small, _ in decoders:
+            _, m = speculative_decode(main, head, prompts(1, seed=15)[0], 12, 3,
+                                      vocab=small, eos_token=None)
+            assert all(r["verify_vocab_width"] == CFG.vocab_size for r in m.records)
 
-    def test_cache_rollback_soundness(self, stack):
-        main, head, _ = stack
-        session = DecodeSession(main, head, prompts(1, seed=16)[0], 24, eos_token=None)
-        session.prefill()
-        for _ in range(4):
-            rnd = draft_round(session, 3)
-            verify_round(session, rnd)
-            assert cache_consistency_gap(session) < 1e-9
+    def test_cache_rollback_soundness(self, decoders):
+        for main, head, _, _ in decoders:
+            session = DecodeSession(main, head, prompts(1, seed=16)[0], 24, eos_token=None)
+            session.prefill()
+            for _ in range(4):
+                rnd = draft_round(session, 3)
+                verify_round(session, rnd)
+                assert cache_consistency_gap(session) < 1e-9
 
 
 class TestConcurrency:

@@ -52,6 +52,30 @@ class TestStepWeights:
             step_weights(3, 1.5)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", 0.0), ("lr", -0.01),
+        ("adam_beta1", -0.1), ("adam_beta1", 1.0), ("adam_beta1", 1.5),
+        ("adam_beta2", -0.1), ("adam_beta2", 1.0),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8),
+        ("weight_decay", -0.01),
+        ("warmup_ratio", -0.05), ("warmup_ratio", 1.5),
+        ("lr", float("nan")),
+    ])
+    def test_out_of_range_optimizer_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(adam_beta1=0.0, adam_beta2=0.0, weight_decay=0.0, warmup_ratio=0.0)
+        TrainConfig(warmup_ratio=1.0)
+
+    def test_cli_sections_stay_valid(self):
+        from mtpspec.cli import DEFAULT_CONFIG
+        TrainConfig(**DEFAULT_CONFIG["pretrain"])
+        TrainConfig(**DEFAULT_CONFIG["train"])
+
+
 class TestMaskBounds:
     def test_window_respects_prompt_and_depth(self):
         # T=12, K=3: source window ends at T-1-K=8; step 3 loses one more slot
