@@ -2,8 +2,9 @@
 
 A frozen decoder-only backbone is paired with a single recursively
 reused draft head, fine-tuned on self-distilled data, and used for
-lossless draft/verify generation with optional language-aware
-compressed-vocabulary drafting.
+lossless draft/verify generation. Drafting can project onto compressed
+vocabularies: a per-language bank picks one for each round, by tag or
+by which keep set covers the recent context best.
 """
 
 from .data import EOS_TOKEN, PAD_TOKEN, VOCAB_SIZE, TrainingExample
@@ -14,7 +15,7 @@ from .specdec import (DecodeMetrics, DecodeSession, baseline_decode, draft_round
 from .tensor import Tape, Tensor, causal_attention, grad_check, rms_norm, softmax_cross_entropy
 from .training import TrainConfig, mtp_training_loss, pretrain_main, step_weights, train_mtp_head
 from .vocab import (CompressedVocab, FrequencyTable, VocabBank, build_frequency_table,
-                    compress_vocab, detect_language, draft_logits_compressed)
+                    compress_vocab, draft_logits_compressed)
 
 __version__ = "0.1.0"
 
@@ -29,5 +30,5 @@ __all__ = [
     "TrainConfig", "mtp_training_loss", "pretrain_main", "step_weights",
     "train_mtp_head",
     "CompressedVocab", "FrequencyTable", "VocabBank", "build_frequency_table",
-    "compress_vocab", "detect_language", "draft_logits_compressed",
+    "compress_vocab", "draft_logits_compressed",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import EOS_TOKEN, SPECIAL_TOKENS, read_json
 from .errors import ConfigError
-from .model import MTPHead, MainModel
+from .model import MTPHead, MainModel, ModelConfig
 from .specdec import DecodeMetrics, baseline_decode, speculative_decode, write_round_log
 from .vocab import VocabBank, compress_vocab
 
@@ -79,17 +79,21 @@ class ReportRow:
 REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
-def _row(task: BenchTask, method: str, k_depth: int, vocab_size: int,
+def _row(task: BenchTask, method: str, k_depth: int, config: ModelConfig,
          m: DecodeMetrics, tps: float, tps_std: float, base_tps: float | None,
          c_draft: float | None = None) -> ReportRow:
     """The one place a report row is derived from pooled decode metrics.
 
-    c_draft defaults to the row's own measured ratio; wall speedup is 0
-    when there is no baseline throughput to divide by.
+    The row's vocabulary size is the mean width its draft steps projected
+    onto, |V| when it drafted nothing. c_draft defaults to the row's own
+    measured ratio; wall speedup is 0 when there is no baseline
+    throughput to divide by.
     """
     c_draft = m.c_draft if c_draft is None else c_draft
+    vocab_size = (round(m.draft_mults / (m.draft_forwards * config.model_dim))
+                  if m.draft_forwards else config.vocab_size)
     return ReportRow(
-        task=task.name, method=method, k=k_depth, vocab_size=int(vocab_size),
+        task=task.name, method=method, k=k_depth, vocab_size=vocab_size,
         prompts=len(task.prompts), output_tokens=m.output_tokens, rounds=m.rounds,
         tau=_round9(m.tau),
         rates=[_round9(m.rate(k)) for k in range(1, k_depth + 1)],
@@ -161,9 +165,7 @@ def run_benchmark(tasks, *, main: MainModel, finetuned_head: MTPHead,
             pooled, tps, tps_std = _decode_task(task, k, main, head, vocab, repetitions)
             if head is None:
                 baseline_tps[task.name] = tps
-            vocab_size = (vocab.get(task.lang or "?").size
-                          if vocab is not None else main.config.vocab_size)
-            rows.append(_row(task, method, k, vocab_size, pooled,
+            rows.append(_row(task, method, k, main.config, pooled,
                              tps, tps_std, baseline_tps[task.name]))
             if log_dir is not None and head is not None:
                 name = f"rounds_{task.name}_{method.replace('+', '_')}_k{k}.jsonl"
@@ -171,8 +173,8 @@ def run_benchmark(tasks, *, main: MainModel, finetuned_head: MTPHead,
     return rows
 
 
-def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel, head: MTPHead,
-                      vocab=None) -> list[ReportRow]:
+def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel,
+                      head: MTPHead) -> list[ReportRow]:
     """tau / speed table over draft depths; K=0 rows are exact baselines.
 
     The analytic speedup for every row uses the pooled c_draft measured
@@ -184,14 +186,14 @@ def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel, head: MTPHea
     if head.trained_depth is not None and max(k_range) > head.trained_depth:
         log.warning("sweeping K up to %d beyond trained depth %d",
                     max(k_range), head.trained_depth)
-    by_k = {k: _decode_task(task, k, main, head, vocab, repetitions=1)
+    by_k = {k: _decode_task(task, k, main, head, None, repetitions=1)
             for k in k_range}
     sweep = DecodeMetrics()
     for pooled, _, _ in by_k.values():
         sweep.merge(pooled)
     c_draft = sweep.c_draft
     base_tps = by_k[0][1] if 0 in by_k else None
-    return [_row(task, "finetuned-head", k, main.config.vocab_size, *by_k[k],
+    return [_row(task, "finetuned-head", k, main.config, *by_k[k],
                  base_tps, c_draft=c_draft)
             for k in k_range]
 
@@ -213,7 +215,7 @@ def sweep_vocab_size(task: BenchTask, sizes, *, main: MainModel, head: MTPHead,
             size = main.config.vocab_size
         bank = VocabBank(main, [compress_vocab(t, size, specials, main=main)
                                 for t in tables.values()])
-        rows.append(_row(task, "finetuned-head+FR", k_depth, size,
+        rows.append(_row(task, "finetuned-head+FR", k_depth, main.config,
                          *_decode_task(task, k_depth, main, head, bank, repetitions=1),
                          base_tps=None))
     return rows

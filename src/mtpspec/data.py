@@ -56,11 +56,6 @@ def decode_tokens(tokens) -> str:
     return "".join(pieces)
 
 
-def is_high_byte(token: int) -> bool:
-    """Byte tokens >= 0x80 are the byte-level signature of CJK text here."""
-    return 128 <= token <= 255
-
-
 @dataclass
 class TrainingExample:
     prompt: list[int]

@@ -7,7 +7,9 @@ the backbone's greedy choice, whose own token is then committed as well.
 One rollback rule follows: the backbone cache keeps every verified token
 but the last, and the draft cache keeps only the positions whose hidden
 came from the backbone. So the output is token-exact equal to plain
-greedy decoding. `verify_round` returns the record it logs.
+greedy decoding. `verify_round` returns the record it logs. Each round
+drafts over the vocabulary the session's `VocabBank` selects for its
+context; a session without a bank drafts over the full vocabulary.
 
 A session's head must be bound to its backbone, whose embeddings it
 drafts from. Each session normalizes the shared embedding table with the
@@ -29,8 +31,7 @@ from .data import EOS_TOKEN, read_json_lines
 from .errors import CapacityError, ConfigError, ShapeError, StateError
 from .model import (MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step,
                     token_input_table)
-from .vocab import (CompressedVocab, VocabBank, detect_language, draft_logits_compressed,
-                    identity_vocab)
+from .vocab import VocabBank, draft_logits_compressed
 
 
 @dataclass
@@ -102,8 +103,8 @@ class DecodeSession:
     the head's token-input table."""
 
     def __init__(self, main: MainModel, head: MTPHead, prompt,
-                 max_new_tokens: int, vocab=None, lang: str | None = None,
-                 eos_token: int | None = EOS_TOKEN):
+                 max_new_tokens: int, vocab: VocabBank | None = None,
+                 lang: str | None = None, eos_token: int | None = EOS_TOKEN):
         prompt = [int(t) for t in prompt]
         if not prompt:
             raise ShapeError("prompt must be nonempty")
@@ -113,15 +114,16 @@ class DecodeSession:
                 f"max_seq_len {main.config.max_seq_len}")
         if head.main is not main:
             raise StateError("draft head is bound to a different model")
-        if isinstance(vocab, CompressedVocab):
-            vocab.check_bound(main.output_w.data)
-        if isinstance(vocab, VocabBank) and vocab.main is not main:
+        bank = VocabBank(main) if vocab is None else vocab
+        if not isinstance(bank, VocabBank):
+            raise ConfigError(f"vocab must be a VocabBank or None, not {type(vocab).__name__}")
+        if bank.main is not main:
             raise StateError("vocab bank was built for a different model")
         self.main = main
         self.head = head
         self.prompt_len = len(prompt)
         self.max_new = max_new_tokens
-        self.vocab = vocab if vocab is not None else identity_vocab(main)
+        self.bank = bank
         self.lang = lang
         self.eos = eos_token
         self.main_cache = main.new_cache()
@@ -136,12 +138,6 @@ class DecodeSession:
     @property
     def generated(self) -> int:
         return len(self.verified) - self.prompt_len
-
-    def active_vocab(self) -> CompressedVocab:
-        if isinstance(self.vocab, VocabBank):
-            tag = self.lang if self.lang is not None else detect_language(self.verified)
-            return self.vocab.get(tag)
-        return self.vocab
 
     def prefill(self) -> None:
         t0 = time.perf_counter_ns()
@@ -163,9 +159,9 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
     available since the last round (hidden from the backbone, embedding
     of the following verified token) and emits the first draft; later
     steps feed the head's own output hidden plus the previous draft's
-    embedding. Greedy choice runs over the active vocabulary.
+    embedding. Greedy choice runs over the vocabulary the bank selects.
     """
-    cv = session.active_vocab()
+    cv = session.bank.select(session.lang, session.verified)
     stream_len = session.draft_cache.length
     n_hidden = session.main_cache.length
     h_in = session.hiddens[stream_len:n_hidden]
@@ -249,8 +245,8 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
 
 
 def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: int,
-                       k_depth: int, vocab=None, lang: str | None = None,
-                       eos_token: int | None = EOS_TOKEN):
+                       k_depth: int, vocab: VocabBank | None = None,
+                       lang: str | None = None, eos_token: int | None = EOS_TOKEN):
     """Draft/verify loop; returns (continuation tokens, metrics).
 
     The continuation is token-exact equal to `baseline_decode` for every

@@ -4,7 +4,9 @@ Per-language token counts rank the vocabulary; the top slice (plus
 force-included specials) forms a compressed output space. Draft logits
 are computed against the matching row subset of the shared output head,
 so the per-step multiply cost scales with the kept size. Verification is
-untouched and always sees the full vocabulary.
+untouched and always sees the full vocabulary. A `VocabBank` holds one
+such vocabulary per language tag and picks the one each draft step
+projects onto (`VocabBank.select`), by tag or by context coverage.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FALLBACK_LANG, SPECIAL_TOKENS, is_high_byte, read_json
+from .data import FALLBACK_LANG, SPECIAL_TOKENS, read_json
 from .errors import ConfigError, ConsistencyError, EmptyCorpusError
 from .model import MainModel
 
-CJK_RATIO_THRESHOLD = 0.3
-DETECT_WINDOW = 128
+DETECT_WINDOW = 128  # trailing context tokens an untagged selection counts
 
 
 @dataclass
@@ -224,22 +225,20 @@ class VocabBank:
         cv.check_bound(self.main.output_w.data)
         self.by_lang[cv.lang] = cv
 
-    def get(self, lang: str) -> CompressedVocab:
-        return self.by_lang.get(lang, self.fallback)
+    def select(self, lang: str | None, context=()) -> CompressedVocab:
+        """The vocabulary a draft step extending `context` projects onto.
 
-
-def detect_language(context, window: int = DETECT_WINDOW,
-                    threshold: float = CJK_RATIO_THRESHOLD) -> str:
-    """Classify the trailing context by its high-byte (CJK) token ratio.
-
-    Empty context falls back to the full vocabulary tag. Synthetic
-    corpora use explicit tags and never rely on this heuristic.
-    """
-    context = list(context)[-window:]
-    if not context:
-        return FALLBACK_LANG
-    ratio = sum(1 for t in context if is_high_byte(t)) / len(context)
-    return "zh" if ratio >= threshold else "en"
+        A tag picks its entry (the fallback if absent). With no tag, the
+        entry holding most of the last `DETECT_WINDOW` context tokens
+        wins, ties going to the smaller keep set, then to the entry added
+        first; an empty bank gives the fallback.
+        """
+        if lang is not None:
+            return self.by_lang.get(lang, self.fallback)
+        counts = np.bincount(np.asarray(context[-DETECT_WINDOW:], dtype=np.int64),
+                             minlength=self.main.config.vocab_size)
+        return max(self.by_lang.values(), default=self.fallback,
+                   key=lambda cv: (int(counts[cv.keep].sum()), -cv.size))
 
 
 # ---------------------------------------------------------------------------

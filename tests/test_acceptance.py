@@ -20,7 +20,7 @@ from mtpspec.specdec import baseline_decode, read_round_log, speculative_decode,
 from mtpspec.tensor import grad_check
 from mtpspec.training import (TrainConfig, _contributing_counts, backbone_hidden,
                               head_stream_loss, step_weights)
-from mtpspec.vocab import compress_vocab, identity_vocab, size_for_coverage
+from mtpspec.vocab import VocabBank, compress_vocab, identity_vocab, size_for_coverage
 
 
 def _report(criterion: int, passed: bool, detail: str):
@@ -34,8 +34,8 @@ class TestCriterion1Losslessness:
         merged = None
         for table in stack.tables.values():
             merged = table if merged is None else merged + table
-        quarter = compress_vocab(merged, 128, SPECIAL_TOKENS, main=stack.main)
-        six_pct = compress_vocab(merged, 31, SPECIAL_TOKENS, main=stack.main)
+        quarter = VocabBank(stack.main, [compress_vocab(merged, 128, SPECIAL_TOKENS)])
+        six_pct = VocabBank(stack.main, [compress_vocab(merged, 31, SPECIAL_TOKENS)])
 
         prompts = [p for tag in LANG_TAGS for p in sample_prompts(tag, 101, 20, 24)]
         assert len(prompts) >= 100
@@ -145,9 +145,10 @@ class TestCriterion6VocabTradeoff:
 
         mix = [("syn-a", 16)]
         full = pool_metrics(stack.main, stack.finetuned, mix, 3)
-        comp = pool_metrics(stack.main, stack.finetuned, mix, 3, vocab=cv99)
+        comp = pool_metrics(stack.main, stack.finetuned, mix, 3,
+                            vocab=VocabBank(stack.main, [cv99]))
         ident = pool_metrics(stack.main, stack.finetuned, mix, 3,
-                             vocab=identity_vocab(stack.main))
+                             vocab=VocabBank(stack.main, [identity_vocab(stack.main)]))
         drop = full.tau - comp.tau
         ident_drop = full.tau - ident.tau
 
@@ -159,9 +160,9 @@ class TestCriterion6VocabTradeoff:
         cv_zh = compress_vocab(stack.tables["zh"], 64, SPECIAL_TOKENS, main=stack.main)
         cv_en = compress_vocab(stack.tables["en"], 64, SPECIAL_TOKENS, main=stack.main)
         zh_with_zh = pool_metrics(stack.main, stack.finetuned, [("zh", 12)], 3,
-                                  vocab=cv_zh)
+                                  vocab=VocabBank(stack.main, [cv_zh]))
         zh_with_en = pool_metrics(stack.main, stack.finetuned, [("zh", 12)], 3,
-                                  vocab=cv_en)
+                                  vocab=VocabBank(stack.main, [cv_en]))
 
         _report(6, covered >= 0.99 and drop <= 0.1 and ident_drop == 0.0
                 and mults_ok and zh_with_zh.tau > zh_with_en.tau,

@@ -87,7 +87,7 @@ class TestRunBenchmark:
             ("baseline", "toy", 0, 64), ("baseline", "other", 0, 64),
             ("vanilla-head", "toy", 2, 64), ("vanilla-head", "other", 2, 64),
             ("finetuned-head", "toy", 2, 64), ("finetuned-head", "other", 2, 64),
-            ("finetuned-head+FR", "toy", 2, 64), ("finetuned-head+FR", "other", 2, 16)]
+            ("finetuned-head+FR", "toy", 2, 16), ("finetuned-head+FR", "other", 2, 16)]
         rows = run_benchmark([task], main=main, finetuned_head=head, k_depth=1)
         assert [(r.method, r.k) for r in rows] == [("baseline", 0), ("finetuned-head", 1)]
 

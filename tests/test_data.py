@@ -6,7 +6,7 @@ import pytest
 from mtpspec import data
 from mtpspec.data import (
     CYCLE_TOKENS, EOS_TOKEN, SYN_A_IDS, SYN_B_IDS, VOCAB_SIZE, TrainingExample,
-    decode_tokens, encode_text, is_high_byte, language, load_dataset,
+    decode_tokens, encode_text, language, load_dataset,
     make_examples, mixed_dataset, sample_prompts, save_dataset, seed_key,
 )
 from mtpspec.errors import ConfigError
@@ -28,11 +28,6 @@ class TestTokenSpace:
 
     def test_non_byte_ids_render_as_markers(self):
         assert decode_tokens([65, 300, 66]) == "A<300>B"
-
-    def test_high_byte_predicate(self):
-        assert not is_high_byte(ord("a"))
-        assert all(is_high_byte(b) for b in "中".encode("utf-8"))
-        assert not is_high_byte(SYN_A_IDS[0])
 
 
 class TestTrainingExample:
@@ -116,7 +111,7 @@ class TestLanguages:
             seq = language(tag).sample(np.random.default_rng(2), 64)
             assert all(0 <= t <= 255 for t in seq)
         zh = language("zh").sample(np.random.default_rng(3), 64)
-        assert sum(1 for t in zh if is_high_byte(t)) / len(zh) > 0.5
+        assert sum(1 for t in zh if 128 <= t <= 255) / len(zh) > 0.5
 
     def test_responses_end_with_eos_except_cycle(self):
         for tag in ("syn-a", "en", "zh"):

@@ -5,12 +5,12 @@ import numpy as np
 
 from conftest import pool_metrics
 from mtpspec.bench import BenchTask, run_benchmark, sweep_draft_depth
-from mtpspec.data import EOS_TOKEN, language, sample_prompts
+from mtpspec.data import EOS_TOKEN, LANG_TAGS, language, sample_prompts
 from mtpspec.dedup import FilterRules, dedup_and_filter
 from mtpspec.distill import GenerationConfig, response_perplexity, self_distill
 from mtpspec.model import MTPHead
-from mtpspec.specdec import (DecodeSession, baseline_decode, draft_round, speculative_decode,
-                             verify_round)
+from mtpspec.specdec import (DecodeMetrics, DecodeSession, baseline_decode, draft_round,
+                             speculative_decode, verify_round)
 from mtpspec.training import TrainConfig, train_mtp_head
 from mtpspec.vocab import VocabBank, compress_vocab
 
@@ -115,18 +115,26 @@ class TestMethodOrdering:
 
 
 class TestLanguageDispatch:
-    def test_detection_routes_zh_prompts_to_zh_vocab(self, stack):
-        bank = VocabBank(stack.main,
-                         [compress_vocab(stack.tables["zh"], 64, main=stack.main),
-                          compress_vocab(stack.tables["en"], 64, main=stack.main)])
-        zh_prompt = sample_prompts("zh", 61, 1, 24)[0]
-        _, m = speculative_decode(stack.main, stack.finetuned, zh_prompt, 24, 3,
-                                  vocab=bank, lang=None, eos_token=EOS_TOKEN)
-        assert all(r["lang"] == "zh" for r in m.records)
-        en_prompt = sample_prompts("en", 61, 1, 24)[0]
-        _, m = speculative_decode(stack.main, stack.finetuned, en_prompt, 24, 3,
-                                  vocab=bank, lang=None, eos_token=EOS_TOKEN)
-        assert all(r["lang"] == "en" for r in m.records)
+    def test_untagged_prompts_draft_over_their_own_vocab(self, stack):
+        # entries go in LANG_TAGS order: a coverage tie between equal-size
+        # keep sets goes to the entry added first
+        bank = VocabBank(stack.main, [compress_vocab(stack.tables[tag], 128, main=stack.main)
+                                      for tag in LANG_TAGS])
+
+        def decode(tag, lang):
+            pooled, outputs = DecodeMetrics(), []
+            for prompt in sample_prompts(tag, 61, 4, 24):
+                out, m = speculative_decode(stack.main, stack.finetuned, prompt, 32, 3,
+                                            vocab=bank, lang=lang, eos_token=EOS_TOKEN)
+                outputs.append(out)
+                pooled.merge(m)
+            return pooled, outputs
+
+        for tag in LANG_TAGS:
+            (untagged, untagged_out), (tagged, tagged_out) = decode(tag, None), decode(tag, tag)
+            assert {r["lang"] for r in untagged.records} == {tag}
+            assert untagged.tau == tagged.tau
+            assert untagged_out == tagged_out
 
     def test_head_weight_identity_across_rounds(self, stack):
         # one weight set reused at every draft step: the arrays consulted

@@ -36,7 +36,7 @@ def stack():
     rng = np.random.default_rng(0)
     corpus = [sample_zipf_tokens(rng, list(range(CFG.vocab_size)), 2000)]
     table = build_frequency_table(corpus, "toy", vocab_size=CFG.vocab_size)
-    small = compress_vocab(table, 16, specials=(), main=main)
+    small = VocabBank(main, [compress_vocab(table, 16, specials=(), main=main)])
     return main, head, small
 
 
@@ -69,16 +69,18 @@ def drafting():
                               size, specials=(), main=main)
                for tag, size in (("toy", 16), ("en", 24)))
     bank = VocabBank(main, [toy, en])
-    # (vocab, lang): lang None on a bank means detection, which picks "en" here
-    modes = [(None, None), (toy, None), (bank, "toy"), (bank, None)]
+    # (vocab, lang): with lang None the two-entry bank drafts over "toy" (the top 16
+    # ids, a subset of "en") until the trailing context holds an "en"-only id
+    modes = [(None, None), (VocabBank(main, [toy]), None), (bank, "toy"), (bank, None)]
     return main, [random_head, mirror], modes
 
 
 @pytest.fixture(scope="module")
 def decoders(stack, drafting):
-    """(main, head, 16-id compressed vocab, whether drafts get accepted) for
-    the stack's random head, whose drafts are all rejected, and for the
-    drafting fixture's mirror head, whose drafts are mostly accepted."""
+    """(main, head, bank of one 16-id compressed vocab, whether drafts get
+    accepted) for the stack's random head, whose drafts are all rejected,
+    and for the drafting fixture's mirror head, whose drafts are mostly
+    accepted."""
     main, (_, mirror), modes = drafting
     return [(*stack, False), (main, mirror, modes[1][0], True)]
 
@@ -468,10 +470,13 @@ class TestVocabBankDispatch:
         with pytest.raises(StateError):
             DecodeSession(main, head, [1, 2], 4, vocab=bank)
 
-    def test_explicit_tag_selects_vocab(self, stack):
+    def test_bare_compressed_vocab_rejected(self, stack):
         main, head, small = stack
-        bank = VocabBank(main)
-        bank.add(small)
+        with pytest.raises(ConfigError):
+            DecodeSession(main, head, [1, 2], 4, vocab=small.select("toy"))
+
+    def test_explicit_tag_selects_vocab(self, stack):
+        main, head, bank = stack
         _, m = speculative_decode(main, head, prompts(1, seed=17)[0], 8, 2,
                                   vocab=bank, lang="toy", eos_token=None)
         assert all(r["lang"] == "toy" for r in m.records)

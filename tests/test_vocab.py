@@ -9,8 +9,8 @@ from mtpspec.data import EOS_TOKEN, PAD_TOKEN, sample_zipf_tokens
 from mtpspec.errors import ConfigError, ConsistencyError, EmptyCorpusError
 from mtpspec.model import ModelConfig, greedy_argmax, init_model
 from mtpspec.vocab import (
-    CompressedVocab, VocabBank,
-    build_frequency_table, compress_vocab, detect_language, draft_logits_compressed,
+    DETECT_WINDOW, CompressedVocab, VocabBank,
+    build_frequency_table, compress_vocab, draft_logits_compressed,
     identity_vocab, load_compressed_vocab, load_frequency_table,
     save_compressed_vocab, save_frequency_table, size_for_coverage,
 )
@@ -220,8 +220,8 @@ class TestDraftLogits:
         model.freeze()
         for cv, kept in ((self._cv(model, size=16), 16),
                          (identity_vocab(model), CFG.vocab_size)):
-            _, m = speculative_decode(model, head, [3, 1, 4, 1], 12, 3, vocab=cv,
-                                      eos_token=None)
+            _, m = speculative_decode(model, head, [3, 1, 4, 1], 12, 3,
+                                      vocab=VocabBank(model, [cv]), eos_token=None)
             assert m.draft_forwards > 0
             assert m.draft_mults == m.draft_forwards * kept * CFG.model_dim
 
@@ -238,10 +238,14 @@ class TestDraftLogits:
             cv.check_bound(other.output_w.data)
 
 
+def _entry(main, lang, keep):
+    return CompressedVocab(lang=lang, keep=np.asarray(sorted(keep), dtype=np.int64)).bind(main)
+
+
 class TestVocabBank:
     def test_unknown_tag_falls_back_to_full(self, main):
         bank = VocabBank(main)
-        cv = bank.get("nope")
+        cv = bank.select("nope")
         assert cv.size == CFG.vocab_size
 
     def test_language_dispatch_changes_rows(self, main):
@@ -249,29 +253,33 @@ class TestVocabBank:
         t2 = build_frequency_table([[60, 60, 61, 62]], "zh", vocab_size=CFG.vocab_size)
         bank = VocabBank(main, [compress_vocab(t1, 4, specials=()),
                                 compress_vocab(t2, 4, specials=())])
-        en, zh = bank.get("en"), bank.get("zh")
+        en, zh = bank.select("en"), bank.select("zh")
         assert set(en.keep) != set(zh.keep)
         for cv in (en, zh):
             for i, full_id in enumerate(cv.keep):
                 np.testing.assert_array_equal(cv.w_view[i], main.output_w.data[full_id])
 
 
-class TestDetectLanguage:
-    def test_all_ascii_is_en(self):
-        assert detect_language(list(b"plain english text")) == "en"
+class TestUntaggedSelection:
+    """With no tag the bank picks the entry covering the trailing context best."""
 
-    def test_all_cjk_is_zh(self):
-        assert detect_language(list("这是中文".encode("utf-8"))) == "zh"
+    def test_widest_coverage_of_the_window_wins(self, main):
+        a, b = _entry(main, "a", [1, 2, 3, 4]), _entry(main, "b", [10, 11, 12, 13])
+        bank = VocabBank(main, [a, b])
+        assert bank.select(None, [10, 11, 1, 12]) is b
+        assert bank.select(None, [1, 2, 10, 3]) is a
+        # only the last DETECT_WINDOW tokens count
+        assert bank.select(None, [1] * (2 * DETECT_WINDOW) + [10] * DETECT_WINDOW) is b
 
-    def test_empty_context_falls_back(self):
-        from mtpspec.data import FALLBACK_LANG
-        assert detect_language([]) == FALLBACK_LANG
+    def test_tie_goes_to_the_smaller_keep_set(self, main):
+        wide, narrow = _entry(main, "wide", range(1, 9)), _entry(main, "narrow", [1, 2, 3])
+        assert VocabBank(main, [wide, narrow]).select(None, [1, 2, 40]) is narrow
 
-    def test_threshold_on_mixed_context(self):
-        mixed = list(b"abcdefg") + list("中".encode("utf-8"))  # 3/10 high bytes
-        assert detect_language(mixed) == "zh"
-        assert detect_language(list(b"abcdefgh") + list("中".encode("utf-8"))) == "en"
+    def test_tie_on_size_goes_to_the_entry_added_first(self, main):
+        zz, aa = _entry(main, "zz", [1, 2, 3, 4]), _entry(main, "aa", [1, 2, 5, 6])
+        assert VocabBank(main, [zz, aa]).select(None, [1, 2]) is zz
+        assert VocabBank(main, [aa, zz]).select(None, [1, 2]) is aa
 
-    def test_window_limits_lookback(self):
-        context = list("中文".encode("utf-8")) * 40 + list(b"x" * 128)
-        assert detect_language(context) == "en"
+    def test_empty_bank_falls_back(self, main):
+        bank = VocabBank(main)
+        assert bank.select(None, [1, 2, 3]) is bank.fallback
