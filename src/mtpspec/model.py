@@ -7,12 +7,14 @@ runs one transformer block over its own stream, and projects logits
 through the main model's shared output head; one weight set is reused at
 every prediction step.
 
-Each block keeps its Q/K/V weights in one (3, d, d) buffer. The
-parameters `wq`, `wk` and `wv` are contiguous views into it, so
-checkpoints, the optimizer and gradient checks see three named weights
-and work on them in place, while the forward projects with one stacked
-matmul and rotates q and k with one rotary call. Those views must stay
-views: loading writes through them, and freezing locks the buffer too.
+Each block keeps its Q/K/V weights in one (3, d, d) buffer and its
+SwiGLU gate/up weights in one (2, d, f) buffer. The parameters `wq`,
+`wk`, `wv`, `w_gate` and `w_up` are contiguous views into them, so
+checkpoints, the optimizer and gradient checks see the named weights and
+work on them in place, while the forward projects with one stacked
+matmul per buffer and rotates q and k with one rotary call. Those views
+must stay views: loading writes through them, and freezing locks the
+buffers too.
 """
 
 from __future__ import annotations
@@ -101,8 +103,10 @@ class TransformerBlock:
         self.wq, self.wk, self.wv = (Tensor(w, requires_grad=True) for w in self.qkv)
         self.wo = _param(rng, (d, d), std=INIT_STD * resid_scale)
         self.mlp_norm = Tensor(np.ones(d), requires_grad=True)
-        self.w_gate = _param(rng, (d, f))
-        self.w_up = _param(rng, (d, f))
+        self.gate_up = np.empty((2, d, f))
+        for w in self.gate_up:
+            w[...] = rng.normal(scale=INIT_STD, size=(d, f))
+        self.w_gate, self.w_up = (Tensor(w, requires_grad=True) for w in self.gate_up)
         self.w_down = _param(rng, (f, d), std=INIT_STD * resid_scale)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -195,8 +199,8 @@ def block_forward(block: TransformerBlock, x, *, cfg: ModelConfig,
 
     x = tn.add(x, tn.matmul(_merge_heads(attn), tn.operand(block.wo)))
     g = tn.rms_norm(x, tn.operand(block.mlp_norm), cfg.rms_eps)
-    mlp = tn.mul(tn.silu(tn.matmul(g, tn.operand(block.w_gate))),
-                 tn.matmul(g, tn.operand(block.w_up)))
+    gate, up = tn.take(tn.matmul(g, tn.stacked(block.gate_up, (block.w_gate, block.w_up))), 0, 1)
+    mlp = tn.mul(tn.silu(gate), up)
     return tn.add(x, tn.matmul(mlp, tn.operand(block.w_down)))
 
 
@@ -230,6 +234,7 @@ class MainModel:
             p.data.flags.writeable = False
         for blk in self.blocks:
             blk.qkv.flags.writeable = False
+            blk.gate_up.flags.writeable = False
         self.frozen = True
 
     def new_cache(self) -> KVCache:

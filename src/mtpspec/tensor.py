@@ -12,6 +12,12 @@ primitives call ufunc methods (``np.add.reduce``, ``np.maximum.reduce``)
 rather than ``np.sum``/``np.max``, which give the same bits without
 numpy's Python wrappers.
 
+A tape-free forward at decode sizes costs about one numpy call's
+dispatch per operation, not arithmetic, so the hot primitives save calls
+wherever the bits stay the same: a one-row `rms_norm` computes its
+inverse root on a Python float with the same IEEE steps, and causal
+masks are read-only slices of one lower-triangular table.
+
 Weights that are used together can live in one buffer: `stacked` passes
 a (n, k, j) buffer whose n parts are the parameters' own views, and
 `matmul` of a 2-D left operand against it makes all n products in one
@@ -26,6 +32,7 @@ repeated forward passes being bit-identical.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -358,7 +365,14 @@ def rms_norm(x, gamma, eps: float = 1e-6):
     d = xd.shape[-1]
     if gd.shape != (d,):
         raise ShapeError(f"rms_norm: gamma shape {gd.shape} vs last dim {d}")
-    inv = 1.0 / np.sqrt(np.add.reduce(xd * xd, axis=-1, keepdims=True) / d + eps)  # np.mean's bits
+    ss = np.add.reduce(xd * xd, axis=-1, keepdims=True)
+    if xd is x and ss.size == 1 and (r := ss.item() / d + eps) > 0:
+        # One tape-free row: the same IEEE steps on a float, not four ufunc
+        # calls. A taped call stays on arrays, because the backward's
+        # `inv ** 3` rounds differently on a float; so does r == 0, where
+        # 1/0 warns instead of raising.
+        return xd * (1.0 / math.sqrt(r)) * gd
+    inv = 1.0 / np.sqrt(ss / d + eps)  # np.mean's bits
     normed = xd * inv
     out = normed * gd
     if xd is x:
@@ -485,26 +499,25 @@ def cross_entropy_rows(logits: Tensor, targets, row_weights) -> Tensor:
 # attention
 
 
-_last_mask: tuple = (None, None)  # the last (m, s, past_len) key and its mask
+_mask_table: Array = np.zeros((0, 0))  # read-only; row i allows keys 0..i
 
 
 def _causal_mask(m: int, s: int, past_len: int) -> Array:
-    # Every layer of a forward asks for the same mask, so the last one is
-    # kept (read-only); one per shape would grow with every length seen.
-    # The cache is one tuple, read once and replaced whole, so a thread
-    # never returns a mask that another thread stored for its own shape.
-    global _last_mask
-    key = (m, s, past_len)
-    cached = _last_mask
-    if cached[0] == key:
-        return cached[1]
-    # query j may attend keys at absolute positions <= past_len + j
-    cols = np.arange(s)[None, :]
-    q_pos = past_len + np.arange(m)[:, None]
-    mask = np.where(cols <= q_pos, 0.0, -np.inf)
-    mask.flags.writeable = False
-    _last_mask = (key, mask)
-    return mask
+    # Query j sits at absolute position past_len + j and may attend keys at
+    # positions <= past_len + j: rows past_len.. of one lower-triangular
+    # table. A table too small is replaced, never written, so a mask
+    # already returned (to this thread or another) keeps its values; its
+    # side is rounded up to a multiple of 64 so a growing stream rarely
+    # rebuilds it.
+    global _mask_table
+    table = _mask_table
+    if table.shape[0] < s:
+        n = -(-s // 64) * 64
+        cols = np.arange(n)
+        table = np.where(cols[None, :] <= cols[:, None], 0.0, -np.inf)
+        table.flags.writeable = False
+        _mask_table = table
+    return table[past_len:past_len + m, :s]
 
 
 def causal_attention(q, k, v, past_len: int = 0):
@@ -524,7 +537,7 @@ def causal_attention(q, k, v, past_len: int = 0):
     m, s = q.shape[-2], k.shape[-2]
     if s != past_len + m:
         raise ShapeError(f"key rows {s} != past_len {past_len} + query rows {m}")
-    scores = scale(matmul(q, transpose(k, _swap_last(k.ndim))), 1.0 / np.sqrt(q.shape[-1]))
+    scores = scale(matmul(q, transpose(k, _swap_last(k.ndim))), 1.0 / math.sqrt(q.shape[-1]))
     probs = softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
     return matmul(probs, v)
 

@@ -17,6 +17,8 @@ from mtpspec.tensor import Tape, Tensor, cross_entropy_rows, grad_check
 
 STACK = Path(__file__).resolve().parents[1] / "perfbench" / "stack"
 
+STACKS = {"qkv": ("wq", "wk", "wv"), "gate_up": ("w_gate", "w_up")}  # buffer: its views
+
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=2, n_heads=2,
                   max_seq_len=48, seed=42)
 
@@ -272,8 +274,9 @@ class TestTapeFreeForward:
 
 
 class TestDeskShape:
-    """The stacked Q/K/V product equals the per-projection one only as a
-    property of BLAS at real shapes, so it is pinned at the desk config."""
+    """The stacked Q/K/V and gate/up products equal the per-projection ones
+    only as a property of BLAS at real shapes, so they are pinned at the
+    desk config."""
 
     @pytest.fixture(scope="class")
     def desk(self):
@@ -318,30 +321,42 @@ class TestDeskShape:
         tokens = np.random.default_rng(4).integers(head.config.vocab_size, size=24).tolist()
         assert_draft_steps_equal_through_table(head, h, tokens)
 
-    @pytest.mark.parametrize("m", [1, 4, 24, 57, 128])
-    def test_stacked_product_equals_separate_products(self, desk, m):
+    @pytest.mark.parametrize("buffer, m", [  # the Q/K/V cases are named by m alone
+        pytest.param(buffer, m, id=str(m) if buffer == "qkv" else f"{buffer}-{m}")
+        for buffer in STACKS for m in (1, 4, 24, 57, 128)])
+    def test_stacked_product_equals_separate_products(self, desk, buffer, m):
         blk = desk[0].blocks[0]
+        stack = getattr(blk, buffer)
         rng = np.random.default_rng(m)
         a = Tensor(rng.normal(size=(m, 64)), requires_grad=True)
-        g = rng.normal(size=(3, m, 64))
-        parts = [Tensor(w.data, requires_grad=True) for w in (blk.wq, blk.wk, blk.wv)]
+        g = rng.normal(size=(len(stack), m, stack.shape[-1]))
+        parts = [Tensor(getattr(blk, name).data, requires_grad=True) for name in STACKS[buffer]]
         with Tape() as tape:
-            out = tn.matmul(a, tn.stacked(blk.qkv, parts))
+            out = tn.matmul(a, tn.stacked(stack, parts))
             tape.backward(tn.sum_all(tn.mul(out, Tensor(g))))
-        expected = g[2] @ parts[2].data.T
-        expected += g[1] @ parts[1].data.T
-        expected += g[0] @ parts[0].data.T
+        expected = g[-1] @ parts[-1].data.T
+        for i in range(len(parts) - 2, -1, -1):
+            expected += g[i] @ parts[i].data.T
         assert np.array_equal(a.grad, expected)
         for i, w in enumerate(parts):
             assert np.array_equal(out.data[i], a.data @ w.data)
             assert np.array_equal(w.grad, a.data.T @ g[i])
 
-    def test_qkv_are_views_of_one_buffer(self, desk):
+    @staticmethod
+    def assert_views_of_one_buffer(desk, buffer):
         main, head = desk
         for blk in [*main.blocks, head.block]:
-            for i, w in enumerate((blk.wq, blk.wk, blk.wv)):
-                assert w.data.base is blk.qkv and w.data.flags.c_contiguous
-                assert np.shares_memory(w.data, blk.qkv[i])
+            stack = getattr(blk, buffer)
+            for i, name in enumerate(STACKS[buffer]):
+                w = getattr(blk, name)
+                assert w.data.base is stack and w.data.flags.c_contiguous
+                assert np.shares_memory(w.data, stack[i])
+
+    def test_qkv_are_views_of_one_buffer(self, desk):
+        self.assert_views_of_one_buffer(desk, "qkv")
+
+    def test_gate_up_are_views_of_one_buffer(self, desk):
+        self.assert_views_of_one_buffer(desk, "gate_up")
 
     def test_gradients_through_stacked_projection(self):
         # a toy size: finite differences at d=64 would take some 25k forwards
@@ -355,7 +370,7 @@ class TestDeskShape:
             _, logits = main_forward(main, tokens)
             return cross_entropy_rows(logits, [1, 4, 1, 5, 9], np.full(5, 0.2))
 
-        assert grad_check(loss, [blk.wq, blk.wk, blk.wv]) < 1e-4
+        assert grad_check(loss, [blk.wq, blk.wk, blk.wv, blk.w_gate, blk.w_up]) < 1e-4
 
 
 class TestGreedyArgmax:
@@ -409,8 +424,9 @@ class TestFreeze:
             main.embed.data[0, 0] = 1.0
         assert not main.embed.requires_grad
         for blk in main.blocks:
-            with pytest.raises(ValueError):
-                blk.qkv[1, 0, 0] = 1.0
+            for buffer in STACKS:
+                with pytest.raises(ValueError):
+                    getattr(blk, buffer)[1, 0, 0] = 1.0
 
 
 class TestCheckpoint:
@@ -452,7 +468,8 @@ class TestCheckpoint:
         _load_into(target_head.parameters(),
                    {k: v for k, v in load_checkpoint(hp)[1].items() if not k.startswith("__")})
         for blk in [*target.blocks, target_head.block]:
-            assert all(w.data.base is blk.qkv for w in (blk.wq, blk.wk, blk.wv))
+            for buffer, names in STACKS.items():
+                assert all(getattr(blk, name).data.base is getattr(blk, buffer) for name in names)
         prompt = [4, 8, 15, 16, 23, 42]
         for a, b in zip(main_forward(target, prompt), main_forward(fresh, prompt)):
             np.testing.assert_array_equal(a.data, b.data)

@@ -91,6 +91,40 @@ class TestRmsNorm:
 
         assert_grads_match(loss, [x, gamma])
 
+    def test_one_row_equals_its_row_of_a_batch(self):
+        # a one-row call takes its own path; output and gradients keep the batch's bits
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n, d = int(rng.integers(2, 6)), int(rng.choice([5, 64]))
+            xs = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            gamma = rng.normal(size=d)
+            i = int(rng.integers(n))
+            assert np.array_equal(T.rms_norm(xs[i:i + 1], gamma), T.rms_norm(xs, gamma)[i:i + 1])
+            g = np.zeros((n, d))
+            g[i] = rng.normal(size=d)
+            one, batch = (self.taped(x, gamma, gx) for x, gx in ((xs[i:i + 1], g[i:i + 1]), (xs, g)))
+            assert np.array_equal(one[0], batch[0][i:i + 1])
+            assert np.array_equal(one[1], batch[1][i:i + 1])
+            assert np.array_equal(one[2], batch[2])
+
+    @staticmethod
+    def taped(x, gamma, g):
+        """Output, x gradient and gamma gradient of rms_norm under a tape."""
+        xt, gt = Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True)
+        with Tape() as tape:
+            out = T.rms_norm(xt, gt)
+            tape.backward(T.sum_all(out * Tensor(g)))
+        return out.data, xt.grad, gt.grad
+
+    def test_zero_row_without_eps_warns_like_a_batch(self):
+        rows = np.zeros((3, 4))
+        rows[0] = 1.0
+        for x in (rows[1:2], rows):
+            with pytest.warns(RuntimeWarning) as warned:
+                out = T.rms_norm(x, np.ones(4), eps=0.0)
+            assert any("divide by zero" in str(w.message) for w in warned)
+            assert np.isnan(out[-1]).all()
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_vocab(self):
@@ -210,26 +244,34 @@ class TestCausalAttention:
         np.testing.assert_array_equal(base[:2], poked[:2])
         assert np.abs(base[2] - poked[2]).max() > 1e-3
 
-    def test_mask_stored_mid_lookup_is_not_returned(self, monkeypatch):
-        # another thread may store the mask of its own shape between this
-        # call's cache check and its return; the mask returned stays ours
-        class Racing(tuple):
-            __hash__ = tuple.__hash__
-            raced = False
+    @staticmethod
+    def rule_mask(m, s, past_len):
+        cols = np.arange(s)[None, :]
+        return np.where(cols <= past_len + np.arange(m)[:, None], 0.0, -np.inf)
 
-            def __eq__(self, key):
-                if not self.raced:
-                    self.raced = True
-                    T._causal_mask(2, 7, 5)
-                return tuple(self) == key
+    def test_masks_equal_the_causal_rule_as_the_table_grows(self, monkeypatch):
+        monkeypatch.setattr(T, "_mask_table", np.zeros((0, 0)))
+        sizes = set()
+        for past_len in range(0, 150, 11):
+            for m in (1, 2, 3, 4, 9, 30):
+                got = T._causal_mask(m, past_len + m, past_len)
+                assert got.tobytes() == self.rule_mask(m, past_len + m, past_len).tobytes()
+                sizes.add(T._mask_table.shape)
+        assert len(sizes) > 2  # the grid made the table grow more than once
 
-        want = T._causal_mask(3, 5, 2)
-        monkeypatch.setattr(T, "_last_mask", (Racing((3, 5, 2)), want))
-        np.testing.assert_array_equal(T._causal_mask(3, 5, 2), want)
-        monkeypatch.setattr(T, "_last_mask", (Racing((3, 5, 1)), want))
-        got = T._causal_mask(3, 5, 2)
-        np.testing.assert_array_equal(got, want)
-        assert not got.flags.writeable
+    def test_masks_are_read_only(self):
+        mask = T._causal_mask(4, 9, 5)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 8] = 0.0
+
+    def test_mask_returned_before_growth_keeps_its_values(self, monkeypatch):
+        monkeypatch.setattr(T, "_mask_table", np.zeros((0, 0)))
+        early = T._causal_mask(3, 5, 2)
+        T._causal_mask(4, 200, 196)  # grows the table past early's
+        assert T._mask_table.shape[0] >= 200
+        assert not np.shares_memory(early, T._mask_table)
+        assert early.tobytes() == self.rule_mask(3, 5, 2).tobytes()
 
     def test_head_dim_mismatch(self):
         with pytest.raises(ShapeError):
