@@ -79,9 +79,11 @@ def self_distill(prompts, main: MainModel, cfg: GenerationConfig) -> list[Traini
     Responses that hit the length cap are truncated and flagged so the
     cleaning heuristics can drop them later. A prompt and its longest
     response must fit the backbone (`CapacityError` before anything is
-    generated). With workers (`workers.extra_processes`) this process
-    generates the first share of the prompts and each worker a later
-    one; per-prompt seeds make the examples the same either way.
+    generated). With workers (`workers.extra_processes`) each of the
+    processes generates every n-th prompt, so each share holds its part
+    of every language and the shares take about as long; per-prompt
+    seeds make the examples the same either way, and they come back in
+    prompt order.
     """
     prompts = [(list(prompt), lang) for prompt, lang in prompts]
     limit = main.config.max_seq_len
@@ -97,17 +99,21 @@ def self_distill(prompts, main: MainModel, cfg: GenerationConfig) -> list[Traini
         return TrainingExample(prompt=prompt, response=response, lang=lang,
                                source="self-distill", truncated=truncated)
 
-    cuts = workers.shares(len(prompts), 1 + workers.extra_processes(len(prompts)))
+    parts = 1 + workers.extra_processes(len(prompts))
+    shares = [range(i, len(prompts), parts) for i in range(parts)]
 
     def serve(i, link) -> None:
-        done = [example(idx) for idx in cuts[i]]  # all first: the caller reads after its share
+        done = [example(idx) for idx in shares[i]]  # all first: the caller reads after its share
         for ex in done:
             link.send(ex)
 
-    with workers.forked(len(cuts) - 1, serve) as links:
-        out = [example(idx) for idx in cuts[0]]
-        for link, cut in zip(links, cuts[1:]):
-            out += [link.recv() for _ in cut]
+    out: list[TrainingExample | None] = [None] * len(prompts)
+    with workers.forked(parts - 1, serve) as links:
+        for idx in shares[0]:
+            out[idx] = example(idx)
+        for link, share in zip(links, shares[1:]):
+            for idx in share:
+                out[idx] = link.recv()
     return out
 
 

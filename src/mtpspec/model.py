@@ -166,42 +166,45 @@ class KVCache:
         return other
 
 
-def _split_heads(x, n_heads: int):
+def _split_heads(ops, x, n_heads: int):
     """(n, m, d) stacked projections -> (n, heads, m, head_dim)."""
     n, m, d = x.shape
-    return tn.transpose(tn.reshape(x, (n, m, n_heads, d // n_heads)), (0, 2, 1, 3))
+    return ops.transpose(ops.reshape(x, (n, m, n_heads, d // n_heads)), (0, 2, 1, 3))
 
 
-def _merge_heads(x):
+def _merge_heads(ops, x):
     h, m, dh = x.shape
-    return tn.reshape(tn.transpose(x, (1, 0, 2)), (m, h * dh))
+    return ops.reshape(ops.transpose(x, (1, 0, 2)), (m, h * dh))
 
 
-def block_forward(block: TransformerBlock, x, *, cfg: ModelConfig,
-                  rope: RotaryTable, pos_start: int,
+def block_forward(block: TransformerBlock, x, cos, sin, *, cfg: ModelConfig,
                   cache: KVCache | None = None, layer: int = 0):
     """One block over `x`: a Tensor under a tape, a plain array otherwise.
-    A `cache` holds arrays, so only tape-free forwards pass one."""
-    m = x.shape[0]
-    cos, sin = rope.slices(pos_start, m)
 
-    a = tn.rms_norm(x, tn.operand(block.attn_norm), cfg.rms_eps)
-    w_qkv = tn.stacked(block.qkv, (block.wq, block.wk, block.wv))
-    qkv = _split_heads(tn.matmul(a, w_qkv), cfg.n_heads)
-    qk, v = tn.take(qkv, slice(0, 2), 2)
-    q, k = tn.take(tn.rope_rotate(qk, cos, sin), 0, 1)
+    `cos`/`sin` are the rotary rows of x's positions. The caller checks
+    its inputs (`main_forward`, `mtp_step`), reserves room in `cache`,
+    which holds arrays and so serves tape-free forwards only, and
+    advances it after the last block.
+    """
+    ops = tn.ops()
+    a = ops.rms_norm(x, ops.operand(block.attn_norm), cfg.rms_eps)
+    w_qkv = ops.stacked(block.qkv, (block.wq, block.wk, block.wv))
+    qkv = _split_heads(ops, ops.matmul(a, w_qkv), cfg.n_heads)
+    qk, v = ops.take(qkv, slice(0, 2), 2)
+    q, k = ops.take(ops.rope_rotate(qk, cos, sin), 0, 1)
 
+    past = 0
     if cache is not None:
-        cache.reserve(m)
+        past = cache.length
         cache.write(layer, k, v)
-        k, v = cache.view(layer, extra=m)
-    attn = tn.causal_attention(q, k, v, past_len=cache.length if cache is not None else 0)
+        k, v = cache.view(layer, extra=x.shape[0])
+    attn = ops.causal_attention(q, k, v, past)
 
-    x = tn.add(x, tn.matmul(_merge_heads(attn), tn.operand(block.wo)))
-    g = tn.rms_norm(x, tn.operand(block.mlp_norm), cfg.rms_eps)
-    gate, up = tn.take(tn.matmul(g, tn.stacked(block.gate_up, (block.w_gate, block.w_up))), 0, 1)
-    mlp = tn.mul(tn.silu(gate), up)
-    return tn.add(x, tn.matmul(mlp, tn.operand(block.w_down)))
+    x = ops.add(x, ops.matmul(_merge_heads(ops, attn), ops.operand(block.wo)))
+    g = ops.rms_norm(x, ops.operand(block.mlp_norm), cfg.rms_eps)
+    gate, up = ops.take(ops.matmul(g, ops.stacked(block.gate_up, (block.w_gate, block.w_up))), 0, 1)
+    mlp = ops.mul(ops.silu(gate), up)
+    return ops.add(x, ops.matmul(mlp, ops.operand(block.w_down)))
 
 
 class MainModel:
@@ -331,37 +334,52 @@ def init_model(config: ModelConfig) -> tuple[MainModel, MTPHead]:
 # forward passes
 
 
+def _token_ids(tokens, vocab_size: int) -> np.ndarray:
+    """`tokens` as a nonempty 1-D int64 array of vocabulary ids, or a typed error."""
+    ids = np.asarray(tokens, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ShapeError("tokens must be a nonempty 1-D sequence")
+    if np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= vocab_size:
+        raise IndexError(f"token id outside vocabulary of size {vocab_size}")
+    return ids
+
+
 def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     """Run the backbone over new tokens.
 
     Appends the tokens' keys/values to `cache` when given; returns
     last-layer hidden states (pre final norm) and full-vocabulary logits
     for each new position, as Tensors. With no tape active the forward
-    runs on plain arrays and records nothing (see ``tensor.operand``).
-    The cache stores arrays, which carry no gradient, so a cache under a
-    tape raises `StateError` rather than drop the gradient through the
+    runs on the kernels and records nothing (see ``tensor.ops``), so its
+    inputs are checked here: tokens (`ShapeError`, `IndexError`) and room
+    in the cache and the rotary table (`CapacityError`). The cache
+    stores arrays, which carry no gradient, so a cache under a tape
+    raises `StateError` rather than drop the gradient through the
     cached keys and values.
     """
     cfg = model.config
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ShapeError("tokens must be a nonempty 1-D sequence")
+    ops = tn.ops()
+    tokens = _token_ids(tokens, cfg.vocab_size)
     n = tokens.size
     past = cache.length if cache is not None else 0
     if past + n > cfg.max_seq_len:
         raise CapacityError(f"{past} cached + {n} new tokens exceed max_seq_len {cfg.max_seq_len}")
+    if cache is not None:
+        if ops is not tn.Kernels:
+            raise StateError("a KV cache serves tape-free forwards only")
+        cache.reserve(n)
+    cos, sin = model.rope.slices(past, n)
 
-    table = tn.operand(model.embed)
-    if cache is not None and isinstance(table, Tensor):
-        raise StateError("a KV cache serves tape-free forwards only")
-    x = tn.embedding(table, tokens)
+    x = ops.embedding(ops.operand(model.embed), tokens)
     for i, blk in enumerate(model.blocks):
-        x = block_forward(blk, x, cfg=cfg, rope=model.rope, pos_start=past,
-                          cache=cache, layer=i)
+        x = block_forward(blk, x, cos, sin, cfg=cfg, cache=cache, layer=i)
     if cache is not None:
         cache.advance(n)
-    logits = tn.matmul(tn.rms_norm(x, tn.operand(model.final_norm), cfg.rms_eps),
-                       tn.transpose(tn.operand(model.output_w), (1, 0)))
+    # The logit projection calls the public, checked `matmul` on either
+    # path: one call per forward, and the op a tracer of the public
+    # primitives still sees in a tape-free decode (perfbench counts it).
+    logits = tn.matmul(ops.rms_norm(x, ops.operand(model.final_norm), cfg.rms_eps),
+                       ops.transpose(ops.operand(model.output_w), (1, 0)))
     return (x, logits) if isinstance(x, Tensor) else (Tensor(x), Tensor(logits))
 
 
@@ -374,7 +392,7 @@ def token_input_table(head: MTPHead) -> np.ndarray:
     place, so a decode session builds this table once and hands it to
     `mtp_step`, and a head keeps none.
     """
-    return tn.rms_norm(head.embed.data, head.norm_embed.data, head.config.rms_eps)
+    return tn.Kernels.rms_norm(head.embed.data, head.norm_embed.data, head.config.rms_eps)
 
 
 def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None,
@@ -388,7 +406,10 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     cache-free training path). Returns the block's output hidden states
     and the pre-logit states as Tensors; logits are produced separately
     by projecting the latter through the shared output head. Like
-    `main_forward`, it runs on plain arrays when no tape is active.
+    `main_forward`, it runs on the kernels when no tape is active and
+    checks its inputs here: `h_prev` must be (tokens, model_dim)
+    (`ShapeError`), the tokens vocabulary ids (`IndexError`), and the
+    cache and rotary table must have room (`CapacityError`).
     A tape-free caller may pass `token_input_table(head)` as
     `token_table` to gather the token-side rows rather than normalize
     each embedding (the same bits); under a tape, where `norm_embed`
@@ -396,10 +417,12 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     as in `main_forward`.
     """
     cfg = head.config
-    h_prev = tn.operand(h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev))
-    tokens = np.asarray(shifted_tokens, dtype=np.int64)
-    if h_prev.ndim != 2 or h_prev.shape[0] != tokens.size or tokens.size == 0:
-        raise ShapeError(f"h_prev rows {h_prev.shape} must match token count {tokens.size}")
+    ops = tn.ops()
+    h_prev = ops.operand(h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev))
+    tokens = _token_ids(shifted_tokens, cfg.vocab_size)
+    if h_prev.shape != (tokens.size, cfg.model_dim):
+        raise ShapeError(f"h_prev shape {h_prev.shape} must be ({tokens.size} tokens, "
+                         f"model_dim {cfg.model_dim})")
     if token_table is not None and isinstance(h_prev, Tensor):
         raise StateError("a token input table serves tape-free steps only")
     if cache is not None and isinstance(h_prev, Tensor):
@@ -408,19 +431,19 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     pos = cache.length if cache is not None else pos_offset
     if cache is not None:
         cache.reserve(m)
+    cos, sin = head.rope.slices(pos, m)
 
-    hn = tn.rms_norm(h_prev, tn.operand(head.norm_hidden), cfg.rms_eps)
+    hn = ops.rms_norm(h_prev, ops.operand(head.norm_hidden), cfg.rms_eps)
     if token_table is None:
-        en = tn.rms_norm(tn.embedding(tn.constant(head.embed), tokens),
-                         tn.operand(head.norm_embed), cfg.rms_eps)
+        en = ops.rms_norm(ops.embedding(ops.constant(head.embed), tokens),
+                          ops.operand(head.norm_embed), cfg.rms_eps)
     else:
-        en = tn.embedding(token_table, tokens)
-    x = tn.matmul(tn.concat_last(hn, en), tn.operand(head.combine))
-    h_new = block_forward(head.block, x, cfg=cfg, rope=head.rope, pos_start=pos,
-                          cache=cache, layer=0)
+        en = ops.embedding(token_table, tokens)
+    x = ops.matmul(ops.concat_last(hn, en), ops.operand(head.combine))
+    h_new = block_forward(head.block, x, cos, sin, cfg=cfg, cache=cache, layer=0)
     if cache is not None:
         cache.advance(m)
-    pre_logit = tn.rms_norm(h_new, tn.constant(head.final_norm), cfg.rms_eps)
+    pre_logit = ops.rms_norm(h_new, ops.constant(head.final_norm), cfg.rms_eps)
     return (h_new, pre_logit) if isinstance(h_new, Tensor) else (Tensor(h_new), Tensor(pre_logit))
 
 

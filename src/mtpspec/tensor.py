@@ -1,22 +1,28 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Each primitive's forward math and checks are written once and run on
-plain ndarrays. Called with arrays, a forward primitive (all but
-`sum_all` and the losses) returns an array and records nothing: this is
-the inference path, taken whenever no tape is active. Called with
-Tensors under an active :class:`Tape`, a primitive touching a
-gradient-bearing tensor also appends a backward closure, and
-``Tape.backward`` replays those in exact reverse order. Both paths make
-the same numpy calls, so their results are bitwise equal. The hot
-primitives call ufunc methods (``np.add.reduce``, ``np.maximum.reduce``)
-rather than ``np.sum``/``np.max``, which give the same bits without
-numpy's Python wrappers.
+Each forward primitive is split in two. Its kernel, a static method of
+:class:`Kernels`, holds the forward math on plain ndarrays and checks
+nothing. The public primitive checks its operands and calls the kernel;
+called with arrays it returns the array and records nothing, called
+with Tensors under an active :class:`Tape` it also appends a backward
+closure for a gradient-bearing input, and ``Tape.backward`` replays
+those in exact reverse order. Both paths run the same kernel, so their
+results are bitwise equal. The hot kernels call ufunc methods
+(``np.add.reduce``, ``np.maximum.reduce``) rather than ``np.sum``/
+``np.max``, which give the same bits without numpy's Python wrappers.
 
-A tape-free forward at decode sizes costs about one numpy call's
-dispatch per operation, not arithmetic, so the hot primitives save calls
-wherever the bits stay the same: a one-row `rms_norm` computes its
-inverse root on a Python float with the same IEEE steps, and causal
-masks are read-only slices of one lower-triangular table.
+A forward picks its op set once per call with `ops`: the kernels when no
+tape is active, this module's primitives under one. The two sets share
+their names (`operand`, `constant` and `stacked` included), so a forward
+is written once. A tape-free forward at decode sizes costs about one
+numpy call's dispatch per operation, not arithmetic, so a primitive's
+type dispatch and shape checks were a large share of it; the kernels
+skip them, and the forwards check their own inputs once where they
+enter, with the typed errors the primitives raise. For the same reason
+the kernels save numpy calls wherever the bits stay the same: a one-row
+`rms_norm` computes its inverse root on a Python float with the same
+IEEE steps, and causal masks are read-only slices of one
+lower-triangular table.
 
 Weights that are used together can live in one buffer: `stacked` passes
 a (n, k, j) buffer whose n parts are the parameters' own views, and
@@ -33,6 +39,7 @@ repeated forward passes being bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -164,6 +171,15 @@ class Tape:
             op()
 
 
+_PRIMITIVES = sys.modules[__name__]  # the public primitives, as one op set
+
+
+def ops():
+    """The op set a forward runs, picked once per call: `Kernels` when no
+    tape is active, this module's primitives under one."""
+    return Kernels if _ACTIVE_TAPE is None else _PRIMITIVES
+
+
 def operand(t: Tensor):
     """How a forward passes `t` to the primitives: as is under a tape, its array otherwise."""
     return t if _ACTIVE_TAPE is not None else t.data
@@ -210,6 +226,107 @@ def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Ten
 
 
 # ---------------------------------------------------------------------------
+# kernels
+
+
+class Kernels:
+    """Each forward primitive's math on arrays, with no checks and no tape.
+
+    A primitive checks its operands and calls its kernel for the forward,
+    so the math exists once. A forward that checked its inputs where they
+    entered runs on the kernels when no tape is active (`ops`): the
+    weights were checked where they were built or loaded, and the shape
+    of every other operand follows from them. The names are the
+    primitives', `operand`, `constant` and `stacked` included, so one
+    forward definition runs on either op set.
+    """
+
+    add = np.add
+    mul = np.multiply
+    scale = np.multiply
+    matmul = np.matmul
+
+    @staticmethod
+    def operand(t: Tensor) -> Array:
+        return t.data
+
+    constant = operand
+
+    @staticmethod
+    def stacked(buffer: Array, parts: Sequence[Tensor]) -> Array:
+        return buffer
+
+    @staticmethod
+    def transpose(x: Array, axes: Sequence[int]) -> Array:
+        return x.transpose(axes)
+
+    @staticmethod
+    def reshape(x: Array, shape: Sequence[int]) -> Array:
+        return x.reshape(shape)
+
+    @staticmethod
+    def take(x: Array, *keys) -> tuple[Array, ...]:
+        return tuple([x[key] for key in keys])
+
+    @staticmethod
+    def concat_last(x: Array, y: Array) -> Array:
+        return np.concatenate([x, y], axis=-1)
+
+    @staticmethod
+    def embedding(w: Array, ids: Array) -> Array:
+        return w[ids]
+
+    @staticmethod
+    def silu(x: Array) -> Array:
+        return x * _sigmoid(x)
+
+    @staticmethod
+    def rms_norm(x: Array, gamma: Array, eps: float) -> Array:
+        ss = np.add.reduce(x * x, axis=-1, keepdims=True)
+        if ss.size == 1 and (r := ss.item() / x.shape[-1] + eps) > 0:
+            # One row: the same IEEE steps on a float, not four ufunc calls.
+            # r == 0 stays on arrays, where 1/0 warns instead of raising.
+            return x * (1.0 / math.sqrt(r)) * gamma
+        return x * _inv_rms(ss, x.shape[-1], eps) * gamma
+
+    @staticmethod
+    def softmax_last(x: Array, mask: Array | None = None) -> Array:
+        if mask is None:
+            z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+        else:
+            z = x + mask
+            z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        y = np.exp(z, out=z)  # in place from here on: one score-sized buffer, not three
+        y /= np.add.reduce(y, axis=-1, keepdims=True)
+        return y
+
+    @staticmethod
+    def rope_rotate(x: Array, cos: Array, sin: Array) -> Array:
+        out = _swap_halves(x)
+        out *= sin
+        out += x * cos
+        return out
+
+    @staticmethod
+    def causal_attention(q: Array, k: Array, v: Array, past_len: int = 0) -> Array:
+        return _attend(Kernels, q, k, v, past_len)
+
+
+def _sigmoid(x: Array) -> Array:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _inv_rms(ss: Array, d: int, eps: float) -> Array:
+    """1 / sqrt(mean square + eps) from the rows' sums of squares: np.mean's bits."""
+    return 1.0 / np.sqrt(ss / d + eps)
+
+
+def _swap_halves(x: Array) -> Array:
+    h = x.shape[-1] // 2
+    return np.concatenate([x[..., h:], x[..., :h]], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # primitives: an array call returns at ``x is a``, before any gradient rule exists
 
 
@@ -217,7 +334,7 @@ def add(a, b):
     x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
     if x.shape != y.shape:
         raise ShapeError(f"add: shapes {x.shape} vs {y.shape}")
-    out = x + y
+    out = Kernels.add(x, y)
     return out if x is a else _record(out, lambda g: (g, g), a, b)
 
 
@@ -225,13 +342,13 @@ def mul(a, b):
     x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
     if x.shape != y.shape:
         raise ShapeError(f"mul: shapes {x.shape} vs {y.shape}")
-    out = x * y
+    out = Kernels.mul(x, y)
     return out if x is a else _record(out, lambda g: (g * y, g * x), a, b)
 
 
 def scale(a, s: float):
     x = a.data if isinstance(a, Tensor) else a
-    out = x * s
+    out = Kernels.scale(x, s)
     return out if x is a else _record(out, lambda g: (g * s,), a)
 
 
@@ -248,7 +365,7 @@ def matmul(a, b):
     stacked_right = x.ndim == 2 and y.ndim == 3
     if x.shape[-1] != y.shape[-2] or (x.shape[:-2] != y.shape[:-2] and not stacked_right):
         raise ShapeError(f"matmul: shapes {x.shape} vs {y.shape}")
-    out = x @ y
+    out = Kernels.matmul(x, y)
     if x is a:
         return out
 
@@ -265,14 +382,14 @@ def matmul(a, b):
 
 def transpose(a, axes: Sequence[int]):
     x = a.data if isinstance(a, Tensor) else a
-    out = x.transpose(axes)
+    out = Kernels.transpose(x, axes)
     return out if x is a else _record(  # sorted(...) is the inverse permutation
         out, lambda g: (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),), a)
 
 
 def reshape(a, shape: Sequence[int]):
     x = a.data if isinstance(a, Tensor) else a
-    out = x.reshape(shape)
+    out = Kernels.reshape(x, shape)
     return out if x is a else _record(out, lambda g: (g.reshape(x.shape),), a)
 
 
@@ -292,7 +409,7 @@ def take(a, *keys):
     that step moves the parts' gradients into one zero array for `a`.
     """
     x = a.data if isinstance(a, Tensor) else a
-    parts = tuple([x[key] for key in keys])
+    parts = Kernels.take(x, *keys)
     if x is a:
         return parts
     outs = tuple([Tensor(part) for part in parts])
@@ -316,7 +433,7 @@ def concat_last(a, b):
     x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
     if x.shape[:-1] != y.shape[:-1]:
         raise ShapeError(f"concat_last: shapes {x.shape} vs {y.shape}")
-    out = np.concatenate([x, y], axis=-1)
+    out = Kernels.concat_last(x, y)
     split = x.shape[-1]
     return out if x is a else _record(out, lambda g: (g[..., :split], g[..., split:]), a, b)
 
@@ -330,7 +447,7 @@ def embedding(table, ids):
     n_rows = w.shape[0]
     if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= n_rows):
         raise IndexError(f"token id outside embedding table of size {n_rows}")
-    out = w[ids]
+    out = Kernels.embedding(w, ids)
     if w is table:
         return out
 
@@ -347,17 +464,24 @@ def sum_all(a: Tensor) -> Tensor:
 
 def silu(a):
     x = a.data if isinstance(a, Tensor) else a
-    sig = 1.0 / (1.0 + np.exp(-x))
-    out = x * sig
-    return out if x is a else _record(
-        out, lambda g: (g * sig * (1.0 + x * (1.0 - sig)),), a)
+    out = Kernels.silu(x)
+    if x is a:
+        return out
+
+    def grads(g):
+        sig = _sigmoid(x)
+        return (g * sig * (1.0 + x * (1.0 - sig)),)
+
+    return _record(out, grads, a)
 
 
 def rms_norm(x, gamma, eps: float = 1e-6):
     """Root-mean-square normalization over the last axis, scaled by gamma.
 
     Each row is divided by sqrt(mean(x^2) + eps) and multiplied
-    elementwise by gamma.
+    elementwise by gamma. The backward computes the inverse roots again,
+    on arrays: a one-row forward takes them on a Python float (the same
+    bits), but the gradient's `inv ** 3` would round differently there.
     """
     xd, gd = (x.data, gamma.data) if isinstance(x, Tensor) else (x, gamma)
     if eps < 0:
@@ -365,20 +489,13 @@ def rms_norm(x, gamma, eps: float = 1e-6):
     d = xd.shape[-1]
     if gd.shape != (d,):
         raise ShapeError(f"rms_norm: gamma shape {gd.shape} vs last dim {d}")
-    ss = np.add.reduce(xd * xd, axis=-1, keepdims=True)
-    if xd is x and ss.size == 1 and (r := ss.item() / d + eps) > 0:
-        # One tape-free row: the same IEEE steps on a float, not four ufunc
-        # calls. A taped call stays on arrays, because the backward's
-        # `inv ** 3` rounds differently on a float; so does r == 0, where
-        # 1/0 warns instead of raising.
-        return xd * (1.0 / math.sqrt(r)) * gd
-    inv = 1.0 / np.sqrt(ss / d + eps)  # np.mean's bits
-    normed = xd * inv
-    out = normed * gd
+    out = Kernels.rms_norm(xd, gd, eps)
     if xd is x:
         return out
 
     def grads(g):
+        inv = _inv_rms(np.add.reduce(xd * xd, axis=-1, keepdims=True), d, eps)
+        normed = xd * inv
         u = g * gd
         s = np.add.reduce(u * xd, axis=-1, keepdims=True)
         return (inv * u - (inv ** 3) * xd * s / d,
@@ -395,13 +512,7 @@ def softmax_last(x, mask: Array | None = None):
     at least one finite entry.
     """
     xd = x.data if isinstance(x, Tensor) else x
-    if mask is None:
-        z = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
-    else:
-        z = xd + mask
-        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    y = np.exp(z, out=z)  # in place from here on: one score-sized buffer, not three
-    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    y = Kernels.softmax_last(xd, mask)
     return y if xd is x else _record(
         y, lambda g: (y * (g - np.add.reduce(g * y, axis=-1, keepdims=True)),), x)
 
@@ -426,16 +537,12 @@ def rope_rotate(x, cos: Array, sin: Array):
         raise ShapeError("rope_rotate needs an even last dimension")
     if cos.shape[-1] != dh or sin.shape[-1] != dh:
         raise ShapeError("rope tables do not match the full width")
-    h = dh // 2
-    out = np.concatenate([xd[..., h:], xd[..., :h]], axis=-1)
-    out *= sin
-    out += xd * cos
+    out = Kernels.rope_rotate(xd, cos, sin)
     if xd is x:
         return out
 
     def grads(g):
-        gs = g * sin
-        gx = np.concatenate([gs[..., h:], gs[..., :h]], axis=-1)
+        gx = _swap_halves(g * sin)
         gx += g * cos
         return (gx,)
 
@@ -537,9 +644,16 @@ def causal_attention(q, k, v, past_len: int = 0):
     m, s = q.shape[-2], k.shape[-2]
     if s != past_len + m:
         raise ShapeError(f"key rows {s} != past_len {past_len} + query rows {m}")
-    scores = scale(matmul(q, transpose(k, _swap_last(k.ndim))), 1.0 / math.sqrt(q.shape[-1]))
-    probs = softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
-    return matmul(probs, v)
+    return _attend(_PRIMITIVES if isinstance(q, Tensor) else Kernels, q, k, v, past_len)
+
+
+def _attend(ops, q, k, v, past_len: int):
+    """Attention composed of the ops of `ops`: the kernels, or primitives a tape records."""
+    m, s = q.shape[-2], k.shape[-2]
+    scores = ops.scale(ops.matmul(q, ops.transpose(k, _swap_last(k.ndim))),
+                       1.0 / math.sqrt(q.shape[-1]))
+    probs = ops.softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
+    return ops.matmul(probs, v)
 
 
 def _swap_last(ndim: int) -> tuple[int, ...]:

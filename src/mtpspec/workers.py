@@ -1,7 +1,8 @@
-"""Forked workers: the later shares of a job run on the machine's other CPUs.
+"""Forked workers: the other shares of a job run on the machine's other CPUs.
 
-The calling process keeps the first contiguous share of a job's items,
-and `forked` starts one worker per extra CPU for the later shares. A
+The calling process keeps the first share of a job's items (`shares`
+cuts contiguous ones), and `forked` starts one worker per extra CPU for
+the others. A
 worker talks to the caller over a pair of pipes (`Link`): length-prefixed
 pickles for small messages and raw bytes for arrays, which the caller
 reads into buffers it reuses.

@@ -245,6 +245,14 @@ class TestTapeFreeForward:
         for a, b in zip(free, taped):
             assert np.array_equal(a, b)
 
+    def test_taped_backbone_loss_records_the_primitives_it_always_did(self):
+        main, _ = init_model(ModelConfig())
+        tokens = np.random.default_rng(13).integers(main.config.vocab_size, size=12)
+        with Tape() as tape:
+            _, logits = main_forward(main, tokens)
+            cross_entropy_rows(logits, np.roll(tokens, -1), np.full(12, 0.5))
+        assert len(tape) == 55  # 27 per block, embedding, final norm, projection, loss
+
     def test_token_table_rows_equal_per_token_inputs(self):
         assert_token_table_parity(head_with_scaled_inputs(CFG))
 
@@ -271,6 +279,70 @@ class TestTapeFreeForward:
         with Tape(), pytest.raises(StateError, match="KV cache"):
             mtp_step(head, np.zeros((2, CFG.model_dim)), [3, 4], cache)
         assert cache.length == 0
+
+
+def _filled(cache: KVCache, length: int) -> KVCache:
+    cache.advance(length)
+    return cache
+
+
+def _rows(n: int, width: int = CFG.model_dim) -> np.ndarray:
+    return np.ones((n, width))
+
+
+# name: (forward call on (main, head), tape modes it applies in, error); the
+# token table and the caches are tape-free only, the over-full ones hold arrays
+MALFORMED = {
+    "main-no-tokens": (lambda m, h: main_forward(m, []), "both", ShapeError),
+    "main-2d-tokens": (lambda m, h: main_forward(m, [[1, 2]]), "both", ShapeError),
+    "main-token-above": (lambda m, h: main_forward(m, [1, CFG.vocab_size]), "both", IndexError),
+    "main-token-below": (lambda m, h: main_forward(m, [-1, 2]), "both", IndexError),
+    "main-rotary-range": (lambda m, h: main_forward(m, [1] * (CFG.max_seq_len + 1)), "both",
+                          CapacityError),
+    "main-cache-full": (lambda m, h: main_forward(m, [1, 2], _filled(m.new_cache(), 47)),
+                        "free", CapacityError),
+    "main-cache-capacity": (lambda m, h: main_forward(m, [1, 2, 3], KVCache(2, 2, 8, 2)),
+                            "free", CapacityError),
+    "main-cache-taped": (lambda m, h: main_forward(m, [1], m.new_cache()), "taped", StateError),
+    "step-no-tokens": (lambda m, h: mtp_step(h, _rows(0), []), "both", ShapeError),
+    "step-2d-tokens": (lambda m, h: mtp_step(h, _rows(1), [[1]]), "both", ShapeError),
+    "step-1d-hidden": (lambda m, h: mtp_step(h, np.ones(CFG.model_dim), [1]), "both", ShapeError),
+    "step-hidden-width": (lambda m, h: mtp_step(h, _rows(2, CFG.model_dim + 1), [1, 2]), "both",
+                          ShapeError),
+    "step-row-count": (lambda m, h: mtp_step(h, _rows(2), [1]), "both", ShapeError),
+    "step-token-above": (lambda m, h: mtp_step(h, _rows(2), [1, CFG.vocab_size]), "both",
+                         IndexError),
+    "step-token-below": (lambda m, h: mtp_step(h, _rows(1), [-1]), "both", IndexError),
+    "step-table-token": (lambda m, h: mtp_step(h, _rows(1), [CFG.vocab_size],
+                                               token_table=token_input_table(h)), "free",
+                         IndexError),
+    "step-rotary-range": (lambda m, h: mtp_step(h, _rows(2), [1, 2], pos_offset=47), "both",
+                          CapacityError),
+    "step-rotary-negative": (lambda m, h: mtp_step(h, _rows(1), [1], pos_offset=-1), "both",
+                             CapacityError),
+    "step-cache-full": (lambda m, h: mtp_step(h, _rows(2), [1, 2], _filled(h.new_cache(), 47)),
+                        "free", CapacityError),
+    "step-table-taped": (lambda m, h: mtp_step(h, _rows(1), [1], token_table=token_input_table(h)),
+                         "taped", StateError),
+    "step-cache-taped": (lambda m, h: mtp_step(h, _rows(1), [1], h.new_cache()), "taped",
+                         StateError),
+}
+
+
+@pytest.mark.parametrize("name,mode", [
+    pytest.param(name, mode, id=f"{name}-{mode}")
+    for name, (_, modes, _) in MALFORMED.items()
+    for mode in (("free", "taped") if modes == "both" else (modes,))])
+def test_malformed_forward_inputs_raise_typed_errors(models, name, mode):
+    """The forwards check their inputs where they enter, on both tape modes."""
+    call, _, error = MALFORMED[name]
+    main, head = models
+    if mode == "free":
+        with pytest.raises(error):
+            call(main, head)
+    else:
+        with Tape(), pytest.raises(error):
+            call(main, head)
 
 
 class TestDeskShape:

@@ -4,6 +4,7 @@ Losslessness does not depend on draft quality, so random models exercise
 the full accept/reject/rollback machinery cheaply.
 """
 
+import inspect
 import json
 import time
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtpspec import specdec
+from mtpspec import tensor as tn
 from mtpspec.data import LANG_TAGS, sample_prompts, sample_zipf_tokens
 from mtpspec.errors import CapacityError, ConfigError, StateError
 from mtpspec.model import MainModel, ModelConfig, MTPHead, init_model
@@ -176,6 +178,48 @@ class TestLosslessness:
         monkeypatch.setattr(specdec, "token_input_table", lambda head: None)
         assert decode_all() == with_table
         assert sum(len(r) for _, r in with_table) > len(requests)  # several rounds each
+
+
+# every public tensor function a forward could call; the rest build tapes or check them
+PUBLIC_PRIMITIVES = sorted(
+    name for name, f in vars(tn).items()
+    if inspect.isfunction(f) and f.__module__ == tn.__name__ and not name.startswith("_")
+    and name not in ("ops", "diverted_grads", "grad_check"))
+
+
+def test_tape_free_decodes_run_on_the_kernels(monkeypatch):
+    """With no tape active the forwards, and the session's token table, run
+    on `tensor.Kernels`: the one public primitive a decode calls is the
+    logit projection's `matmul`, once per backbone forward."""
+    main = MainModel.load(STACK / "main.npz")
+    head = MTPHead.load(STACK / "head.npz", main)
+    bank = VocabBank(main, [load_compressed_vocab(STACK / f"vocab_{tag}_128.json", 512)
+                            for tag in ("zh", "en")])
+    prompts = [p for tag in ("en", "zh") for p in sample_prompts(tag, 111, 2, 24)]
+
+    def decode(p):
+        out, m = speculative_decode(main, head, p, 32, 3, vocab=bank)
+        return out, [(r["drafts"], r["matched"], r["committed"]) for r in m.records], m
+
+    expected = [decode(p)[:2] for p in prompts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tape-free decode called a public tensor primitive")
+
+    matmuls = []
+    public_matmul = tn.matmul
+    for name in PUBLIC_PRIMITIVES:
+        monkeypatch.setattr(tn, name, refuse)
+    monkeypatch.setattr(tn, "matmul", lambda a, b: matmuls.append(1) or public_matmul(a, b))
+    assert {"causal_attention", "embedding", "operand", "rms_norm", "take"} <= set(PUBLIC_PRIMITIVES)
+    for p, (tokens, rounds) in zip(prompts, expected):
+        matmuls.clear()
+        out, got, m = decode(p)
+        assert (out, got) == (tokens, rounds)
+        assert len(matmuls) == m.main_forwards
+        matmuls.clear()
+        assert baseline_decode(main, p, 32) == tokens
+        assert len(matmuls) == len(tokens)
 
 
 class TestDecodeLoopProperties:
