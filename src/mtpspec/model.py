@@ -362,8 +362,6 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     tokens = _token_ids(tokens, cfg.vocab_size)
     n = tokens.size
     past = cache.length if cache is not None else 0
-    if past + n > cfg.max_seq_len:
-        raise CapacityError(f"{past} cached + {n} new tokens exceed max_seq_len {cfg.max_seq_len}")
     if cache is not None:
         if ops is not tn.Kernels:
             raise StateError("a KV cache serves tape-free forwards only")

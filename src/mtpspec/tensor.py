@@ -1,13 +1,13 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Each forward primitive is split in two. Its kernel, a static method of
-:class:`Kernels`, holds the forward math on plain ndarrays and checks
-nothing. The public primitive checks its operands and calls the kernel;
-called with arrays it returns the array and records nothing, called
-with Tensors under an active :class:`Tape` it also appends a backward
-closure for a gradient-bearing input, and ``Tape.backward`` replays
-those in exact reverse order. Both paths run the same kernel, so their
-results are bitwise equal. The hot kernels call ufunc methods
+Each forward primitive is split in two. Its kernel, the attribute of
+:class:`Kernels` with its name, holds the forward math on plain ndarrays
+and checks nothing. The public primitive checks its operands and calls
+the kernel; called with arrays it returns the array and records nothing,
+called with Tensors under an active :class:`Tape` it also appends a
+backward closure for a gradient-bearing input, and ``Tape.backward``
+replays those in exact reverse order. Both paths run the same kernel,
+so their results are bitwise equal. The hot kernels call ufunc methods
 (``np.add.reduce``, ``np.maximum.reduce``) rather than ``np.sum``/
 ``np.max``, which give the same bits without numpy's Python wrappers.
 
@@ -245,40 +245,15 @@ class Kernels:
     mul = np.multiply
     scale = np.multiply
     matmul = np.matmul
-
-    @staticmethod
-    def operand(t: Tensor) -> Array:
-        return t.data
-
+    operand = staticmethod(lambda t: t.data)
     constant = operand
-
-    @staticmethod
-    def stacked(buffer: Array, parts: Sequence[Tensor]) -> Array:
-        return buffer
-
-    @staticmethod
-    def transpose(x: Array, axes: Sequence[int]) -> Array:
-        return x.transpose(axes)
-
-    @staticmethod
-    def reshape(x: Array, shape: Sequence[int]) -> Array:
-        return x.reshape(shape)
-
-    @staticmethod
-    def take(x: Array, *keys) -> tuple[Array, ...]:
-        return tuple([x[key] for key in keys])
-
-    @staticmethod
-    def concat_last(x: Array, y: Array) -> Array:
-        return np.concatenate([x, y], axis=-1)
-
-    @staticmethod
-    def embedding(w: Array, ids: Array) -> Array:
-        return w[ids]
-
-    @staticmethod
-    def silu(x: Array) -> Array:
-        return x * _sigmoid(x)
+    stacked = staticmethod(lambda buffer, parts: buffer)
+    transpose = staticmethod(lambda x, axes: x.transpose(axes))
+    reshape = staticmethod(lambda x, shape: x.reshape(shape))
+    take = staticmethod(lambda x, *keys: tuple([x[key] for key in keys]))
+    concat_last = staticmethod(lambda x, y: np.concatenate([x, y], axis=-1))
+    embedding = staticmethod(lambda w, ids: w[ids])
+    silu = staticmethod(lambda x: x * _sigmoid(x))
 
     @staticmethod
     def rms_norm(x: Array, gamma: Array, eps: float) -> Array:
@@ -647,13 +622,13 @@ def causal_attention(q, k, v, past_len: int = 0):
     return _attend(_PRIMITIVES if isinstance(q, Tensor) else Kernels, q, k, v, past_len)
 
 
-def _attend(ops, q, k, v, past_len: int):
-    """Attention composed of the ops of `ops`: the kernels, or primitives a tape records."""
+def _attend(op_set, q, k, v, past_len: int):
+    """Attention composed of the ops of `op_set`: the kernels, or primitives a tape records."""
     m, s = q.shape[-2], k.shape[-2]
-    scores = ops.scale(ops.matmul(q, ops.transpose(k, _swap_last(k.ndim))),
-                       1.0 / math.sqrt(q.shape[-1]))
-    probs = ops.softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
-    return ops.matmul(probs, v)
+    scores = op_set.scale(op_set.matmul(q, op_set.transpose(k, _swap_last(k.ndim))),
+                          1.0 / math.sqrt(q.shape[-1]))
+    probs = op_set.softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
+    return op_set.matmul(probs, v)
 
 
 def _swap_last(ndim: int) -> tuple[int, ...]:

@@ -2,10 +2,9 @@
 
 The calling process keeps the first share of a job's items (`shares`
 cuts contiguous ones), and `forked` starts one worker per extra CPU for
-the others. A
-worker talks to the caller over a pair of pipes (`Link`): length-prefixed
-pickles for small messages and raw bytes for arrays, which the caller
-reads into buffers it reuses.
+the others. A worker talks to the caller over a pair of pipes (`Link`):
+length-prefixed pickles for small messages and raw bytes for arrays,
+which the caller reads into buffers it reuses.
 
 While workers run, the OpenBLAS that numpy loaded is held to one thread
 (a BLAS thread pool in each process would fight over the same CPUs), and

@@ -79,7 +79,7 @@ def forward_digests() -> dict[str, str]:
 
 def decode_digests() -> dict[str, str]:
     """One speculative decode at K=3 on the committed stack, over a two-entry bank
-    that picks by context: its tokens and counters."""
+    that picks by context: its tokens and counters (rebuilding the stack moves it)."""
     main = MainModel.load(STACK / "main.npz")
     head = MTPHead.load(STACK / "head.npz", main)
     bank = VocabBank(main, [load_compressed_vocab(STACK / f"vocab_{tag}_128.json", 512)
