@@ -35,6 +35,8 @@ PINS = {
     "head1": "cb1d6b872e96f18261349c103dc3fdf45e84fd623bd73f9e333c0cb009ea1707",
     "table": "3ac03e94bd2a6ad8950f4aad55d23cec4817195b9977c0bc5fa971a860ef4973",
     "verify3": "94277a87882e7455abb4263ed5213f11dd0b6100fc04314a1b9d634cf1ad9cb6",
+    "verify8": "54482fafd1fbb9099d17da40e72d0032aa3ed53b3912efb2533b03feae4dfc34",
+    "verify16": "426d678747723e0b07dc55934cf425b39be8b76ee38d4268efa625a3ebfcfa18",
     "main_grads": "dd0154a50e19200f39645f347af3f167f2885e91788567fa7cdf39a906324660",
     "head_grads": "46854a1f04f4d1f379722fdb6f16415c8887f211b59c4be481fd962f334609e5",
     "spec": "e8e78db6742dcdf7d96cd5f16c154fcba4eb051c01c900a4314575f48ce59a40",
@@ -52,7 +54,7 @@ def digest(*arrays) -> str:
 
 def forward_digests() -> dict[str, str]:
     """A cache-free forward, a prefill, cached verifies of 1, 2 and 4 rows, head steps
-    of 3 and 1 rows, the head's token-input table, then a cached verify of 3 rows."""
+    of 3 and 1 rows, the head's token-input table, then cached verifies of 3, 8 and 16 rows."""
     main, head = init_model(ModelConfig())
     main.freeze()
     rng = np.random.default_rng(12)
@@ -72,8 +74,9 @@ def forward_digests() -> dict[str, str]:
     h, pre = mtp_step(head, h.data[-1:], [99], head_cache, token_table=table)
     out["head1"] = digest(h.data, pre.data)
     out["table"] = digest(table)
-    hidden, logits = main_forward(main, rng.integers(main.config.vocab_size, size=3).tolist(), cache)
-    out["verify3"] = digest(hidden.data, logits.data)
+    for rows in (3, 8, 16):
+        hidden, logits = main_forward(main, rng.integers(main.config.vocab_size, size=rows).tolist(), cache)
+        out[f"verify{rows}"] = digest(hidden.data, logits.data)
     return out
 
 

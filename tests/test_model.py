@@ -430,6 +430,23 @@ class TestDeskShape:
     def test_gate_up_are_views_of_one_buffer(self, desk):
         self.assert_views_of_one_buffer(desk, "gate_up")
 
+    def test_logits_equal_the_transposed_head_at_every_row_count(self):
+        """Tape-free logits are `rms_norm(hidden) @ embed.T` through the transposed
+        view, bit for bit, for every row count a desk forward can take, after
+        cached prefixes of varied lengths."""
+        main, _ = init_model(ModelConfig(max_seq_len=160))
+        main.freeze()
+        cfg = main.config
+        rng = np.random.default_rng(21)
+        prefix = main.new_cache()
+        main_forward(main, rng.integers(cfg.vocab_size, size=cfg.max_seq_len), prefix)
+        for rows in range(1, cfg.max_seq_len + 1):
+            cache = prefix.clone()
+            cache.truncate(rows * 37 % (cfg.max_seq_len - rows + 1))
+            hidden, logits = main_forward(main, rng.integers(cfg.vocab_size, size=rows), cache)
+            normed = tn.rms_norm(hidden.data, main.final_norm.data, cfg.rms_eps)
+            assert np.array_equal(logits.data, normed @ main.embed.data.T), rows
+
     def test_gradients_through_stacked_projection(self):
         # a toy size: finite differences at d=64 would take some 25k forwards
         cfg = ModelConfig(vocab_size=12, model_dim=8, n_layers=1, n_heads=2,
