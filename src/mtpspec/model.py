@@ -31,6 +31,15 @@ from .tensor import Tensor
 
 INIT_STD = 0.02
 
+# A tape-free forward of at least this many rows projects its logits through
+# the frozen model's contiguous head copy, `output_wt`. With the transposed
+# view of the embedding, OpenBLAS takes a slow path: at the desk config, on
+# one thread, 3 rows take 30.4 us against 15.0 from the copy, 4 rows 21.6
+# against 8.1, 16 rows 45.1 against 28.5. From 3 rows on (swept to 160) the
+# copy's products are the view's bits; at 1 and 2 rows they differ in the
+# last bits and are no faster. So the threshold keeps every logit's bits.
+CONTIGUOUS_HEAD_ROWS = 3
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -218,6 +227,7 @@ class MainModel:
         self.final_norm = Tensor(np.ones(cfg.model_dim), requires_grad=True)
         self.rope = RotaryTable(cfg)
         self.frozen = False
+        self.output_wt: np.ndarray | None = None
 
     @property
     def output_w(self) -> Tensor:
@@ -231,6 +241,9 @@ class MainModel:
         return named
 
     def freeze(self) -> None:
+        """Lock every weight, and keep the output head as a read-only contiguous
+        (model_dim, vocab_size) array, `output_wt`: frozen weights never change,
+        so the copy cannot go stale."""
         for p in self.parameters().values():
             p.requires_grad = False
             p.zero_grad()
@@ -238,6 +251,8 @@ class MainModel:
         for blk in self.blocks:
             blk.qkv.flags.writeable = False
             blk.gate_up.flags.writeable = False
+        self.output_wt = np.ascontiguousarray(self.embed.data.T)
+        self.output_wt.flags.writeable = False
         self.frozen = True
 
     def new_cache(self) -> KVCache:
@@ -335,11 +350,19 @@ def init_model(config: ModelConfig) -> tuple[MainModel, MTPHead]:
 
 
 def _token_ids(tokens, vocab_size: int) -> np.ndarray:
-    """`tokens` as a nonempty 1-D int64 array of vocabulary ids, or a typed error."""
-    ids = np.asarray(tokens, dtype=np.int64)
+    """`tokens` as a nonempty 1-D int64 array of vocabulary ids, or a typed error.
+
+    Ids must be integers: bool, float, complex, string and object ids raise
+    `TypeError` rather than be cast. One reduction checks the range: read as
+    uint64, a negative id wraps past 2**63, above any vocabulary.
+    """
+    ids = np.asarray(tokens)
     if ids.ndim != 1 or ids.size == 0:
         raise ShapeError("tokens must be a nonempty 1-D sequence")
-    if np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= vocab_size:
+    if ids.dtype.kind not in "iu":
+        raise TypeError(f"token ids must be integers, not {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    if np.maximum.reduce(ids.view(np.uint64)) >= vocab_size:
         raise IndexError(f"token id outside vocabulary of size {vocab_size}")
     return ids
 
@@ -355,7 +378,9 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     in the cache and the rotary table (`CapacityError`). The cache
     stores arrays, which carry no gradient, so a cache under a tape
     raises `StateError` rather than drop the gradient through the
-    cached keys and values.
+    cached keys and values. A frozen model's tape-free forward of
+    `CONTIGUOUS_HEAD_ROWS` or more rows projects through `output_wt`,
+    which gives the transposed view's bits faster.
     """
     cfg = model.config
     ops = tn.ops()
@@ -376,8 +401,11 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     # The logit projection calls the public, checked `matmul` on either
     # path: one call per forward, and the op a tracer of the public
     # primitives still sees in a tape-free decode (perfbench counts it).
-    logits = tn.matmul(ops.rms_norm(x, ops.operand(model.final_norm), cfg.rms_eps),
-                       ops.transpose(ops.operand(model.output_w), (1, 0)))
+    if ops is tn.Kernels and n >= CONTIGUOUS_HEAD_ROWS and model.output_wt is not None:
+        head = model.output_wt
+    else:
+        head = ops.transpose(ops.operand(model.output_w), (1, 0))
+    logits = tn.matmul(ops.rms_norm(x, ops.operand(model.final_norm), cfg.rms_eps), head)
     return (x, logits) if isinstance(x, Tensor) else (Tensor(x), Tensor(logits))
 
 
@@ -416,14 +444,17 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     """
     cfg = head.config
     ops = tn.ops()
-    h_prev = ops.operand(h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev))
+    if ops is tn.Kernels:
+        h_prev = h_prev.data if isinstance(h_prev, Tensor) else np.asarray(h_prev, dtype=np.float64)
+    elif not isinstance(h_prev, Tensor):
+        h_prev = Tensor(h_prev)
     tokens = _token_ids(shifted_tokens, cfg.vocab_size)
     if h_prev.shape != (tokens.size, cfg.model_dim):
         raise ShapeError(f"h_prev shape {h_prev.shape} must be ({tokens.size} tokens, "
                          f"model_dim {cfg.model_dim})")
-    if token_table is not None and isinstance(h_prev, Tensor):
+    if token_table is not None and ops is not tn.Kernels:
         raise StateError("a token input table serves tape-free steps only")
-    if cache is not None and isinstance(h_prev, Tensor):
+    if cache is not None and ops is not tn.Kernels:
         raise StateError("a KV cache serves tape-free steps only")
     m = tokens.size
     pos = cache.length if cache is not None else pos_offset

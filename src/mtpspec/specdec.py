@@ -22,6 +22,7 @@ not the head, because training updates `norm_embed` in place.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field, fields
 
@@ -98,6 +99,23 @@ class DraftRound:
     draft_ns: int = 0
 
 
+def _checked_request(main: MainModel, prompt, max_new_tokens) -> tuple[list[int], int]:
+    """The prompt as a list of ints and the token budget as an int, or a typed
+    error: non-integers raise `TypeError` (`operator.index`), as do float
+    prompt tokens, rather than be truncated."""
+    prompt = [operator.index(t) for t in prompt]
+    max_new_tokens = operator.index(max_new_tokens)
+    if not prompt:
+        raise ShapeError("prompt must be nonempty")
+    if max_new_tokens < 0:
+        raise ConfigError("max_new_tokens must be >= 0")
+    if len(prompt) + max_new_tokens > main.config.max_seq_len:
+        raise CapacityError(
+            f"prompt {len(prompt)} + max_new {max_new_tokens} exceeds "
+            f"max_seq_len {main.config.max_seq_len}")
+    return prompt, max_new_tokens
+
+
 class DecodeSession:
     """Mutable per-generation state: caches, hidden history, metrics, and
     the head's token-input table."""
@@ -105,13 +123,7 @@ class DecodeSession:
     def __init__(self, main: MainModel, head: MTPHead, prompt,
                  max_new_tokens: int, vocab: VocabBank | None = None,
                  lang: str | None = None, eos_token: int | None = EOS_TOKEN):
-        prompt = [int(t) for t in prompt]
-        if not prompt:
-            raise ShapeError("prompt must be nonempty")
-        if len(prompt) + max_new_tokens > main.config.max_seq_len:
-            raise CapacityError(
-                f"prompt {len(prompt)} + max_new {max_new_tokens} exceeds "
-                f"max_seq_len {main.config.max_seq_len}")
+        prompt, max_new_tokens = _checked_request(main, prompt, max_new_tokens)
         if head.main is not main:
             raise StateError("draft head is bound to a different model")
         bank = VocabBank(main) if vocab is None else vocab
@@ -253,12 +265,13 @@ def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: i
     prompt, depth and vocabulary mode: drafts only ever propose, the
     backbone's greedy choices decide.
     """
+    k_depth = operator.index(k_depth)
     if k_depth < 0:
         raise ConfigError("k_depth must be >= 0")
     t0 = time.perf_counter_ns()
     session = DecodeSession(main, head, prompt, max_new_tokens,
                             vocab=vocab, lang=lang, eos_token=eos_token)
-    if max_new_tokens == 0:
+    if session.max_new == 0:
         return [], session.metrics
     session.prefill()
     while not session.finished:
@@ -272,11 +285,7 @@ def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: i
 def baseline_decode(main: MainModel, prompt, max_new_tokens: int,
                     eos_token: int | None = EOS_TOKEN) -> list[int]:
     """Plain greedy next-token loop; the correctness oracle for the rest."""
-    prompt = [int(t) for t in prompt]
-    if not prompt:
-        raise ShapeError("prompt must be nonempty")
-    if len(prompt) + max_new_tokens > main.config.max_seq_len:
-        raise CapacityError("prompt + max_new_tokens exceeds max_seq_len")
+    prompt, max_new_tokens = _checked_request(main, prompt, max_new_tokens)
     if max_new_tokens == 0:
         return []
     cache = main.new_cache()

@@ -1,5 +1,6 @@
 """Model-layer tests: forwards, KV cache semantics, init, checkpoints."""
 
+import contextlib
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from mtpspec.errors import (CapacityError, ConfigError, ConsistencyError, NumericError,
                             ShapeError, StateError)
 from mtpspec.model import (
-    KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax, greedy_rows,
+    CONTIGUOUS_HEAD_ROWS, KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax, greedy_rows,
     init_model, load_checkpoint, main_forward, mtp_step, token_input_table,
 )
 from mtpspec.specdec import DecodeSession
@@ -297,6 +298,16 @@ MALFORMED = {
     "main-2d-tokens": (lambda m, h: main_forward(m, [[1, 2]]), "both", ShapeError),
     "main-token-above": (lambda m, h: main_forward(m, [1, CFG.vocab_size]), "both", IndexError),
     "main-token-below": (lambda m, h: main_forward(m, [-1, 2]), "both", IndexError),
+    "main-token-int64-min": (lambda m, h: main_forward(m, [1, np.iinfo(np.int64).min]), "both",
+                             IndexError),
+    "main-token-uint64-above": (lambda m, h: main_forward(m, np.array([1, 2**63], np.uint64)),
+                                "both", IndexError),
+    "main-float-tokens": (lambda m, h: main_forward(m, [1.7, 2]), "both", TypeError),
+    "main-string-tokens": (lambda m, h: main_forward(m, ["3"]), "both", TypeError),
+    "main-bool-tokens": (lambda m, h: main_forward(m, [True, False]), "both", TypeError),
+    "main-complex-tokens": (lambda m, h: main_forward(m, [1 + 0j]), "both", TypeError),
+    "main-object-tokens": (lambda m, h: main_forward(m, np.array([1, 2], object)), "both",
+                           TypeError),
     "main-rotary-range": (lambda m, h: main_forward(m, [1] * (CFG.max_seq_len + 1)), "both",
                           CapacityError),
     "main-cache-full": (lambda m, h: main_forward(m, [1, 2], _filled(m.new_cache(), 47)),
@@ -313,6 +324,11 @@ MALFORMED = {
     "step-token-above": (lambda m, h: mtp_step(h, _rows(2), [1, CFG.vocab_size]), "both",
                          IndexError),
     "step-token-below": (lambda m, h: mtp_step(h, _rows(1), [-1]), "both", IndexError),
+    "step-token-int64-min": (lambda m, h: mtp_step(h, _rows(1), [np.iinfo(np.int64).min]),
+                             "both", IndexError),
+    "step-float-tokens": (lambda m, h: mtp_step(h, _rows(1), [1.0]), "both", TypeError),
+    "step-string-tokens": (lambda m, h: mtp_step(h, _rows(1), ["3"]), "both", TypeError),
+    "step-bool-tokens": (lambda m, h: mtp_step(h, _rows(1), [True]), "both", TypeError),
     "step-table-token": (lambda m, h: mtp_step(h, _rows(1), [CFG.vocab_size],
                                                token_table=token_input_table(h)), "free",
                          IndexError),
@@ -343,6 +359,21 @@ def test_malformed_forward_inputs_raise_typed_errors(models, name, mode):
     else:
         with Tape(), pytest.raises(error):
             call(main, head)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["free", "taped"])
+def test_strided_token_ids_are_accepted(models, taped):
+    """Ids need only be integers: a strided int64 array reads like its copy."""
+    main, head = models
+    ids = np.arange(10)[::2]
+
+    def run(tokens):
+        with Tape() if taped else contextlib.nullcontext():
+            return [t.data for t in (*main_forward(main, tokens),
+                                     *mtp_step(head, _rows(ids.size), tokens))]
+
+    for a, b in zip(run(ids), run(ids.copy())):
+        assert np.array_equal(a, b)
 
 
 class TestDeskShape:
@@ -516,6 +547,51 @@ class TestFreeze:
             for buffer in STACKS:
                 with pytest.raises(ValueError):
                     getattr(blk, buffer)[1, 0, 0] = 1.0
+
+
+class TestOutputHeadCopy:
+    """A frozen backbone keeps its output head as a read-only contiguous copy;
+    tape-free forwards of `CONTIGUOUS_HEAD_ROWS` or more rows project through
+    it, every other forward through the transposed view."""
+
+    def test_frozen_model_holds_a_read_only_contiguous_copy(self):
+        main, _ = init_model(CFG)
+        assert main.output_wt is None
+        main.freeze()
+        wt = main.output_wt
+        assert wt.shape == (CFG.model_dim, CFG.vocab_size)
+        assert wt.flags.c_contiguous and not wt.flags.writeable
+        assert np.array_equal(wt, main.embed.data.T)
+        assert not np.shares_memory(wt, main.embed.data)
+        with pytest.raises(ValueError):
+            wt[0, 0] = 1.0
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 16])
+    def test_unfrozen_forwards_run_through_the_view(self, models, rows):
+        main, _ = models
+        assert not main.frozen and main.output_wt is None
+        hidden, logits = main_forward(main, list(range(rows)), main.new_cache())
+        normed = tn.rms_norm(hidden.data, main.final_norm.data, CFG.rms_eps)
+        assert np.array_equal(logits.data, normed @ main.embed.data.T)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["free", "taped"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 16])
+    def test_which_forwards_read_the_copy(self, rows, taped):
+        """A copy of zeros shows which forwards read it: those that do give zero logits."""
+        main, _ = init_model(CFG)
+        main.freeze()
+        main.output_wt = np.zeros_like(main.output_wt)
+        with Tape() if taped else contextlib.nullcontext():
+            _, logits = main_forward(main, list(range(rows)))
+        reads = not taped and rows >= CONTIGUOUS_HEAD_ROWS
+        assert np.array_equal(logits.data, np.zeros_like(logits.data)) == reads
+
+    def test_loaded_model_holds_the_copy(self, tmp_path, models):
+        main, _ = models
+        main.save(tmp_path / "main.npz")
+        loaded = MainModel.load(tmp_path / "main.npz")
+        assert not loaded.output_wt.flags.writeable
+        assert np.array_equal(loaded.output_wt, main.embed.data.T)
 
 
 class TestCheckpoint:

@@ -109,6 +109,48 @@ class TestBaselineDecode:
             baseline_decode(main, [1] * 10, CFG.max_seq_len)
 
 
+DECODERS = {
+    "baseline": lambda main, head, prompt, max_new: baseline_decode(main, prompt, max_new),
+    "speculative": lambda main, head, prompt, max_new: speculative_decode(main, head, prompt,
+                                                                          max_new, 3)[0],
+}
+
+
+@pytest.mark.parametrize("decode", list(DECODERS))
+class TestRequestChecks:
+    """A request is checked where it enters; nothing is truncated or clamped."""
+
+    @pytest.mark.parametrize("max_new", [-1, -3])
+    def test_negative_budget_rejected(self, stack, decode, max_new):
+        main, head, _ = stack
+        with pytest.raises(ConfigError):
+            DECODERS[decode](main, head, [1, 2, 3], max_new)
+
+    @pytest.mark.parametrize("max_new", [3.0, 2.5, -3.0, "3", None])
+    def test_non_integer_budget_rejected(self, stack, decode, max_new):
+        main, head, _ = stack
+        with pytest.raises(TypeError):
+            DECODERS[decode](main, head, [1, 2, 3], max_new)
+
+    @pytest.mark.parametrize("prompt", [[1.7, 2], [1, 2.0], np.array([1.0, 2.0]), ["3"]])
+    def test_non_integer_prompt_rejected(self, stack, decode, prompt):
+        main, head, _ = stack
+        with pytest.raises(TypeError):
+            DECODERS[decode](main, head, prompt, 4)
+
+    def test_numpy_integers_decode_like_ints(self, stack, decode):
+        main, head, _ = stack
+        expected = DECODERS[decode](main, head, [4, 5, 6], 5)
+        assert DECODERS[decode](main, head, np.array([4, 5, 6]), np.int64(5)) == expected
+
+
+@pytest.mark.parametrize("k_depth", [3.0, 1.5, "3", None])
+def test_non_integer_depth_rejected(stack, k_depth):
+    main, head, _ = stack
+    with pytest.raises(TypeError):
+        speculative_decode(main, head, [1, 2, 3], 4, k_depth)
+
+
 class TestLosslessness:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_matches_baseline_full_vocab(self, decoders, k):

@@ -266,6 +266,14 @@ class TestPretrainMain:
         assert main.frozen
         assert curve[-1] < 0.1 < curve[0]
 
+    def test_frozen_head_copy_holds_the_trained_weights(self):
+        main, _ = init_model(TOY)
+        initial = main.embed.data.copy()
+        pretrain_main([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10]], main,
+                      TrainConfig(lr=1e-2, epochs=2, batch_size=2, seed=3))
+        assert not np.array_equal(main.embed.data, initial)
+        assert np.array_equal(main.output_wt, main.embed.data.T)
+
     def test_rejects_already_frozen(self):
         main, _ = init_model(TOY)
         main.freeze()
