@@ -101,8 +101,8 @@ class DraftRound:
 
 def _checked_request(main: MainModel, prompt, max_new_tokens) -> tuple[list[int], int]:
     """The prompt as a list of ints and the token budget as an int, or a typed
-    error: non-integers raise `TypeError` (`operator.index`), as do float
-    prompt tokens, rather than be truncated."""
+    error. Both go through `operator.index`, so a float raises `TypeError`
+    rather than be truncated."""
     prompt = [operator.index(t) for t in prompt]
     max_new_tokens = operator.index(max_new_tokens)
     if not prompt:
