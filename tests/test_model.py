@@ -9,8 +9,8 @@ import pytest
 from mtpspec.errors import (CapacityError, ConfigError, ConsistencyError, NumericError,
                             ShapeError, StateError)
 from mtpspec.model import (
-    CONTIGUOUS_HEAD_ROWS, KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax, greedy_rows,
-    init_model, load_checkpoint, main_forward, mtp_step, token_input_table,
+    CONTIGUOUS_HEAD_ROWS, KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax,
+    greedy_rows, init_model, load_checkpoint, main_forward, mtp_step, token_input_table,
 )
 from mtpspec.specdec import DecodeSession
 from mtpspec import tensor as tn
