@@ -41,6 +41,9 @@ class BenchTask:
     def __post_init__(self):
         if not self.prompts:
             raise ConfigError("a benchmark task needs at least one prompt")
+        if self.max_new_tokens < 1:
+            raise ConfigError(f"a benchmark task's max_new_tokens must be >= 1, "
+                              f"not {self.max_new_tokens}")
 
 
 def _round9(x: float) -> float:
@@ -233,6 +236,13 @@ _CSV_CELLS = {
     "list[float]": (lambda xs: ";".join(f"{x:.9f}" for x in xs),
                     lambda cell: [float(x) for x in cell.split(";")] if cell else []),
 }
+# what `json.load` gives for a field written by `emit_report`; a bool is no int
+_JSON_CELLS = {
+    "str": lambda x: type(x) is str,
+    "int": lambda x: type(x) is int,
+    "float": lambda x: type(x) is float,
+    "list[float]": lambda xs: type(xs) is list and all(type(x) is float for x in xs),
+}
 
 
 def emit_report(rows, out_dir, basename: str = "report") -> dict:
@@ -274,6 +284,10 @@ def load_report_json(path) -> list[ReportRow]:
         if not isinstance(obj, dict) or obj.keys() != set(REPORT_COLUMNS):
             raise ConfigError(f"{path}: report row {i} must be an object with "
                               f"keys {REPORT_COLUMNS}")
+        for f in fields(ReportRow):
+            if not _JSON_CELLS[f.type](obj[f.name]):
+                raise ConfigError(f"{path}: report row {i} field {f.name!r} must be "
+                                  f"a {f.type}, not {obj[f.name]!r}")
     return [ReportRow.from_json(obj) for obj in rows]
 
 

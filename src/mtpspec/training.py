@@ -275,7 +275,13 @@ def _fit(items, params: dict[str, Tensor], cfg: TrainConfig, batch_loss) -> list
     item after item, through the same `accumulate_grad` calls that
     would have made them here, so gradients, updates and losses are the
     serial run's bits.
+
+    Before its first taped step and before it forks, this process keeps
+    the memory its tapes free (`workers.keep_freed_memory`): at the C
+    allocator's defaults, each step faults the pages of the last step's
+    freed intermediates back in.
     """
+    workers.keep_freed_memory()
     opt = AdamW(params, cfg.lr, (cfg.adam_beta1, cfg.adam_beta2),
                 cfg.adam_eps, cfg.weight_decay)
     trainable = list(opt.params.values())

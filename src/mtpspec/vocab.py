@@ -48,8 +48,9 @@ class FrequencyTable:
     def from_json(cls, obj: dict, vocab_size: int) -> "FrequencyTable":
         _require_keys(obj, ("lang", "total", "pairs"), "frequency table")
         pairs, total = obj["pairs"], obj["total"]
-        if type(total) is not int or any(
-                len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int
+        if type(total) is not int or type(pairs) is not list or any(
+                type(pair) is not list or len(pair) != 2
+                or type(pair[0]) is not int or type(pair[1]) is not int
                 for pair in pairs):
             raise ConfigError("frequency table pairs must be [id, count] integers, "
                               "its total an integer")
@@ -70,8 +71,11 @@ class FrequencyTable:
 
 
 def _require_keys(obj, keys, what: str) -> None:
+    """`obj` must be an object with `keys`, a string "lang" among them."""
     if not isinstance(obj, dict) or any(key not in obj for key in keys):
         raise ConfigError(f"{what} must be an object with keys {list(keys)}")
+    if type(obj["lang"]) is not str:
+        raise ConfigError(f"{what} lang must be a string, not {obj['lang']!r}")
 
 
 def build_frequency_table(corpus, lang: str, vocab_size: int) -> FrequencyTable:
@@ -123,8 +127,8 @@ class CompressedVocab:
     def from_json(cls, obj: dict, vocab_size: int) -> "CompressedVocab":
         _require_keys(obj, ("lang", "keep"), "compressed vocabulary")
         ids = obj["keep"]
-        if any(type(i) is not int for i in ids):
-            raise ConfigError("compressed vocabulary ids must be integers")
+        if type(ids) is not list or any(type(i) is not int for i in ids):
+            raise ConfigError("compressed vocabulary keep must be a list of integer ids")
         if obj.get("size", len(ids)) != len(ids):
             raise ConfigError(f"compressed vocabulary size {obj['size']} != {len(ids)} ids")
         keep = np.asarray(sorted(ids), dtype=np.int64)

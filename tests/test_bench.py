@@ -34,6 +34,10 @@ class TestBenchTask:
     def test_validation(self):
         with pytest.raises(ConfigError):
             BenchTask(name="x", prompts=[], lang=None, max_new_tokens=4)
+        for budget in (0, -1, -48):
+            with pytest.raises(ConfigError, match="max_new_tokens"):
+                BenchTask(name="x", prompts=[[1, 2]], lang=None, max_new_tokens=budget)
+        assert BenchTask(name="x", prompts=[[1, 2]], lang=None, max_new_tokens=1)
 
 
 class TestRunBenchmark:
@@ -195,21 +199,35 @@ class TestEmission:
             assert loaded == [row]
             assert loaded[0].rates[0] == 0.0 and math.isnan(loaded[0].rates[1])
 
+    # a field's wrong value: each must name the row and the field
+    WRONG_VALUES = {"tau-a-string": ("tau", "oops"), "rates-a-string": ("rates", "abc"),
+                    "k-a-bool": ("k", True), "k-a-float": ("k", 2.0),
+                    "task-a-number": ("task", 3), "tau-a-bool": ("tau", False),
+                    "tau-null": ("tau", None), "rates-of-strings": ("rates", ["0.5"]),
+                    "rates-of-bools": ("rates", [True]), "rounds-a-list": ("rounds", [48])}
+
     @pytest.mark.parametrize("case", ["invalid-json", "not-a-list", "row-not-an-object",
-                                      "missing-column", "extra-column"])
+                                      "missing-column", "extra-column", *WRONG_VALUES])
     def test_malformed_report_json_rejected(self, tmp_path, case):
         good = ReportRow(task="toy", method="baseline", k=0, vocab_size=64, prompts=4,
                          output_tokens=48, rounds=48, tau=1.0, rates=[],
                          tokens_per_s=800.0, tokens_per_s_std=0.0, c_draft=0.0,
                          analytic_speedup=1.0, wall_speedup=1.0).to_json()
-        rows = {"invalid-json": json.dumps([good])[:-2],
-                "not-a-list": json.dumps(good),
-                "row-not-an-object": json.dumps([list(good.values())]),
-                "missing-column": json.dumps([{k: v for k, v in good.items() if k != "tau"}]),
-                "extra-column": json.dumps([{**good, "speedup": 1.0}])}[case]
+        match = "report.json"
+        if case in self.WRONG_VALUES:
+            name, value = self.WRONG_VALUES[case]
+            rows = json.dumps([good, {**good, name: value}])
+            match = f"report.json: report row 1 field '{name}'"
+        else:
+            rows = {"invalid-json": json.dumps([good])[:-2],
+                    "not-a-list": json.dumps(good),
+                    "row-not-an-object": json.dumps([list(good.values())]),
+                    "missing-column": json.dumps([{k: v for k, v in good.items()
+                                                   if k != "tau"}]),
+                    "extra-column": json.dumps([{**good, "speedup": 1.0}])}[case]
         path = tmp_path / "report.json"
         path.write_text(rows)
-        with pytest.raises(ConfigError, match="report.json"):
+        with pytest.raises(ConfigError, match=match):
             load_report_json(path)
 
     def test_empty_rows_rejected(self, tmp_path):

@@ -77,11 +77,20 @@ class TestFrequencyTable:
         {"pairs": [], "total": 0},
         {"pairs": None},
         {"lang": None},
+        {"pairs": 5},
+        {"pairs": "ab", "total": 2},
+        {"pairs": [7], "total": 7},
+        {"pairs": [[3, 5, 1]], "total": 5},
+        {"pairs": [{"3": 5, "7": 4}]},
+        {"lang": ["en"]},
+        '{"lang": null, "total": 9, "pairs": [[3, 5], [7, 4]]}',
         '{"lang": "t", "total": 9, "pairs": [[3, 5]',
         '[["t", 9]]',
     ], ids=["negative-id", "bool-id", "duplicate-id", "negative-count", "wrong-total",
             "out-of-range-id", "fractional-id", "fractional-count", "empty",
-            "missing-pairs", "missing-lang", "invalid-json", "not-an-object"])
+            "missing-pairs", "missing-lang", "pairs-not-a-list", "pairs-a-string",
+            "pair-not-a-list", "pair-of-three", "pair-an-object", "lang-a-list",
+            "lang-null", "invalid-json", "not-an-object"])
     def test_malformed_table_rejected_on_load(self, tmp_path, fields):
         if isinstance(fields, dict):
             obj = {"lang": "t", "total": 9, "pairs": [[3, 5], [7, 4]], **fields}
@@ -155,10 +164,16 @@ class TestCompressVocab:
         {"lang": "t", "size": 1, "keep": [70]},
         {"lang": "t", "size": 2},
         {"size": 2, "keep": [1, 7]},
+        {"lang": "en", "keep": 5},
+        {"lang": "en", "keep": "17"},
+        {"lang": "en", "keep": {"1": 7}},
+        {"lang": ["en"], "keep": [1, 7]},
+        {"lang": None, "keep": [1, 7]},
         '{"lang": "t", "size": 2, "keep": [1, 7',
         '[1, 7]',
     ], ids=["duplicate", "negative", "out-of-range", "missing-keep", "missing-lang",
-            "invalid-json", "not-an-object"])
+            "keep-not-a-list", "keep-a-string", "keep-an-object", "lang-a-list",
+            "lang-null", "invalid-json", "not-an-object"])
     def test_malformed_ids_rejected_on_load(self, tmp_path, obj):
         path = tmp_path / "cv.json"
         path.write_text(obj if isinstance(obj, str) else json.dumps(obj))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import signal
 import time
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from mtpspec import cli, distill, training, workers
+from mtpspec import tensor as tn
 from mtpspec.data import TrainingExample
 from mtpspec.distill import GenerationConfig, self_distill
 from mtpspec.errors import StateError, TrainingDiverged, WorkerError
-from mtpspec.model import ModelConfig, init_model
+from mtpspec.model import ModelConfig, init_model, main_forward
+from mtpspec.specdec import speculative_decode
 from mtpspec.training import TrainConfig, pretrain_main, train_mtp_head
 
 SMALL = {
@@ -27,6 +30,7 @@ TOY = ModelConfig(vocab_size=16, model_dim=8, n_layers=1, n_heads=2, max_seq_len
 
 needs_workers = pytest.mark.skipif(workers._openblas() is None or not hasattr(os, "fork"),
                                    reason="no OpenBLAS thread setter or no os.fork here")
+needs_mallopt = pytest.mark.skipif(workers._mallopt() is None, reason="no glibc mallopt here")
 
 
 def assert_no_children():
@@ -110,6 +114,63 @@ def test_artifacts_identical_on_any_cpu_count_and_blas_setting(tmp_path, monkeyp
     assert {"main.npz", "pretrain_losses.json", "distilled.jsonl", "head.npz"} <= set(reference)
     for key, files in runs.items():
         assert files == reference, key
+
+
+def trained_weights() -> dict:
+    main, _ = init_model(TOY)
+    pretrain_main([ex.tokens for ex in examples(8)], main, TrainConfig(epochs=1, batch_size=4))
+    return {name: p.data for name, p in main.parameters().items()}
+
+
+@needs_mallopt
+def test_taped_steps_fault_no_pages_back_in_after_training():
+    """Once training has set the allocator, taped 80-token steps of the CLI's
+    backbone reuse the pages the last step's tape freed: at the allocator's
+    defaults each step faults about 370 back in."""
+    trained_weights()
+    assert workers.keep_freed_memory()
+    main, _ = init_model(ModelConfig(**cli.DEFAULT_CONFIG["model"]))
+    rng = np.random.default_rng(0)
+
+    def step():
+        tokens = rng.integers(main.config.vocab_size, size=80)
+        with tn.Tape() as tape:
+            _, logits = main_forward(main, tokens)
+            rows = tn.rows(logits, 0, tokens.size - 1)
+            tape.backward(tn.cross_entropy_rows(rows, tokens[1:], np.full(79, 1 / 79)))
+
+    for _ in range(3):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        step()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 30
+
+
+def test_only_training_sets_the_allocator(monkeypatch):
+    calls = []
+    monkeypatch.setattr(workers, "keep_freed_memory", lambda: calls.append(1))
+    main, head = init_model(TOY)
+    main.freeze()
+    speculative_decode(main, head, [1, 2, 3], 8, 2)
+    assert calls == []
+    trained_weights()
+    assert calls == [1]
+
+
+def test_training_without_mallopt_gives_the_same_weights(monkeypatch):
+    expected = trained_weights()
+    lookups = []
+    monkeypatch.setattr(workers, "_mallopt", lambda: lookups.append(1))
+    workers.keep_freed_memory.cache_clear()
+    try:
+        got = trained_weights()
+        assert lookups == [1] and workers.keep_freed_memory() is False
+    finally:
+        workers.keep_freed_memory.cache_clear()
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert got[name].tobytes() == expected[name].tobytes(), name
 
 
 @needs_workers
