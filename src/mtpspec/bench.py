@@ -41,9 +41,9 @@ class BenchTask:
     def __post_init__(self):
         if not self.prompts:
             raise ConfigError("a benchmark task needs at least one prompt")
-        if self.max_new_tokens < 1:
-            raise ConfigError(f"a benchmark task's max_new_tokens must be >= 1, "
-                              f"not {self.max_new_tokens}")
+        if type(self.max_new_tokens) is not int or self.max_new_tokens < 1:
+            raise ConfigError(f"a benchmark task's max_new_tokens must be an integer >= 1, "
+                              f"not {self.max_new_tokens!r}")
 
 
 def _round9(x: float) -> float:

@@ -85,9 +85,13 @@ class TrainingExample:
             raise ConfigError("dataset prompt and response must be lists of token ids")
         if any(type(t) is not int or t < 0 for t in [*obj["prompt"], *obj["response"]]):
             raise ConfigError("dataset token ids must be nonnegative integers")
+        if not isinstance(obj["lang"], str) or not isinstance(obj["source"], str):
+            raise ConfigError("dataset lang and source must be strings")
+        truncated = obj.get("truncated", False)
+        if type(truncated) is not bool:
+            raise ConfigError("dataset truncated must be true or false")
         return cls(prompt=list(obj["prompt"]), response=list(obj["response"]),
-                   lang=obj["lang"], source=obj["source"],
-                   truncated=bool(obj.get("truncated", False)))
+                   lang=obj["lang"], source=obj["source"], truncated=truncated)
 
 
 def save_dataset(path, examples) -> None:

@@ -399,14 +399,17 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     if cache is not None:
         cache.advance(n)
     # The logit projection calls the public, checked `matmul` on either
-    # path: one call per forward, and the op a tracer of the public
-    # primitives still sees in a tape-free decode (perfbench counts it).
+    # path, so a tape-free forward wraps its operands in Tensors: one call
+    # per forward, and the op a tracer of the public primitives still sees
+    # in a tape-free decode (perfbench counts it).
     if ops is tn.Kernels and n >= CONTIGUOUS_HEAD_ROWS and model.output_wt is not None:
         head = model.output_wt
     else:
         head = ops.transpose(ops.operand(model.output_w), (1, 0))
-    logits = tn.matmul(ops.rms_norm(x, ops.operand(model.final_norm), cfg.rms_eps), head)
-    return (x, logits) if isinstance(x, Tensor) else (Tensor(x), Tensor(logits))
+    normed = ops.rms_norm(x, ops.operand(model.final_norm), cfg.rms_eps)
+    if ops is tn.Kernels:
+        x, normed, head = Tensor(x), Tensor(normed), Tensor(head)
+    return x, tn.matmul(normed, head)
 
 
 def token_input_table(head: MTPHead) -> np.ndarray:

@@ -1,15 +1,16 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Each forward primitive is split in two. Its kernel, the attribute of
-:class:`Kernels` with its name, holds the forward math on plain ndarrays
-and checks nothing. The public primitive checks its operands and calls
-the kernel; called with arrays it returns the array and records nothing,
-called with Tensors under an active :class:`Tape` it also appends a
-backward closure for a gradient-bearing input, and ``Tape.backward``
-replays those in exact reverse order. Both paths run the same kernel,
-so their results are bitwise equal. The hot kernels call ufunc methods
-(``np.add.reduce``, ``np.maximum.reduce``) rather than ``np.sum``/
-``np.max``, which give the same bits without numpy's Python wrappers.
+The module has two op sets with the same names. A kernel, the attribute
+of :class:`Kernels` with its name, holds a forward primitive's math on
+plain ndarrays and checks nothing. The public primitive of that name
+takes Tensors only (an ndarray operand raises `TypeError` before any
+math runs), checks their shapes, calls the kernel and returns a Tensor;
+under an active :class:`Tape` it also appends a backward closure for a
+gradient-bearing input, and ``Tape.backward`` replays those in exact
+reverse order. Both op sets run the same kernel, so their results are
+bitwise equal. The hot kernels call ufunc methods (``np.add.reduce``,
+``np.maximum.reduce``) rather than ``np.sum``/``np.max``, which give the
+same bits without numpy's Python wrappers.
 
 A forward picks its op set once per call with `ops`: the kernels when no
 tape is active, this module's primitives under one. The two sets share
@@ -180,28 +181,32 @@ def ops():
     return Kernels if _ACTIVE_TAPE is None else _PRIMITIVES
 
 
-def operand(t: Tensor):
-    """How a forward passes `t` to the primitives: as is under a tape, its array otherwise."""
-    return t if _ACTIVE_TAPE is not None else t.data
+def operand(t: Tensor) -> Tensor:
+    """How a forward passes `t` to the primitives: as is (`Kernels` passes its array)."""
+    return t
 
 
-def constant(t: Tensor):
-    """Like `operand` for a weight that must get no gradient: a grad-free Tensor under a tape."""
-    return Tensor(t.data) if _ACTIVE_TAPE is not None else t.data
+def constant(t: Tensor) -> Tensor:
+    """Like `operand` for a weight that must get no gradient: a grad-free Tensor over its array."""
+    return Tensor(t.data)
 
 
-def stacked(buffer: Array, parts: Sequence[Tensor]):
-    """How a forward passes weights that are consecutive views of one buffer.
+def stacked(buffer: Array, parts: Sequence[Tensor]) -> Tensor:
+    """How a forward passes weights that are consecutive views of one buffer:
+    a Tensor over the same memory whose gradient goes to `parts`, one
+    slice of the first axis each (`Kernels` passes `buffer` itself)."""
+    return _record(buffer, tuple, *parts)
 
-    With no tape active that is `buffer` itself. Under a tape it is a
-    Tensor over the same memory whose gradient goes to `parts`, one
-    slice of the first axis each.
-    """
-    return buffer if _ACTIVE_TAPE is None else _record(buffer, tuple, *parts)
+
+def _data(t: Tensor) -> Array:
+    """A primitive operand's array; anything but a Tensor raises before any math runs."""
+    if not isinstance(t, Tensor):
+        raise TypeError(f"a primitive's operands must be Tensors, not {type(t).__name__}")
+    return t.data
 
 
 def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Tensor:
-    """Wrap the result of a primitive called with Tensors.
+    """Wrap the result of a primitive as a Tensor.
 
     If a tape is active and an input needs gradients, the tape gets a
     backward step: for the output gradient g, `grads(g)` returns each
@@ -209,8 +214,6 @@ def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Ten
     Every consumer of the output replays before this step, so g is final
     here and the step releases it: the tape holds only live gradients.
     """
-    if not all(isinstance(t, Tensor) for t in inputs):
-        raise TypeError("a primitive's operands must be all Tensors or all arrays")
     result = Tensor(out)
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -232,11 +235,11 @@ def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Ten
 class Kernels:
     """Each forward primitive's math on arrays, with no checks and no tape.
 
-    A primitive checks its operands and calls its kernel for the forward,
-    so the math exists once. A forward that checked its inputs where they
-    entered runs on the kernels when no tape is active (`ops`): the
-    weights were checked where they were built or loaded, and the shape
-    of every other operand follows from them. The names are the
+    A primitive checks its Tensor operands and calls its kernel for the
+    forward, so the math exists once. A forward that checked its inputs
+    where they entered runs on the kernels when no tape is active (`ops`):
+    the weights were checked where they were built or loaded, and the
+    shape of every other operand follows from them. The names are the
     primitives', `operand`, `constant` and `stacked` included, so one
     forward definition runs on either op set.
     """
@@ -302,47 +305,40 @@ def _swap_halves(x: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# primitives: an array call returns at ``x is a``, before any gradient rule exists
+# primitives: Tensors in, a Tensor out, the gradient rule recorded under a tape
 
 
-def add(a, b):
-    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    x, y = _data(a), _data(b)
     if x.shape != y.shape:
         raise ShapeError(f"add: shapes {x.shape} vs {y.shape}")
-    out = Kernels.add(x, y)
-    return out if x is a else _record(out, lambda g: (g, g), a, b)
+    return _record(Kernels.add(x, y), lambda g: (g, g), a, b)
 
 
-def mul(a, b):
-    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    x, y = _data(a), _data(b)
     if x.shape != y.shape:
         raise ShapeError(f"mul: shapes {x.shape} vs {y.shape}")
-    out = Kernels.mul(x, y)
-    return out if x is a else _record(out, lambda g: (g * y, g * x), a, b)
+    return _record(Kernels.mul(x, y), lambda g: (g * y, g * x), a, b)
 
 
-def scale(a, s: float):
-    x = a.data if isinstance(a, Tensor) else a
-    out = Kernels.scale(x, s)
-    return out if x is a else _record(out, lambda g: (g * s,), a)
+def scale(a: Tensor, s: float) -> Tensor:
+    return _record(Kernels.scale(_data(a), s), lambda g: (g * s,), a)
 
 
-def matmul(a, b):
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; batched operands must share leading dimensions.
 
     A 2-D left operand may also meet a stacked (n, k, j) right operand:
     the result stacks its n products, (n, m, j), and the left operand's
     gradient adds their n gradients from the last to the first.
     """
-    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+    x, y = _data(a), _data(b)
     if x.ndim < 2 or y.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
     stacked_right = x.ndim == 2 and y.ndim == 3
     if x.shape[-1] != y.shape[-2] or (x.shape[:-2] != y.shape[:-2] and not stacked_right):
         raise ShapeError(f"matmul: shapes {x.shape} vs {y.shape}")
-    out = Kernels.matmul(x, y)
-    if x is a:
-        return out
 
     def grads(g):
         gx = g @ y.swapaxes(-1, -2)
@@ -352,20 +348,18 @@ def matmul(a, b):
                 gx = gx + part
         return gx, x.swapaxes(-1, -2) @ g
 
-    return _record(out, grads, a, b)
+    return _record(Kernels.matmul(x, y), grads, a, b)
 
 
-def transpose(a, axes: Sequence[int]):
-    x = a.data if isinstance(a, Tensor) else a
-    out = Kernels.transpose(x, axes)
-    return out if x is a else _record(  # sorted(...) is the inverse permutation
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    out = Kernels.transpose(_data(a), axes)
+    return _record(  # sorted(...) is the inverse permutation
         out, lambda g: (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),), a)
 
 
-def reshape(a, shape: Sequence[int]):
-    x = a.data if isinstance(a, Tensor) else a
-    out = Kernels.reshape(x, shape)
-    return out if x is a else _record(out, lambda g: (g.reshape(x.shape),), a)
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    x = _data(a)
+    return _record(Kernels.reshape(x, shape), lambda g: (g.reshape(x.shape),), a)
 
 
 def rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -375,19 +369,16 @@ def rows(a: Tensor, start: int, stop: int) -> Tensor:
     return take(a, slice(start, stop))[0]
 
 
-def take(a, *keys):
+def take(a: Tensor, *keys) -> tuple[Tensor, ...]:
     """The parts a[key] along the first axis, one per key (an int or a slice).
 
-    The keys must pick disjoint parts. With arrays the parts are views.
-    Under a tape this is the one primitive with several outputs, so it
-    records its own backward step rather than going through `_record`:
+    The keys must pick disjoint parts; each is a Tensor over a view of
+    `a`. This is the one primitive with several outputs, so under a tape
+    it records its own backward step rather than going through `_record`:
     that step moves the parts' gradients into one zero array for `a`.
     """
-    x = a.data if isinstance(a, Tensor) else a
-    parts = Kernels.take(x, *keys)
-    if x is a:
-        return parts
-    outs = tuple([Tensor(part) for part in parts])
+    x = _data(a)
+    outs = tuple([Tensor(part) for part in Kernels.take(x, *keys)])
     tape = _ACTIVE_TAPE
     if tape is not None and a.requires_grad:
         for out in outs:
@@ -404,53 +395,47 @@ def take(a, *keys):
     return outs
 
 
-def concat_last(a, b):
-    x, y = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+def concat_last(a: Tensor, b: Tensor) -> Tensor:
+    x, y = _data(a), _data(b)
     if x.shape[:-1] != y.shape[:-1]:
         raise ShapeError(f"concat_last: shapes {x.shape} vs {y.shape}")
-    out = Kernels.concat_last(x, y)
     split = x.shape[-1]
-    return out if x is a else _record(out, lambda g: (g[..., :split], g[..., split:]), a, b)
+    return _record(Kernels.concat_last(x, y), lambda g: (g[..., :split], g[..., split:]), a, b)
 
 
-def embedding(table, ids):
+def embedding(table: Tensor, ids) -> Tensor:
     """Row gather from an embedding table; backward is a scatter-add."""
-    w = table.data if isinstance(table, Tensor) else table
+    w = _data(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeError("embedding ids must be a 1-D sequence")
     n_rows = w.shape[0]
     if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= n_rows):
         raise IndexError(f"token id outside embedding table of size {n_rows}")
-    out = Kernels.embedding(w, ids)
-    if w is table:
-        return out
 
     def scatter_add(g):  # adds into the table's gradient itself, so returns no gradients
         table.accumulate_grad(g, ids)
         return ()
 
-    return _record(out, scatter_add, table)
+    return _record(Kernels.embedding(w, ids), scatter_add, table)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _record(np.sum(a.data), lambda g: (np.full_like(a.data, float(g)),), a)
+    x = _data(a)
+    return _record(np.sum(x), lambda g: (np.full_like(x, float(g)),), a)
 
 
-def silu(a):
-    x = a.data if isinstance(a, Tensor) else a
-    out = Kernels.silu(x)
-    if x is a:
-        return out
+def silu(a: Tensor) -> Tensor:
+    x = _data(a)
 
     def grads(g):
         sig = _sigmoid(x)
         return (g * sig * (1.0 + x * (1.0 - sig)),)
 
-    return _record(out, grads, a)
+    return _record(Kernels.silu(x), grads, a)
 
 
-def rms_norm(x, gamma, eps: float = 1e-6):
+def rms_norm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by gamma.
 
     Each row is divided by sqrt(mean(x^2) + eps) and multiplied
@@ -458,15 +443,12 @@ def rms_norm(x, gamma, eps: float = 1e-6):
     on arrays: a one-row forward takes them on a Python float (the same
     bits), but the gradient's `inv ** 3` would round differently there.
     """
-    xd, gd = (x.data, gamma.data) if isinstance(x, Tensor) else (x, gamma)
+    xd, gd = _data(x), _data(gamma)
     if eps < 0:
         raise ValueError("rms_norm eps must be nonnegative")
     d = xd.shape[-1]
     if gd.shape != (d,):
         raise ShapeError(f"rms_norm: gamma shape {gd.shape} vs last dim {d}")
-    out = Kernels.rms_norm(xd, gd, eps)
-    if xd is x:
-        return out
 
     def grads(g):
         inv = _inv_rms(np.add.reduce(xd * xd, axis=-1, keepdims=True), d, eps)
@@ -476,23 +458,22 @@ def rms_norm(x, gamma, eps: float = 1e-6):
         return (inv * u - (inv ** 3) * xd * s / d,
                 np.add.reduce(g * normed, axis=tuple(range(g.ndim - 1))))
 
-    return _record(out, grads, x, gamma)
+    return _record(Kernels.rms_norm(xd, gd, eps), grads, x, gamma)
 
 
-def softmax_last(x, mask: Array | None = None):
+def softmax_last(x: Tensor, mask: Array | None = None) -> Tensor:
     """Numerically stabilized softmax over the last axis.
 
     `mask` is an additive constant (0 for allowed, -inf for disallowed)
     broadcast onto the scores before the max-subtraction. Rows must keep
     at least one finite entry.
     """
-    xd = x.data if isinstance(x, Tensor) else x
-    y = Kernels.softmax_last(xd, mask)
-    return y if xd is x else _record(
+    y = Kernels.softmax_last(_data(x), mask)
+    return _record(
         y, lambda g: (y * (g - np.add.reduce(g * y, axis=-1, keepdims=True)),), x)
 
 
-def rope_rotate(x, cos: Array, sin: Array):
+def rope_rotate(x: Tensor, cos: Array, sin: Array) -> Tensor:
     """Rotary position transform on the last axis, split-half pairing.
 
     The last axis is split into two halves (x1, x2); the output is
@@ -506,22 +487,19 @@ def rope_rotate(x, cos: Array, sin: Array):
     split-half rule (g1*cos + g2*sin, -g1*sin + g2*cos) for the same
     reasons.
     """
-    xd = x.data if isinstance(x, Tensor) else x
+    xd = _data(x)
     dh = xd.shape[-1]
     if dh % 2:
         raise ShapeError("rope_rotate needs an even last dimension")
     if cos.shape[-1] != dh or sin.shape[-1] != dh:
         raise ShapeError("rope tables do not match the full width")
-    out = Kernels.rope_rotate(xd, cos, sin)
-    if xd is x:
-        return out
 
     def grads(g):
         gx = _swap_halves(g * sin)
         gx += g * cos
         return (gx,)
 
-    return _record(out, grads, x)
+    return _record(Kernels.rope_rotate(xd, cos, sin), grads, x)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +539,7 @@ def cross_entropy_rows(logits: Tensor, targets, row_weights) -> Tensor:
     """
     targets = np.asarray(targets, dtype=np.int64)
     weights = np.asarray(row_weights, dtype=np.float64)
-    n, v = logits.data.shape
+    n, v = _data(logits).shape
     if targets.shape != (n,) or weights.shape != (n,):
         raise ShapeError("targets/row_weights must match the number of logit rows")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
@@ -602,7 +580,7 @@ def _causal_mask(m: int, s: int, past_len: int) -> Array:
     return table[past_len:past_len + m, :s]
 
 
-def causal_attention(q, k, v, past_len: int = 0):
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, past_len: int = 0) -> Tensor:
     """Scaled dot-product attention with a strict causal mask.
 
     q has T query rows; k/v carry past_len + T rows (the already-seen
@@ -610,6 +588,8 @@ def causal_attention(q, k, v, past_len: int = 0):
     positions <= past_len + j, so a single query row needs no mask.
     Supports an optional leading head axis.
     """
+    for t in (q, k, v):
+        _data(t)  # an array raises TypeError here, before the checks below
     if past_len < 0:
         raise ValueError("past_len must be nonnegative")
     if k.shape != v.shape:
@@ -619,7 +599,7 @@ def causal_attention(q, k, v, past_len: int = 0):
     m, s = q.shape[-2], k.shape[-2]
     if s != past_len + m:
         raise ShapeError(f"key rows {s} != past_len {past_len} + query rows {m}")
-    return _attend(_PRIMITIVES if isinstance(q, Tensor) else Kernels, q, k, v, past_len)
+    return _attend(_PRIMITIVES, q, k, v, past_len)
 
 
 def _attend(op_set, q, k, v, past_len: int):

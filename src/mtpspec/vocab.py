@@ -129,8 +129,10 @@ class CompressedVocab:
         ids = obj["keep"]
         if type(ids) is not list or any(type(i) is not int for i in ids):
             raise ConfigError("compressed vocabulary keep must be a list of integer ids")
-        if obj.get("size", len(ids)) != len(ids):
-            raise ConfigError(f"compressed vocabulary size {obj['size']} != {len(ids)} ids")
+        size = obj.get("size", len(ids))
+        if type(size) is not int or size != len(ids):
+            raise ConfigError(f"compressed vocabulary size {size!r} must be the integer "
+                              f"{len(ids)}, its number of ids")
         keep = np.asarray(sorted(ids), dtype=np.int64)
         if not keep.size or keep[0] < 0 or keep[-1] >= vocab_size:
             raise ConfigError(f"compressed vocabulary ids must be a nonempty "

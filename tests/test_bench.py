@@ -34,7 +34,7 @@ class TestBenchTask:
     def test_validation(self):
         with pytest.raises(ConfigError):
             BenchTask(name="x", prompts=[], lang=None, max_new_tokens=4)
-        for budget in (0, -1, -48):
+        for budget in (0, -1, -48, 2.5, True):
             with pytest.raises(ConfigError, match="max_new_tokens"):
                 BenchTask(name="x", prompts=[[1, 2]], lang=None, max_new_tokens=budget)
         assert BenchTask(name="x", prompts=[[1, 2]], lang=None, max_new_tokens=1)

@@ -61,8 +61,12 @@ class TestTrainingExample:
         '{"prompt": [1], "response": [2], "lang": "t"}',
         '{"prompt": [1], "response": [], "lang": "t", "source": "t"}',
         '{"prompt": 1, "response": [2], "lang": "t", "source": "t"}',
+        '{"prompt": [1], "response": [2], "lang": 5, "source": "t"}',
+        '{"prompt": [1], "response": [2], "lang": "t", "source": null}',
+        '{"prompt": [1], "response": [2], "lang": "t", "source": "t", "truncated": "no"}',
     ], ids=["invalid-json", "not-an-object", "missing-key", "empty-response",
-            "prompt-not-a-list"])
+            "prompt-not-a-list", "lang-not-a-string", "source-not-a-string",
+            "truncated-not-a-bool"])
     def test_malformed_line_rejected_on_load(self, tmp_path, line):
         path = tmp_path / "data.jsonl"
         save_dataset(path, [TrainingExample([1, 2], [3, 4], "t", "t")])

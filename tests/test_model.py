@@ -42,7 +42,8 @@ def assert_token_table_parity(head: MTPHead) -> None:
     table = DecodeSession(head.main, head, [1], 1).token_table
     assert table.shape == (cfg.vocab_size, cfg.model_dim)
     for t in range(cfg.vocab_size):
-        row = tn.rms_norm(tn.embedding(head.embed.data, [t]), head.norm_embed.data, cfg.rms_eps)
+        row = tn.Kernels.rms_norm(tn.Kernels.embedding(head.embed.data, [t]),
+                                  head.norm_embed.data, cfg.rms_eps)
         assert np.array_equal(table[t:t + 1], row), t
 
 
@@ -475,7 +476,7 @@ class TestDeskShape:
             cache = prefix.clone()
             cache.truncate(rows * 37 % (cfg.max_seq_len - rows + 1))
             hidden, logits = main_forward(main, rng.integers(cfg.vocab_size, size=rows), cache)
-            normed = tn.rms_norm(hidden.data, main.final_norm.data, cfg.rms_eps)
+            normed = tn.Kernels.rms_norm(hidden.data, main.final_norm.data, cfg.rms_eps)
             assert np.array_equal(logits.data, normed @ main.embed.data.T), rows
 
     def test_gradients_through_stacked_projection(self):
@@ -571,7 +572,7 @@ class TestOutputHeadCopy:
         main, _ = models
         assert not main.frozen and main.output_wt is None
         hidden, logits = main_forward(main, list(range(rows)), main.new_cache())
-        normed = tn.rms_norm(hidden.data, main.final_norm.data, CFG.rms_eps)
+        normed = tn.Kernels.rms_norm(hidden.data, main.final_norm.data, CFG.rms_eps)
         assert np.array_equal(logits.data, normed @ main.embed.data.T)
 
     @pytest.mark.parametrize("taped", [False, True], ids=["free", "taped"])

@@ -169,11 +169,12 @@ class TestCompressVocab:
         {"lang": "en", "keep": {"1": 7}},
         {"lang": ["en"], "keep": [1, 7]},
         {"lang": None, "keep": [1, 7]},
+        {"lang": "t", "size": True, "keep": [3]},
         '{"lang": "t", "size": 2, "keep": [1, 7',
         '[1, 7]',
     ], ids=["duplicate", "negative", "out-of-range", "missing-keep", "missing-lang",
             "keep-not-a-list", "keep-a-string", "keep-an-object", "lang-a-list",
-            "lang-null", "invalid-json", "not-an-object"])
+            "lang-null", "size-a-bool", "invalid-json", "not-an-object"])
     def test_malformed_ids_rejected_on_load(self, tmp_path, obj):
         path = tmp_path / "cv.json"
         path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
