@@ -39,7 +39,8 @@ PINS = {
     "verify16": "426d678747723e0b07dc55934cf425b39be8b76ee38d4268efa625a3ebfcfa18",
     "main_grads": "dd0154a50e19200f39645f347af3f167f2885e91788567fa7cdf39a906324660",
     "head_grads": "46854a1f04f4d1f379722fdb6f16415c8887f211b59c4be481fd962f334609e5",
-    "spec": "e8e78db6742dcdf7d96cd5f16c154fcba4eb051c01c900a4314575f48ce59a40",
+    "spec_tokens": "a9ae72b1285bf5485c8647d3cb16caf97386e3940c14c9f818b41caaf8fe2921",
+    "spec_drafting": "27b77ba9abbe8e811a40301073aa7d40ebe446395f5dabddbeeed07f908dc5d9",
 }
 
 
@@ -82,14 +83,23 @@ def forward_digests() -> dict[str, str]:
 
 def decode_digests() -> dict[str, str]:
     """One speculative decode at K=3 on the committed stack, over a two-entry bank
-    that picks by context: its tokens and counters (rebuilding the stack moves it)."""
+    that picks by context (rebuilding the stack moves both pins). `spec_tokens`
+    holds what the verify rule decides: tokens, rounds and per-step reached and
+    accepted counts. `spec_drafting` holds the work spent getting there: draft
+    steps, draft multiplies and backbone forwards."""
     main = MainModel.load(STACK / "main.npz")
     head = MTPHead.load(STACK / "head.npz", main)
     bank = VocabBank(main, [load_compressed_vocab(STACK / f"vocab_{tag}_128.json", 512)
                             for tag in ("zh", "en")])
     tokens, m = speculative_decode(main, head, sample_prompts("en", 111, 1, 24)[0], 64, 3,
                                    vocab=bank)
-    return {"spec": digest(np.array(tokens), np.array([m.rounds, m.draft_forwards, m.draft_mults]))}
+    steps = range(1, 4)
+    return {
+        "spec_tokens": digest(np.array(tokens), np.array([m.rounds]),
+                              np.array([m.reached.get(k, 0) for k in steps]),
+                              np.array([m.accepted.get(k, 0) for k in steps])),
+        "spec_drafting": digest(np.array([m.draft_forwards, m.draft_mults, m.main_forwards])),
+    }
 
 
 def gradient_digests() -> dict[str, str]:
