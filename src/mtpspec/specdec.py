@@ -1,7 +1,7 @@
 """Lossless speculative decoding with a recursive single-head drafter.
 
 Each round drafts up to K tokens (none at K=0) by running the head over
-its own stream, then verifies them with one backbone forward: drafts are
+its own stream, then verifies them with the backbone: drafts are
 accepted left to right until the first position where they differ from
 the backbone's greedy choice, whose own token is then committed as well.
 One rollback rule follows: the backbone cache keeps every verified token
@@ -10,6 +10,22 @@ came from the backbone. So the output is token-exact equal to plain
 greedy decoding. `verify_round` returns the record it logs. Each round
 drafts over the vocabulary the session's `VocabBank` selects for its
 context; a session without a bank drafts over the full vocabulary.
+
+A round verifies [last verified token, drafts] in one backbone forward,
+unless the session's last drafting round had its first draft rejected:
+first-draft acceptance runs in streaks, so such a round first runs the
+backbone over the last verified token alone, drafts step 1, and drafts
+no further if that draft is rejected; `verify_round` then forwards only
+the rows not yet run, and none after a rejected first draft. Tokens,
+rounds, tau and per-step rates are those of one-forward rounds; draft
+steps fall, and backbone forwards rise where a checked first draft is
+accepted. Speed ratio, one-forward rounds' time over this rule's (K=3,
+seed 601 requests, median of interleaved passes):
+
+    committed perfbench stack           1.255
+    reduced-pipeline head               1.216
+    depth-2 stack, rebuilt              1.010 (a tie)
+    depth-8 backbone                    1.009 (a tie)
 
 A session's head must be bound to its backbone, whose embeddings it
 drafts from. Each session normalizes the shared embedding table with the
@@ -39,7 +55,7 @@ from .vocab import VocabBank, draft_logits_compressed
 class DecodeMetrics:
     rounds: int = 0
     output_tokens: int = 0            # committed by verify rounds (prefill excluded)
-    main_forwards: int = 0            # rounds + 1 (the prefill)
+    main_forwards: int = 0            # the prefill plus each round's `forwards` (1 or 2)
     draft_forwards: int = 0           # total drafted steps
     reached: dict[int, int] = field(default_factory=dict)
     accepted: dict[int, int] = field(default_factory=dict)
@@ -52,7 +68,8 @@ class DecodeMetrics:
 
     @property
     def tau(self) -> float:
-        """Mean committed tokens per verification forward."""
+        """Mean committed tokens per round (a round may run two backbone
+        forwards, so this is not per verification forward)."""
         return self.output_tokens / self.rounds if self.rounds else float("nan")
 
     def rate(self, k: int) -> float:
@@ -62,10 +79,13 @@ class DecodeMetrics:
 
     @property
     def c_draft(self) -> float:
-        """Mean draft-step time over mean verification-forward time."""
-        if not self.draft_forwards or not self.rounds:
+        """Mean draft-step time over mean verification-forward time. The
+        verification forwards are the rounds' `forwards`: `main_forwards - 1`
+        for one decode, and still right when decodes are pooled."""
+        verify_forwards = sum(r["forwards"] for r in self.records)
+        if not self.draft_forwards or not verify_forwards:
             return 0.0
-        return (self.draft_ns / self.draft_forwards) / (self.verify_ns / self.rounds)
+        return (self.draft_ns / self.draft_forwards) / (self.verify_ns / verify_forwards)
 
     def tally(self, drafted: int, matched: int) -> None:
         """Count one round's draft steps: step k is reached when every
@@ -97,6 +117,10 @@ class DraftRound:
     lang: str
     base_verified: int
     draft_ns: int = 0
+    # the backbone's greedy choices after the rows `draft_round` already ran
+    # (none, or the last verified token's), and that forward's time
+    greedy: list[int] = field(default_factory=list)
+    verify_ns: int = 0
 
 
 def _checked_request(main: MainModel, prompt, max_new_tokens) -> tuple[list[int], int]:
@@ -145,6 +169,8 @@ class DecodeSession:
         self.verified: list[int] = list(prompt)
         self.metrics = DecodeMetrics()
         self.finished = False
+        # whether the last round that drafted had its first draft rejected
+        self.first_draft_rejected = False
         self.token_table = token_input_table(head)
 
     @property
@@ -172,12 +198,19 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
     of the following verified token) and emits the first draft; later
     steps feed the head's own output hidden plus the previous draft's
     embedding. Greedy choice runs over the vocabulary the bank selects.
+
+    When the session's last drafting round had its first draft rejected,
+    the round first runs the backbone over the last verified token (the
+    row `verify_round` would run first), and stops drafting after step 1
+    if that draft differs from the backbone's greedy choice.
     """
     cv = session.bank.select(session.lang, session.verified)
     stream_len = session.draft_cache.length
     n_hidden = session.main_cache.length
     h_in = session.hiddens[stream_len:n_hidden]
     step_tokens = session.verified[stream_len + 1:n_hidden + 1]
+    greedy, verify_ns = (_verify_rows(session, [session.verified[-1]])
+                         if session.first_draft_rejected else ([], 0))
     tokens: list[int] = []
     round_ns = 0
     while len(tokens) < k_depth and (not tokens or tokens[-1] != session.eos):
@@ -187,33 +220,49 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
         _, tok = draft_logits_compressed(pre.data[-1], cv)
         round_ns += time.perf_counter_ns() - t0
         tokens.append(tok)
+        if greedy and tokens[0] != greedy[0]:
+            break
         h_in, step_tokens = h_new.data[-1:], [tok]
 
     session.metrics.draft_ns += round_ns
     session.metrics.draft_forwards += len(tokens)
     session.metrics.draft_mults += len(tokens) * cv.w_view.size
     return DraftRound(tokens=tokens, lang=cv.lang, base_verified=len(session.verified),
-                      draft_ns=round_ns)
+                      draft_ns=round_ns, greedy=greedy, verify_ns=verify_ns)
+
+
+def _verify_rows(session: DecodeSession, rows: list[int]) -> tuple[list[int], int]:
+    """One backbone forward over `rows` after the cached prefix: store their
+    hiddens, count the forward, and return the greedy choice after each row
+    and the forward's time."""
+    t0 = time.perf_counter_ns()
+    hidden, logits = main_forward(session.main, rows, session.main_cache)
+    ns = time.perf_counter_ns() - t0
+    session.metrics.verify_ns += ns
+    session.metrics.main_forwards += 1
+    end = session.main_cache.length
+    session.hiddens[end - len(rows):end] = hidden.data
+    return greedy_rows(logits.data), ns
 
 
 def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
-    """One backbone forward over [last verified token, drafts]; commit the
-    matched prefix plus the backbone's own next token, roll both caches
-    back, and return the round's record (also appended to the metrics)."""
-    if rnd.base_verified != len(session.verified):
+    """One backbone forward over the rows of [last verified token, drafts]
+    that `draft_round` has not run, or none when `draft_round` already saw
+    the first draft rejected; commit the matched prefix plus the backbone's
+    own next token, roll both caches back, and return the round's record
+    (also appended to the metrics)."""
+    if (rnd.base_verified != len(session.verified)
+            or session.main_cache.length != rnd.base_verified - 1 + len(rnd.greedy)):
         raise StateError("draft round does not match current session state")
 
-    input_tokens = [session.verified[-1]] + rnd.tokens
-    t0 = time.perf_counter_ns()
-    hidden, logits = main_forward(session.main, input_tokens, session.main_cache)
-    verify_ns = time.perf_counter_ns() - t0
-    session.metrics.verify_ns += verify_ns
-    session.metrics.main_forwards += 1
+    greedy, verify_ns = list(rnd.greedy), rnd.verify_ns
+    forwards = 1 if greedy else 0
+    if rnd.tokens[:len(greedy)] == greedy:
+        more, ns = _verify_rows(session, ([session.verified[-1]] + rnd.tokens)[len(greedy):])
+        greedy += more
+        verify_ns += ns
+        forwards += 1
 
-    end = session.main_cache.length
-    session.hiddens[end - len(input_tokens):end] = hidden.data
-
-    greedy = greedy_rows(logits.data)
     matched = 0
     while matched < len(rnd.tokens) and rnd.tokens[matched] == greedy[matched]:
         matched += 1
@@ -237,6 +286,8 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
     # drop the drafted positions: keep those whose hidden came from the backbone
     session.draft_cache.truncate(min(session.draft_cache.length, rnd.base_verified - 1))
 
+    if rnd.tokens:
+        session.first_draft_rejected = matched == 0
     m = session.metrics
     m.rounds += 1
     m.output_tokens += len(committed)
@@ -250,7 +301,8 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
         "next_token": bonus_committed,
         "draft_ns": rnd.draft_ns,
         "verify_ns": verify_ns,
-        "verify_vocab_width": int(logits.shape[-1]),
+        "verify_vocab_width": session.main.config.vocab_size,
+        "forwards": forwards,
     }
     m.records.append(record)
     return record
@@ -311,6 +363,7 @@ def read_round_log(path) -> list[dict]:
     """Read a round log; each record's counts must fit its own drafts and width."""
     out = []
     for lineno, rec in read_json_lines(path):
+        rec = {"forwards": 1, **rec}  # a record without the field ran one forward
         problem = _round_record_problem(rec)
         if problem:
             raise ConfigError(f"{path}:{lineno}: {problem}")
@@ -330,6 +383,8 @@ def _round_record_problem(rec: dict) -> str | None:
         return f"matched must be an integer in [0, {len(drafts)}]"
     if type(committed) is not int or not 1 <= committed <= matched + 1:
         return f"committed must be an integer in [1, {matched + 1}]"
+    if type(rec["forwards"]) is not int or rec["forwards"] not in (1, 2):
+        return "forwards must be 1 or 2"
     return None
 
 

@@ -40,7 +40,7 @@ PINS = {
     "main_grads": "dd0154a50e19200f39645f347af3f167f2885e91788567fa7cdf39a906324660",
     "head_grads": "46854a1f04f4d1f379722fdb6f16415c8887f211b59c4be481fd962f334609e5",
     "spec_tokens": "a9ae72b1285bf5485c8647d3cb16caf97386e3940c14c9f818b41caaf8fe2921",
-    "spec_drafting": "27b77ba9abbe8e811a40301073aa7d40ebe446395f5dabddbeeed07f908dc5d9",
+    "spec_drafting": "73f4ca61abd47eecc9a3ee7bf3f8b8c059c3fb1713f50a755cdd96ce84830907",
 }
 
 

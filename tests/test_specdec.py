@@ -270,8 +270,8 @@ class TestDecodeLoopProperties:
 
     def test_drafting_fixture_reaches_every_round_shape(self, drafting):
         main, (_, mirror), _ = drafting
-        shapes = set()
-        for p in prompts(6, seed=21):
+        shapes, checked = set(), set()
+        for p in prompts(6, seed=21) + prompts(6, seed=23):
             free_run = baseline_decode(main, p, 30, eos_token=None)
             for eos in (None, free_run[-1]):
                 _, m = speculative_decode(main, mirror, p, 30, 4, eos_token=eos)
@@ -279,8 +279,21 @@ class TestDecodeLoopProperties:
                             "none accepted" if r["matched"] == 0 else "some accepted",
                             "cut by eos" if r["committed"] < r["matched"] + 1 else "whole")
                            for r in m.records if r["drafts"]}
+                # a round after a drafting round whose first draft was rejected checks
+                # its first draft: one forward and one draft when rejected, two when accepted
+                drafted = [r for r in m.records if r["drafts"]]
+                for prev, r in zip(drafted, drafted[1:]):
+                    if prev["matched"]:
+                        assert r["forwards"] == 1
+                    elif r["matched"]:
+                        checked.add("first accepted")
+                        assert r["forwards"] == 2
+                    else:
+                        checked.add("first rejected")
+                        assert (r["forwards"], len(r["drafts"])) == (1, 1)
         assert {s for s, _ in shapes} == {"all accepted", "some accepted", "none accepted"}
         assert ("all accepted", "cut by eos") in shapes
+        assert checked == {"first accepted", "first rejected"}
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(data=st.data())
@@ -304,7 +317,7 @@ class TestDecodeLoopProperties:
             assert m.main_forwards == 0 and m.output_tokens == 0
             return
         assert m.output_tokens == sum(r["committed"] for r in m.records) == len(out) - 1
-        assert m.main_forwards == m.rounds + 1
+        assert m.main_forwards == 1 + sum(r["forwards"] for r in m.records)
         # assert_array_equal takes nan as equal to nan
         np.testing.assert_array_equal(tau_from_records(m.records), m.tau)
         np.testing.assert_array_equal(rates_from_records(m.records, k),
@@ -353,6 +366,25 @@ class TestVerifyRule:
         assert rec["matched"] == 0
         assert rec["committed"] == 1 and session.verified[-1] == greedy[1]
 
+    def test_checked_round_stops_at_a_rejected_first_draft(self, stack):
+        main, head, _ = stack  # a random head: every draft is rejected
+        p = prompts(1, seed=19)[0]
+        greedy = baseline_decode(main, p, 3, eos_token=None)
+        session = self._session_with_prefill(main, head, p)
+        first = verify_round(session, draft_round(session, 3))
+        assert (len(first["drafts"]), first["matched"], first["forwards"]) == (3, 0, 1)
+        rnd = draft_round(session, 3)
+        assert len(rnd.tokens) == 1 and rnd.tokens != greedy[2:3]
+        rec = verify_round(session, rnd)
+        assert (rec["matched"], rec["committed"], rec["forwards"]) == (0, 1, 1)
+        assert rec["next_token"] == session.verified[-1] == greedy[2]
+        m = session.metrics
+        assert (m.main_forwards, m.draft_forwards) == (3, 4)
+        assert session.main_cache.length == len(session.verified) - 1
+        assert cache_consistency_gap(session) < 1e-9
+        np.testing.assert_array_equal(rates_from_records(m.records, 3),
+                                      [m.rate(k) for k in (1, 2, 3)])
+
     def test_round_session_mismatch_rejected(self, stack):
         main, head, _ = stack
         p = prompts(1, seed=7)[0]
@@ -360,6 +392,12 @@ class TestVerifyRule:
         stale = DraftRound(tokens=[1], lang="*", base_verified=len(session.verified) - 1)
         with pytest.raises(StateError):
             verify_round(session, stale)
+        # the random head's first draft is rejected, so the next draft_round runs a row
+        # that a hand-built round, which has run none, would run again
+        verify_round(session, draft_round(session, 3))
+        draft_round(session, 3)
+        with pytest.raises(StateError):
+            verify_round(session, self._manual_round(session, [1]))
 
     def test_head_bound_to_another_backbone_rejected(self, stack):
         main, _, _ = stack
@@ -410,7 +448,7 @@ class TestMetrics:
             assert len(out) == 20
             assert m.output_tokens == sum(r["committed"] for r in m.records)
             assert m.output_tokens == len(out) - 1  # prefill commits the first token
-            assert m.main_forwards == m.rounds + 1
+            assert m.main_forwards == 1 + sum(r["forwards"] for r in m.records)
             assert m.draft_forwards == sum(len(r["drafts"]) for r in m.records)
             assert 1.0 <= m.tau <= 4.0
             matched_total = sum(r["matched"] for r in m.records)
@@ -457,11 +495,16 @@ class TestMetrics:
         {"committed": 3},
         {"drafts": [1, 2], "matched": 5, "committed": -1},
         {"verify_vocab_width": None},
+        {"forwards": 3},
+        {"forwards": 0},
+        {"forwards": 1.0},
+        {"forwards": True},
         "[1, 2]",
         "7",
     ], ids=["draft-id-at-width", "negative-draft", "float-draft", "drafts-not-a-list",
             "matched-beyond-drafts", "negative-matched", "zero-committed",
             "committed-beyond-matched", "all-out-of-range", "missing-width",
+            "three-forwards", "zero-forwards", "float-forwards", "bool-forwards",
             "list-line", "number-line"])
     def test_malformed_round_log_rejected(self, tmp_path, fields):
         valid = {"round": 0, "drafts": [1, 2], "matched": 1, "committed": 2,
@@ -472,6 +515,29 @@ class TestMetrics:
         path.write_text(json.dumps(valid) + "\n" + bad + "\n")
         with pytest.raises(ConfigError, match="rounds.jsonl:2: "):
             read_round_log(path)
+
+    def test_round_log_record_without_forwards_ran_one(self, tmp_path):
+        path = tmp_path / "rounds.jsonl"
+        path.write_text(json.dumps({"round": 0, "drafts": [1], "matched": 1, "committed": 2,
+                                    "verify_vocab_width": 64}) + "\n")
+        assert read_round_log(path)[0]["forwards"] == 1
+
+    def test_c_draft_is_per_verification_forward(self, decoders):
+        """c_draft divides by the verification forwards: main_forwards - 1 per decode,
+        and the round count for decodes whose rounds each run one forward."""
+        for main, head, _, accepts in decoders:
+            runs = [speculative_decode(main, head, p, 20, 3, eos_token=None)[1]
+                    for p in prompts(3, seed=13)]
+            pooled = DecodeMetrics()
+            for m in runs:
+                pooled.merge(m)
+            for m, decodes in [(m, 1) for m in runs] + [(pooled, len(runs))]:
+                step_ns = m.draft_ns / m.draft_forwards
+                assert m.c_draft == step_ns / (m.verify_ns / (m.main_forwards - decodes))
+                if not accepts:  # every draft rejected: every round runs one forward
+                    assert m.c_draft == step_ns / (m.verify_ns / m.rounds)
+            if accepts:
+                assert pooled.main_forwards - len(runs) > pooled.rounds
 
     def test_merge_pools_counters_and_replays_rates(self, decoders):
         for main, head, small, accepts in decoders:
