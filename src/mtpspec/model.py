@@ -412,20 +412,8 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     return x, tn.matmul(normed, head)
 
 
-def token_input_table(head: MTPHead) -> np.ndarray:
-    """The head's token-side input for every vocabulary id, one row each.
-
-    Row t is `rms_norm(embed[t], norm_embed)`, the input `mtp_step`
-    computes for token t, with the same bits: the norm works row by row.
-    Drafting never changes `norm_embed` but training updates it in
-    place, so a decode session builds this table once and hands it to
-    `mtp_step`, and a head keeps none.
-    """
-    return tn.Kernels.rms_norm(head.embed.data, head.norm_embed.data, head.config.rms_eps)
-
-
 def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None,
-             pos_offset: int = 0, token_table: np.ndarray | None = None):
+             pos_offset: int = 0):
     """Advance the draft head's stream by the given hidden/token pairs.
 
     Each position combines the normalized previous hidden state with the
@@ -438,12 +426,8 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     `main_forward`, it runs on the kernels when no tape is active and
     checks its inputs here: `h_prev` must be (tokens, model_dim)
     (`ShapeError`), the tokens vocabulary ids (`IndexError`), and the
-    cache and rotary table must have room (`CapacityError`).
-    A tape-free caller may pass `token_input_table(head)` as
-    `token_table` to gather the token-side rows rather than normalize
-    each embedding (the same bits); under a tape, where `norm_embed`
-    needs its gradient, a table raises `StateError`, and so does a cache,
-    as in `main_forward`.
+    cache and rotary table must have room (`CapacityError`). Under a
+    tape a cache raises `StateError`, as in `main_forward`.
     """
     cfg = head.config
     ops = tn.ops()
@@ -455,8 +439,6 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     if h_prev.shape != (tokens.size, cfg.model_dim):
         raise ShapeError(f"h_prev shape {h_prev.shape} must be ({tokens.size} tokens, "
                          f"model_dim {cfg.model_dim})")
-    if token_table is not None and ops is not tn.Kernels:
-        raise StateError("a token input table serves tape-free steps only")
     if cache is not None and ops is not tn.Kernels:
         raise StateError("a KV cache serves tape-free steps only")
     m = tokens.size
@@ -466,11 +448,8 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     cos, sin = head.rope.slices(pos, m)
 
     hn = ops.rms_norm(h_prev, ops.operand(head.norm_hidden), cfg.rms_eps)
-    if token_table is None:
-        en = ops.rms_norm(ops.embedding(ops.constant(head.embed), tokens),
-                          ops.operand(head.norm_embed), cfg.rms_eps)
-    else:
-        en = ops.embedding(token_table, tokens)
+    en = ops.rms_norm(ops.embedding(ops.constant(head.embed), tokens),
+                      ops.operand(head.norm_embed), cfg.rms_eps)
     x = ops.matmul(ops.concat_last(hn, en), ops.operand(head.combine))
     h_new = block_forward(head.block, x, cos, sin, cfg=cfg, cache=cache, layer=0)
     if cache is not None:

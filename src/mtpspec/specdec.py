@@ -28,11 +28,7 @@ seed 601 requests, median of interleaved passes):
     depth-8 backbone                    1.009 (a tie)
 
 A session's head must be bound to its backbone, whose embeddings it
-drafts from. Each session normalizes the shared embedding table with the
-head's `norm_embed` once (`model.token_input_table`), and every draft
-step gathers its token-side rows from that table: the norm works row by
-row, so the rows are the per-token bits. The table lives on the session,
-not the head, because training updates `norm_embed` in place.
+drafts from.
 """
 
 from __future__ import annotations
@@ -46,8 +42,7 @@ import numpy as np
 
 from .data import EOS_TOKEN, read_json_lines
 from .errors import CapacityError, ConfigError, ShapeError, StateError
-from .model import (MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step,
-                    token_input_table)
+from .model import MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step
 from .vocab import VocabBank, draft_logits_compressed
 
 
@@ -141,8 +136,7 @@ def _checked_request(main: MainModel, prompt, max_new_tokens) -> tuple[list[int]
 
 
 class DecodeSession:
-    """Mutable per-generation state: caches, hidden history, metrics, and
-    the head's token-input table."""
+    """Mutable per-generation state: caches, hidden history and metrics."""
 
     def __init__(self, main: MainModel, head: MTPHead, prompt,
                  max_new_tokens: int, vocab: VocabBank | None = None,
@@ -171,7 +165,6 @@ class DecodeSession:
         self.finished = False
         # whether the last round that drafted had its first draft rejected
         self.first_draft_rejected = False
-        self.token_table = token_input_table(head)
 
     @property
     def generated(self) -> int:
@@ -215,8 +208,7 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
     round_ns = 0
     while len(tokens) < k_depth and (not tokens or tokens[-1] != session.eos):
         t0 = time.perf_counter_ns()
-        h_new, pre = mtp_step(session.head, h_in, step_tokens, session.draft_cache,
-                              token_table=session.token_table)
+        h_new, pre = mtp_step(session.head, h_in, step_tokens, session.draft_cache)
         _, tok = draft_logits_compressed(pre.data[-1], cv)
         round_ns += time.perf_counter_ns() - t0
         tokens.append(tok)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FALLBACK_LANG, SPECIAL_TOKENS, read_json
-from .errors import ConfigError, ConsistencyError, EmptyCorpusError
+from .errors import ConfigError, ConsistencyError, EmptyCorpusError, StateError
 from .model import MainModel
 
 DETECT_WINDOW = 128  # trailing context tokens an untagged selection counts
@@ -107,7 +107,13 @@ class CompressedVocab:
         return int(self.keep.size)
 
     def bind(self, main: MainModel) -> "CompressedVocab":
-        """Extract the output-head row subset this vocabulary drafts against."""
+        """Copy the output-head rows this vocabulary drafts against.
+
+        The backbone must be frozen (`StateError` otherwise): training
+        updates the head in place, which the copied rows would not follow.
+        """
+        if not main.frozen:
+            raise StateError("a compressed vocabulary binds to a frozen backbone only")
         w = main.output_w.data
         self.w_view = w[self.keep]
         self._w_source = w

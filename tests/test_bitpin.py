@@ -16,8 +16,7 @@ import pytest
 
 from mtpspec import tensor as tn
 from mtpspec.data import sample_prompts
-from mtpspec.model import (MainModel, ModelConfig, MTPHead, init_model, main_forward, mtp_step,
-                           token_input_table)
+from mtpspec.model import MainModel, ModelConfig, MTPHead, init_model, main_forward, mtp_step
 from mtpspec.specdec import speculative_decode
 from mtpspec.tensor import Tape
 from mtpspec.training import TrainConfig, backbone_hidden, head_stream_loss
@@ -33,7 +32,6 @@ PINS = {
     "verify4": "c77034e01291ca7cad2d31585b1ee08f7c57b252e8848b94e571314015c9f0de",
     "head3": "aa2fa95a8b5a216df654865143200b71ee048b24a2f3d1216d78b93d4e1a8314",
     "head1": "cb1d6b872e96f18261349c103dc3fdf45e84fd623bd73f9e333c0cb009ea1707",
-    "table": "3ac03e94bd2a6ad8950f4aad55d23cec4817195b9977c0bc5fa971a860ef4973",
     "verify3": "94277a87882e7455abb4263ed5213f11dd0b6100fc04314a1b9d634cf1ad9cb6",
     "verify8": "54482fafd1fbb9099d17da40e72d0032aa3ed53b3912efb2533b03feae4dfc34",
     "verify16": "426d678747723e0b07dc55934cf425b39be8b76ee38d4268efa625a3ebfcfa18",
@@ -55,7 +53,7 @@ def digest(*arrays) -> str:
 
 def forward_digests() -> dict[str, str]:
     """A cache-free forward, a prefill, cached verifies of 1, 2 and 4 rows, head steps
-    of 3 and 1 rows, the head's token-input table, then cached verifies of 3, 8 and 16 rows."""
+    of 3 and 1 rows, then cached verifies of 3, 8 and 16 rows."""
     main, head = init_model(ModelConfig())
     main.freeze()
     rng = np.random.default_rng(12)
@@ -68,13 +66,11 @@ def forward_digests() -> dict[str, str]:
     for rows in (1, 2, 4):
         hidden, logits = main_forward(main, rng.integers(main.config.vocab_size, size=rows).tolist(), cache)
         out[f"verify{rows}"] = digest(hidden.data, logits.data)
-    table = token_input_table(head)
     head_cache = head.new_cache()
-    h, pre = mtp_step(head, hidden.data[-3:], [7, 300, 41], head_cache, token_table=table)
+    h, pre = mtp_step(head, hidden.data[-3:], [7, 300, 41], head_cache)
     out["head3"] = digest(h.data, pre.data)
-    h, pre = mtp_step(head, h.data[-1:], [99], head_cache, token_table=table)
+    h, pre = mtp_step(head, h.data[-1:], [99], head_cache)
     out["head1"] = digest(h.data, pre.data)
-    out["table"] = digest(table)
     for rows in (3, 8, 16):
         hidden, logits = main_forward(main, rng.integers(main.config.vocab_size, size=rows).tolist(), cache)
         out[f"verify{rows}"] = digest(hidden.data, logits.data)

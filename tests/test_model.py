@@ -10,9 +10,8 @@ from mtpspec.errors import (CapacityError, ConfigError, ConsistencyError, Numeri
                             ShapeError, StateError)
 from mtpspec.model import (
     CONTIGUOUS_HEAD_ROWS, KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax,
-    greedy_rows, init_model, load_checkpoint, main_forward, mtp_step, token_input_table,
+    greedy_rows, init_model, load_checkpoint, main_forward, mtp_step,
 )
-from mtpspec.specdec import DecodeSession
 from mtpspec import tensor as tn
 from mtpspec.tensor import Tape, Tensor, cross_entropy_rows, grad_check
 
@@ -27,38 +26,6 @@ CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=2, n_heads=2,
 @pytest.fixture(scope="module")
 def models():
     return init_model(CFG)
-
-
-def head_with_scaled_inputs(cfg: ModelConfig) -> MTPHead:
-    """A fresh head whose `norm_embed` is not all ones, so it shows in its inputs."""
-    _, head = init_model(cfg)
-    head.norm_embed.data[...] = np.random.default_rng(7).normal(1.0, 0.3, size=cfg.model_dim)
-    return head
-
-
-def assert_token_table_parity(head: MTPHead) -> None:
-    """A session's table holds, for every id, the bits of the per-token input."""
-    cfg = head.config
-    table = DecodeSession(head.main, head, [1], 1).token_table
-    assert table.shape == (cfg.vocab_size, cfg.model_dim)
-    for t in range(cfg.vocab_size):
-        row = tn.Kernels.rms_norm(tn.Kernels.embedding(head.embed.data, [t]),
-                                  head.norm_embed.data, cfg.rms_eps)
-        assert np.array_equal(table[t:t + 1], row), t
-
-
-def assert_draft_steps_equal_through_table(head: MTPHead, h, tokens) -> None:
-    """Extension plus one draft step, with and without the token table: same bits."""
-    table = token_input_table(head)
-
-    def run(**table_arg):
-        cache = head.new_cache()
-        stream = mtp_step(head, h, tokens, cache, **table_arg)
-        draft = mtp_step(head, stream[0].data[-1:], [17], cache, **table_arg)
-        return [t.data for t in (*stream, *draft)]
-
-    for a, b in zip(run(), run(token_table=table)):
-        assert np.array_equal(a, b)
 
 
 class TestModelConfig:
@@ -255,19 +222,6 @@ class TestTapeFreeForward:
             cross_entropy_rows(logits, np.roll(tokens, -1), np.full(12, 0.5))
         assert len(tape) == 55  # 27 per block, embedding, final norm, projection, loss
 
-    def test_token_table_rows_equal_per_token_inputs(self):
-        assert_token_table_parity(head_with_scaled_inputs(CFG))
-
-    def test_draft_step_through_token_table_equals_per_token(self):
-        head = head_with_scaled_inputs(CFG)
-        h = np.random.default_rng(6).normal(size=(5, CFG.model_dim))
-        assert_draft_steps_equal_through_table(head, h, [11, 23, 5, 9, 40])
-
-    def test_token_table_rejected_under_tape(self, models):
-        _, head = models
-        with Tape(), pytest.raises(StateError):
-            mtp_step(head, np.zeros((1, CFG.model_dim)), [3], token_table=token_input_table(head))
-
     def test_main_forward_cache_rejected_under_tape(self, models):
         main, _ = models
         cache = main.new_cache()
@@ -293,7 +247,7 @@ def _rows(n: int, width: int = CFG.model_dim) -> np.ndarray:
 
 
 # name: (forward call on (main, head), tape modes it applies in, error); the
-# token table and the caches are tape-free only, the over-full ones hold arrays
+# caches are tape-free only, the over-full ones hold arrays
 MALFORMED = {
     "main-no-tokens": (lambda m, h: main_forward(m, []), "both", ShapeError),
     "main-2d-tokens": (lambda m, h: main_forward(m, [[1, 2]]), "both", ShapeError),
@@ -330,17 +284,12 @@ MALFORMED = {
     "step-float-tokens": (lambda m, h: mtp_step(h, _rows(1), [1.0]), "both", TypeError),
     "step-string-tokens": (lambda m, h: mtp_step(h, _rows(1), ["3"]), "both", TypeError),
     "step-bool-tokens": (lambda m, h: mtp_step(h, _rows(1), [True]), "both", TypeError),
-    "step-table-token": (lambda m, h: mtp_step(h, _rows(1), [CFG.vocab_size],
-                                               token_table=token_input_table(h)), "free",
-                         IndexError),
     "step-rotary-range": (lambda m, h: mtp_step(h, _rows(2), [1, 2], pos_offset=47), "both",
                           CapacityError),
     "step-rotary-negative": (lambda m, h: mtp_step(h, _rows(1), [1], pos_offset=-1), "both",
                              CapacityError),
     "step-cache-full": (lambda m, h: mtp_step(h, _rows(2), [1, 2], _filled(h.new_cache(), 47)),
                         "free", CapacityError),
-    "step-table-taped": (lambda m, h: mtp_step(h, _rows(1), [1], token_table=token_input_table(h)),
-                         "taped", StateError),
     "step-cache-taped": (lambda m, h: mtp_step(h, _rows(1), [1], h.new_cache()), "taped",
                          StateError),
 }
@@ -415,15 +364,6 @@ class TestDeskShape:
         free, taped = TestTapeFreeForward.free_and_taped(run)
         for a, b in zip(free, taped):
             assert np.array_equal(a, b)
-
-    def test_token_table_rows_equal_per_token_inputs(self):
-        assert_token_table_parity(head_with_scaled_inputs(ModelConfig()))
-
-    def test_draft_step_through_token_table_equals_per_token(self):
-        head = head_with_scaled_inputs(ModelConfig())
-        h = np.random.default_rng(3).normal(size=(24, head.config.model_dim))
-        tokens = np.random.default_rng(4).integers(head.config.vocab_size, size=24).tolist()
-        assert_draft_steps_equal_through_table(head, h, tokens)
 
     @pytest.mark.parametrize("buffer, m", [  # the Q/K/V cases are named by m alone
         pytest.param(buffer, m, id=str(m) if buffer == "qkv" else f"{buffer}-{m}")

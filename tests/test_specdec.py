@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mtpspec import specdec
 from mtpspec import tensor as tn
-from mtpspec.data import LANG_TAGS, sample_prompts, sample_zipf_tokens
+from mtpspec.data import sample_prompts, sample_zipf_tokens
 from mtpspec.errors import CapacityError, ConfigError, StateError
 from mtpspec.model import MainModel, ModelConfig, MTPHead, init_model
 from mtpspec.specdec import (
@@ -201,26 +200,6 @@ class TestLosslessness:
         with pytest.raises(ConfigError):
             speculative_decode(main, head, prompts(1)[0], 8, -1)
 
-    def test_committed_stack_drafts_alike_without_token_table(self, monkeypatch):
-        main = MainModel.load(STACK / "main.npz")
-        head = MTPHead.load(STACK / "head.npz", main)
-        bank = VocabBank(main, [load_compressed_vocab(STACK / f"vocab_{tag}_128.json", 512)
-                                for tag in LANG_TAGS])
-        requests = [(tag, p) for tag in LANG_TAGS for p in sample_prompts(tag, 111, 2, 24)]
-
-        def decode_all():
-            runs = []
-            for tag, p in requests:
-                out, m = speculative_decode(main, head, p, 32, 3, vocab=bank, lang=tag)
-                runs.append((out, [(r["drafts"], r["matched"], r["committed"])
-                                   for r in m.records]))
-            return runs
-
-        with_table = decode_all()
-        monkeypatch.setattr(specdec, "token_input_table", lambda head: None)
-        assert decode_all() == with_table
-        assert sum(len(r) for _, r in with_table) > len(requests)  # several rounds each
-
 
 # every public tensor function a forward could call; the rest build tapes or check them
 PUBLIC_PRIMITIVES = sorted(
@@ -230,9 +209,9 @@ PUBLIC_PRIMITIVES = sorted(
 
 
 def test_tape_free_decodes_run_on_the_kernels(monkeypatch):
-    """With no tape active the forwards, and the session's token table, run
-    on `tensor.Kernels`: the one public primitive a decode calls is the
-    logit projection's `matmul`, once per backbone forward."""
+    """With no tape active the forwards run on `tensor.Kernels`: the one
+    public primitive a decode calls is the logit projection's `matmul`,
+    once per backbone forward."""
     main = MainModel.load(STACK / "main.npz")
     head = MTPHead.load(STACK / "head.npz", main)
     bank = VocabBank(main, [load_compressed_vocab(STACK / f"vocab_{tag}_128.json", 512)
@@ -458,13 +437,13 @@ class TestMetrics:
 
     def test_wall_time_covers_session_setup(self, stack, monkeypatch):
         main, head, _ = stack
-        build_table = specdec.token_input_table
+        new_cache = head.new_cache
 
-        def slow_table(head):
+        def slow_cache():  # the session allocates its draft cache before the prefill
             time.sleep(0.02)
-            return build_table(head)
+            return new_cache()
 
-        monkeypatch.setattr(specdec, "token_input_table", slow_table)
+        monkeypatch.setattr(head, "new_cache", slow_cache)
         _, m = speculative_decode(main, head, prompts(1, seed=11)[0], 4, 2, eos_token=None)
         assert m.wall_ns >= 20_000_000
 

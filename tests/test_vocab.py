@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtpspec.data import EOS_TOKEN, PAD_TOKEN, sample_zipf_tokens
-from mtpspec.errors import ConfigError, ConsistencyError, EmptyCorpusError
+from mtpspec.errors import ConfigError, ConsistencyError, EmptyCorpusError, StateError
 from mtpspec.model import ModelConfig, greedy_argmax, init_model
 from mtpspec.vocab import (
     DETECT_WINDOW, CompressedVocab, VocabBank,
@@ -252,6 +252,21 @@ class TestDraftLogits:
         other, _ = init_model(ModelConfig(**{**CFG.__dict__, "seed": 99}))
         with pytest.raises(ConsistencyError):
             cv.check_bound(other.output_w.data)
+
+    def test_copied_rows_bind_to_a_frozen_backbone_only(self):
+        """Training updates the head in place, which copied rows would not
+        follow; the full vocabulary drafts from the live rows and stays allowed."""
+        model, _ = init_model(CFG)
+        table = build_frequency_table([[1, 2, 5]], "t", vocab_size=CFG.vocab_size)
+        with pytest.raises(StateError):
+            compress_vocab(table, 4, specials=(), main=model)
+        with pytest.raises(StateError):
+            VocabBank(model, [compress_vocab(table, 4, specials=())])
+        cv = identity_vocab(model)
+        model.embed.data[5] += 10.0
+        state = model.embed.data[5].copy()
+        logits, _ = draft_logits_compressed(state, cv)
+        assert logits[5] == pytest.approx(model.output_w.data[5] @ state, rel=1e-12)
 
 
 def _entry(main, lang, keep):
