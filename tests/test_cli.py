@@ -1,5 +1,6 @@
 """End-to-end CLI smoke test on a miniature configuration."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -23,6 +24,37 @@ TINY = {
     "bench": {"max_new_tokens": 12, "prompts_per_task": 2, "prompt_len": 8,
               "langs": ["syn-a", "cycle"]},
 }
+
+# SHA-256 of every artifact the TINY pipeline writes before `bench`: checkpoint
+# arrays by name, other files by their bytes. Turning a setting that every caller
+# leaves at its default into a constant must move none of them. Like
+# tests/test_bitpin.py, they pin float64 numpy and its BLAS (x86-64, OpenBLAS).
+ARTIFACT_PINS = {
+    "corpus.jsonl": "971cba32bc8433fce6d809a9be43eb2d8cd169b00a66de80ff4d5e0aa45c145e",
+    "main.npz": "9c20f51630d159f7f28218bcab9642e6c6374663bda8034a837c6c3f2b17929a",
+    "pretrain_losses.json": "8eb4e524fdce6662278dc5f05434bf96da0f3ce116db96c63078a23f1fc8535d",
+    "distilled.jsonl": "85177b369b64698878654086921041c88cdd3f66418da5d7686371897cdb7279",
+    "dataset.jsonl": "a60a9277ad63904d324d25b72390af4fdab2b476e5b71acb1fe73dd0676bece1",
+    "head.npz": "921ecc339d4f5e2083e9a09298b93a54a80fefc14ff7ea24b30efb088c66432f",
+    "head_losses.json": "4a181dded9a8005329f875448195afc3f504b2e0e8e955ed141e13d275ce9759",
+    "head-vanilla.npz": "8c4cce2faa09e93bb78c255d926496b7e392e919b5081ced9a793a9cd08dd0d1",
+    "head-vanilla_losses.json": "2a16274d647235fcb5fb5a76aaa0ab3c89ee3e16a4b6d62e016fb8b38b95ede1",
+    "freq_syn-a.json": "c71262cbde71a9d1101956e889a8e3e8f7c8a611735e4e0c221003005de5428f",
+    "vocab_syn-a_64.json": "0fb148ead29af4a7937741ce38dff45b5657cf04aa4862137650962545b2bc8e",
+}
+
+
+def artifact_digest(path) -> str:
+    h = hashlib.sha256()
+    if path.suffix == ".npz":
+        with np.load(path) as saved:
+            for name in sorted(saved.files):
+                a = np.ascontiguousarray(saved[name])
+                h.update(f"{name}{a.dtype}{a.shape}".encode())
+                h.update(a.tobytes())
+    else:
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +131,11 @@ class TestPipelineArtifacts:
         with np.load(out / "head.npz") as saved:
             for name, p in head.parameters().items():
                 np.testing.assert_array_equal(saved[f"param/{name}"], p.data, err_msg=name)
+
+    @pytest.mark.parametrize("name", list(ARTIFACT_PINS))
+    def test_artifacts_keep_their_bytes(self, workdir, name):
+        _, out = workdir
+        assert artifact_digest(out / name) == ARTIFACT_PINS[name]
 
     def test_vocab_artifacts(self, workdir):
         _, out = workdir
