@@ -32,7 +32,7 @@ from . import data as data_mod
 from .bench import (BenchTask, argmax_speedup, emit_report, format_table,
                     load_report_json, run_benchmark, sweep_draft_depth, sweep_vocab_size)
 from .data import LANG_TAGS, TrainingExample, load_dataset, mixed_dataset, save_dataset
-from .dedup import FilterRules, dedup_and_filter, mix_back
+from .dedup import dedup_and_filter, mix_back
 from .distill import GenerationConfig, self_distill
 from .errors import ConfigError
 from .model import MTPHead, MainModel, ModelConfig
@@ -55,10 +55,9 @@ DEFAULT_CONFIG = {
                 "prompt_len": 24},
     # desk corpora repeat themselves, so the n-gram bound is looser than the library's;
     # the cycle slice collapses to one survivor under dedup and is mixed back
-    "dedup": {"jaccard_threshold": 0.9, **asdict(FilterRules(max_ngram_ratio=0.3)),
-              "mix_back_langs": ["cycle"]},
+    "dedup": {"jaccard_threshold": 0.9, "max_ngram_ratio": 0.3, "mix_back_langs": ["cycle"]},
     "train": asdict(TrainConfig(k_steps=6, lr=3e-3, epochs=4, batch_size=8, seed=3)),
-    "vocab": {"size": 128, "specials": list(data_mod.SPECIAL_TOKENS)},
+    "vocab": {"size": 128},
     "bench": {"k_depth": 3, "max_new_tokens": 48, "prompts_per_task": 12,
               "prompt_len": 24, "repetitions": 1, "seed": 19,
               "langs": list(LANG_TAGS)},
@@ -129,12 +128,9 @@ def distill_dataset(cfg, main: MainModel) -> list[TrainingExample]:
 
 def dedup_dataset(cfg, distilled) -> list[TrainingExample]:
     """Near-duplicate removal and quality filters, then re-add the mix-back languages."""
-    d = dict(cfg["dedup"])
-    threshold = d.pop("jaccard_threshold")
-    restore = d.pop("mix_back_langs")
-    rules = FilterRules(**d)
-    kept = dedup_and_filter(distilled, threshold, rules)
-    return mix_back(distilled, kept, langs=tuple(restore), rules=rules)
+    d = cfg["dedup"]
+    kept = dedup_and_filter(distilled, d["jaccard_threshold"], d["max_ngram_ratio"])
+    return mix_back(distilled, kept, tuple(d["mix_back_langs"]), d["max_ngram_ratio"])
 
 
 def train_head(cfg, main: MainModel, dataset, **overrides) -> tuple[MTPHead, TrainResult]:
@@ -216,7 +212,7 @@ def cmd_build_vocab(args, cfg) -> int:
         print(f"no examples tagged {args.lang!r} in the dataset", file=sys.stderr)
         return 1
     size = args.size if args.size is not None else cfg["vocab"]["size"]
-    cv = compress_vocab(table, size, tuple(cfg["vocab"]["specials"]))
+    cv = compress_vocab(table, size)
     save_frequency_table(out / f"freq_{args.lang}.json", table)
     vpath = out / f"vocab_{args.lang}_{size}.json"
     save_compressed_vocab(vpath, cv)
@@ -282,7 +278,6 @@ def cmd_sweep_vocab(args, cfg) -> int:
     task = _bench_task(cfg, args.task_lang or b["langs"][0])
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = sweep_vocab_size(task, sizes, main=main, head=head, tables=tables,
-                            specials=tuple(cfg["vocab"]["specials"]),
                             k_depth=args.k if args.k is not None else b["k_depth"])
     paths = emit_report(rows, str(out), basename="sweep_vocab")
     print(format_table(rows))

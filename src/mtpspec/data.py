@@ -156,20 +156,23 @@ def sample_zipf_tokens(rng: np.random.Generator, ids, count: int,
     return rng.choice(ids, size=count, p=zipf_probs(ids.size, s)).tolist()
 
 
+MARKOV_BRANCHING = 16
+
+
 class MarkovLanguage:
     """Seeded order-1 Markov chain with Zipf-weighted branching.
 
-    Each previous token maps to a small candidate set drawn from a
+    Each previous token maps to `MARKOV_BRANCHING` candidates drawn from a
     global Zipf law over the language's ids, so the corpus has a
     long-tail marginal while staying predictable enough to learn at
     desk scale.
     """
 
-    def __init__(self, tag: str, ids, seed: int, branching: int = 16):
+    def __init__(self, tag: str, ids, seed: int):
         self.tag = tag
         self.ids = np.asarray(ids, dtype=np.int64)
         self.seed = seed
-        self.branching = min(branching, self.ids.size)
+        self.branching = min(MARKOV_BRANCHING, self.ids.size)
         self._marginal = zipf_probs(self.ids.size)
         self._transitions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -3,12 +3,12 @@
 Signatures hash token shingles through a bank of universal hash
 functions; two examples whose estimated Jaccard similarity reaches the
 threshold collapse to the first occurrence. Filters only ever remove
-examples.
+examples: a response shorter than `MIN_RESPONSE_LEN`, or one with at
+least `MIN_NGRAM_TOTAL` `NGRAM_WIDTH`-grams whose most common gram's
+share exceeds `max_ngram_ratio`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,26 +18,28 @@ from .data import TrainingExample
 _PRIME = np.uint64(4294967291)
 _SHINGLE_BASE = np.uint64(1_000_003)
 
+SHINGLE_WIDTH = 3
+NUM_HASHES = 64
+HASH_SEED = 977
+MIN_RESPONSE_LEN = 4
+NGRAM_WIDTH = 4
+MIN_NGRAM_TOTAL = 8
+# the library's repetition bound; the CLI's desk corpora repeat themselves and use 0.3
+MAX_NGRAM_RATIO = 0.2
 
-@dataclass(frozen=True)
-class FilterRules:
-    shingle_width: int = 3
-    num_hashes: int = 64
-    hash_seed: int = 977
-    min_response_len: int = 4
-    max_response_len: int | None = None
-    ngram_width: int = 4
-    max_ngram_ratio: float = 0.2
-    min_ngram_total: int = 8
-    drop_truncated: bool = False
+_hash_rng = np.random.default_rng(HASH_SEED)
+_HASH_A = _hash_rng.integers(1, int(_PRIME), size=NUM_HASHES, dtype=np.uint64)
+_HASH_B = _hash_rng.integers(0, int(_PRIME), size=NUM_HASHES, dtype=np.uint64)
+del _hash_rng
 
 
-def _shingle_values(tokens, width: int) -> np.ndarray:
+def _shingle_values(tokens) -> np.ndarray:
     """Polynomial hashes of overlapping token windows (whole sequence if shorter)."""
-    if len(tokens) < width:
+    if len(tokens) < SHINGLE_WIDTH:
         windows = [tuple(tokens)]
     else:
-        windows = [tuple(tokens[i:i + width]) for i in range(len(tokens) - width + 1)]
+        windows = [tuple(tokens[i:i + SHINGLE_WIDTH])
+                   for i in range(len(tokens) - SHINGLE_WIDTH + 1)]
     values = set()
     base, prime = int(_SHINGLE_BASE), int(_PRIME)
     for w in windows:
@@ -48,13 +50,10 @@ def _shingle_values(tokens, width: int) -> np.ndarray:
     return np.fromiter(values, dtype=np.uint64, count=len(values))
 
 
-def minhash_signature(tokens, rules: FilterRules) -> np.ndarray:
+def minhash_signature(tokens) -> np.ndarray:
     """One min-hash per hash function over the example's shingle set."""
-    rng = np.random.default_rng(rules.hash_seed)
-    a = rng.integers(1, int(_PRIME), size=rules.num_hashes, dtype=np.uint64)
-    b = rng.integers(0, int(_PRIME), size=rules.num_hashes, dtype=np.uint64)
-    values = _shingle_values(tokens, rules.shingle_width)
-    hashed = (a[:, None] * values[None, :] + b[:, None]) % _PRIME
+    values = _shingle_values(tokens)
+    hashed = (_HASH_A[:, None] * values[None, :] + _HASH_B[:, None]) % _PRIME
     return hashed.min(axis=1)
 
 
@@ -74,39 +73,35 @@ def repetition_ratio(tokens, width: int) -> float:
     return max(grams.values()) / total
 
 
-def passes_filters(ex: TrainingExample, rules: FilterRules) -> bool:
+def passes_filters(ex: TrainingExample, max_ngram_ratio: float = MAX_NGRAM_RATIO) -> bool:
     n = len(ex.response)
-    if n < rules.min_response_len:
+    if n < MIN_RESPONSE_LEN:
         return False
-    if rules.max_response_len is not None and n > rules.max_response_len:
-        return False
-    if rules.drop_truncated and ex.truncated:
-        return False
-    if n - rules.ngram_width + 1 >= rules.min_ngram_total:
-        if repetition_ratio(ex.response, rules.ngram_width) > rules.max_ngram_ratio:
+    if n - NGRAM_WIDTH + 1 >= MIN_NGRAM_TOTAL:
+        if repetition_ratio(ex.response, NGRAM_WIDTH) > max_ngram_ratio:
             return False
     return True
 
 
 def dedup_and_filter(dataset, jaccard_threshold: float,
-                     rules: FilterRules = FilterRules()) -> list[TrainingExample]:
+                     max_ngram_ratio: float = MAX_NGRAM_RATIO) -> list[TrainingExample]:
     """Collapse near-duplicates (first occurrence wins), then apply filters."""
     if not (0.0 < jaccard_threshold <= 1.0):
         raise ValueError("jaccard_threshold must lie in (0, 1]")
     kept: list[TrainingExample] = []
     kept_sigs: list[np.ndarray] = []
     for ex in dataset:
-        sig = minhash_signature(ex.tokens, rules)
+        sig = minhash_signature(ex.tokens)
         if kept_sigs:
             sims = np.mean(np.stack(kept_sigs) == sig, axis=1)
             if float(sims.max()) >= jaccard_threshold:
                 continue
         kept.append(ex)
         kept_sigs.append(sig)
-    return [ex for ex in kept if passes_filters(ex, rules)]
+    return [ex for ex in kept if passes_filters(ex, max_ngram_ratio)]
 
 
-def mix_back(original, kept, langs, rules: FilterRules = FilterRules()):
+def mix_back(original, kept, langs, max_ngram_ratio: float = MAX_NGRAM_RATIO):
     """Post-dedup mixing: restore language slices the global pass collapsed.
 
     A degenerate corpus slice (the period-4 cycle: every example shares
@@ -119,5 +114,5 @@ def mix_back(original, kept, langs, rules: FilterRules = FilterRules()):
     survivors = list(kept)
     restored = [ex for ex in original
                 if ex.lang in langs and ex not in survivors
-                and passes_filters(ex, rules)]
+                and passes_filters(ex, max_ngram_ratio)]
     return survivors + restored

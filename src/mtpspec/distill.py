@@ -13,7 +13,7 @@ import numpy as np
 
 from . import workers
 from .data import EOS_TOKEN, TrainingExample, seed_key
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, check_int_fields
 from .model import MainModel, greedy_argmax, main_forward
 
 
@@ -24,9 +24,10 @@ class GenerationConfig:
     top_p: float = 0.95
     max_new_tokens: int = 64
     seed: int = 0
-    eos_token: int = EOS_TOKEN
+    eos_token: int | None = EOS_TOKEN
 
     def __post_init__(self):
+        check_int_fields(self)
         if not self.temperature >= 0:
             raise ConfigError("temperature must be nonnegative")
         if self.top_k < 0:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from dataclasses import fields
+
 
 class ShapeError(ValueError):
     """Operands have incompatible dimensions."""
@@ -7,6 +9,18 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration value violates its documented constraints."""
+
+
+def check_int_fields(config) -> None:
+    """Raise ConfigError naming the first field of the dataclass `config` that
+    is annotated `int` and holds anything else; a bool is not an integer.
+
+    The config modules postpone annotations, so a field's type is its text.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise ConfigError(f"{f.name} must be an integer, not {value!r}")
 
 
 class NumericError(ValueError):

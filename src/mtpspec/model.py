@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import (CapacityError, ConfigError, ConsistencyError, NumericError, ShapeError,
-                     StateError)
+                     StateError, check_int_fields)
 from .tensor import Tensor
 
 INIT_STD = 0.02
@@ -53,6 +53,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
         if self.max_seq_len < 8:

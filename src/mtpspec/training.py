@@ -19,9 +19,16 @@ import numpy as np
 
 from . import tensor as tn
 from . import workers
-from .errors import ConfigError, StateError, TrainingDiverged
+from .errors import ConfigError, StateError, TrainingDiverged, check_int_fields
 from .model import MTPHead, MainModel, main_forward, mtp_step
 from .tensor import Tape, Tensor
+
+
+# One optimizer setting for both trainers: AdamW's moments and epsilon, no
+# weight decay, and the share of steps the learning rate warms up over.
+ADAM_BETAS = (0.9, 0.95)
+ADAM_EPS = 1e-8
+WARMUP_RATIO = 0.05
 
 
 @dataclass(frozen=True)
@@ -29,16 +36,12 @@ class TrainConfig:
     k_steps: int = 3
     beta: float = 0.6
     lr: float = 1e-3
-    warmup_ratio: float = 0.05
     epochs: int = 3
     batch_size: int = 16
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.k_steps < 1:
             raise ConfigError("k_steps must be >= 1")
         if not (0.0 < self.beta <= 1.0):
@@ -47,14 +50,6 @@ class TrainConfig:
             raise ConfigError("invalid batch_size/epochs")
         if not self.lr > 0:
             raise ConfigError("lr must be positive")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ConfigError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigError("adam_eps must be positive")
-        if not self.weight_decay >= 0:
-            raise ConfigError("weight_decay must be nonnegative")
-        if not (0.0 <= self.warmup_ratio <= 1.0):
-            raise ConfigError("warmup_ratio must lie in [0, 1]")
 
 
 def step_weights(k_steps: int, beta: float) -> list[float]:
@@ -195,16 +190,12 @@ def _head_batch(main: MainModel, head: MTPHead, batch, cfg: TrainConfig):
 
 
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay."""
+    """AdamW at weight decay 0, with betas `ADAM_BETAS` and epsilon `ADAM_EPS`."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.95), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = {k: p for k, p in params.items() if p.requires_grad}
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.b1, self.b2 = ADAM_BETAS
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -228,16 +219,12 @@ class AdamW:
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update
+            p.data -= lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
 
 
-def cosine_lr(step: int, total_steps: int, peak: float,
-              warmup_ratio: float = 0.05) -> float:
-    """Linear warmup to `peak`, then cosine decay to zero."""
-    warmup = max(1, int(round(warmup_ratio * total_steps)))
+def cosine_lr(step: int, total_steps: int, peak: float) -> float:
+    """Linear warmup to `peak` over `WARMUP_RATIO` of the steps, then cosine decay to zero."""
+    warmup = max(1, int(round(WARMUP_RATIO * total_steps)))
     if step < warmup:
         return peak * (step + 1) / warmup
     if total_steps <= warmup:
@@ -282,8 +269,7 @@ def _fit(items, params: dict[str, Tensor], cfg: TrainConfig, batch_loss) -> list
     freed intermediates back in.
     """
     workers.keep_freed_memory()
-    opt = AdamW(params, cfg.lr, (cfg.adam_beta1, cfg.adam_beta2),
-                cfg.adam_eps, cfg.weight_decay)
+    opt = AdamW(params, cfg.lr)
     trainable = list(opt.params.values())
     rng = np.random.default_rng(cfg.seed)
     batches = []
@@ -312,7 +298,7 @@ def _fit(items, params: dict[str, Tensor], cfg: TrainConfig, batch_loss) -> list
             for link, cut in zip(links, cuts[1:]):
                 values += [replay(link) for _ in cut]
             results.append(finish(values))
-            opt.step(lr=cosine_lr(step, len(batches), cfg.lr, cfg.warmup_ratio))
+            opt.step(lr=cosine_lr(step, len(batches), cfg.lr))
     return results
 
 

@@ -151,32 +151,19 @@ class CompressedVocab:
 def compress_vocab(table: FrequencyTable, size: int,
                    specials=SPECIAL_TOKENS,
                    main: MainModel | None = None) -> CompressedVocab:
-    """Top-`size` tokens by count (ties to the lower id), specials forced in.
-
-    Specials displace the lowest-ranked non-special members when they
-    would not otherwise make the cut. Pass `main` to bind the head-row
-    view immediately.
+    """The specials, then the highest-counted other tokens (ties to the lower
+    id) up to `size` in all. Pass `main` to bind the head-row view immediately.
     """
     vocab_size = table.counts.size
-    specials = list(dict.fromkeys(specials))
+    specials = np.asarray(list(dict.fromkeys(specials)), dtype=np.int64)
     if not (1 <= size <= vocab_size):
         raise ConfigError(f"size {size} outside [1, {vocab_size}]")
-    if size < len(specials):
-        raise ConfigError(f"size {size} cannot hold {len(specials)} special tokens")
+    if size < specials.size:
+        raise ConfigError(f"size {size} cannot hold {specials.size} special tokens")
 
     order = np.lexsort((np.arange(vocab_size), -table.counts))
-    selected = list(order[:size])
-    chosen = set(selected)
-    for special in specials:
-        if special in chosen:
-            continue
-        for i in range(len(selected) - 1, -1, -1):
-            if selected[i] not in specials:
-                chosen.discard(selected[i])
-                selected[i] = special
-                chosen.add(special)
-                break
-    keep = np.asarray(sorted(selected), dtype=np.int64)
+    rest = order[~np.isin(order, specials)][:size - specials.size]
+    keep = np.sort(np.concatenate([specials, rest]))
     cv = CompressedVocab(lang=table.lang, keep=keep)
     if main is not None:
         cv.bind(main)

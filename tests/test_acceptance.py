@@ -14,7 +14,7 @@ from conftest import pool_metrics
 from mtpspec.bench import BenchTask, argmax_speedup, run_benchmark, sweep_draft_depth
 from mtpspec.data import (EOS_TOKEN, LANG_TAGS, SPECIAL_TOKENS, TrainingExample,
                           sample_prompts)
-from mtpspec.dedup import FilterRules, dedup_and_filter, repetition_ratio
+from mtpspec.dedup import MAX_NGRAM_RATIO, dedup_and_filter, repetition_ratio
 from mtpspec.model import ModelConfig, init_model
 from mtpspec.specdec import baseline_decode, read_round_log, speculative_decode, tau_from_records
 from mtpspec.tensor import grad_check
@@ -221,7 +221,7 @@ class TestCriterion9DedupFilter:
         repeat = TrainingExample([1, 2], block * 50, "t", "a")
         ratio = repetition_ratio(repeat.response, 4)
         rep_ok = (dedup_and_filter([repeat], 0.9) == []
-                  and ratio > FilterRules().max_ngram_ratio)
+                  and ratio > MAX_NGRAM_RATIO)
         _report(9, dup_ok and disjoint_ok and rep_ok,
                 f"exact duplicates collapse, disjoint survive any threshold, "
                 f"4-gram x50 repetition ratio {ratio:.3f} fires the rule")

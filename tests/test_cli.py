@@ -9,8 +9,9 @@ import pytest
 from mtpspec.bench import load_report_csv, load_report_json
 from mtpspec.cli import DEFAULT_CONFIG, load_config, main
 from mtpspec.data import TrainingExample, load_dataset, save_dataset
+from mtpspec.distill import GenerationConfig
 from mtpspec.errors import ConfigError
-from mtpspec.model import MainModel, MTPHead
+from mtpspec.model import MainModel, ModelConfig, MTPHead
 from mtpspec.specdec import read_round_log
 from mtpspec.training import TrainConfig, train_mtp_head
 
@@ -99,13 +100,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match=named):
             load_config(str(path))
 
+    # settings with one value in use are constants; an old config that sets one fails
+    @pytest.mark.parametrize("section, key", [
+        *((section, key) for section in ("pretrain", "train")
+          for key in ("adam_beta1", "adam_beta2", "adam_eps", "weight_decay", "warmup_ratio")),
+        *(("dedup", key) for key in ("shingle_width", "num_hashes", "hash_seed",
+                                     "min_response_len", "max_response_len", "ngram_width",
+                                     "min_ngram_total", "drop_truncated")),
+        ("vocab", "specials"),
+    ])
+    def test_retired_key_rejected(self, tmp_path, section, key):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({section: {key: 1}}))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(str(path))
+
     def test_config_class_fields_accepted(self, tmp_path):
         path = tmp_path / "ok.json"
-        path.write_text(json.dumps({"train": {"weight_decay": 0.1},
-                                    "dedup": {"min_ngram_total": 4}}))
+        path.write_text(json.dumps({"train": {"beta": 0.5},
+                                    "dedup": {"max_ngram_ratio": 0.25}}))
         cfg = load_config(str(path))
-        assert cfg["train"]["weight_decay"] == 0.1
-        assert cfg["dedup"]["min_ngram_total"] == 4
+        assert cfg["train"]["beta"] == 0.5
+        assert cfg["dedup"]["max_ngram_ratio"] == 0.25
+
+    @pytest.mark.parametrize("config, field, value", [
+        (TrainConfig, "epochs", 2.5), (TrainConfig, "k_steps", 2.0),
+        (TrainConfig, "batch_size", True), (ModelConfig, "vocab_size", 512.0),
+        (ModelConfig, "n_layers", 2.5), (GenerationConfig, "top_k", 2.5),
+        (GenerationConfig, "max_new_tokens", 3.5),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_integer_settings_reject_other_types(self, config, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            config(**{field: value})
 
 
 class TestPipelineArtifacts:
@@ -157,6 +183,14 @@ class TestPipelineArtifacts:
         cfg_path.write_text(json.dumps({**TINY, "pretrain": {"epochs": 0}}))
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="epoch"):
+            main(["--config", str(cfg_path), "--out-dir", str(out), "pretrain-main"])
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_float_epochs_rejected_before_writing(self, tmp_path):
+        cfg_path = tmp_path / "float.json"
+        cfg_path.write_text(json.dumps({**TINY, "pretrain": {"epochs": 2.5}}))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="epochs must be an integer"):
             main(["--config", str(cfg_path), "--out-dir", str(out), "pretrain-main"])
         assert not out.exists() or not any(out.iterdir())
 

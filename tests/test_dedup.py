@@ -4,18 +4,16 @@ import numpy as np
 
 from mtpspec.data import TrainingExample
 from mtpspec.dedup import (
-    FilterRules, dedup_and_filter, estimated_jaccard, minhash_signature,
-    passes_filters, repetition_ratio,
+    MAX_NGRAM_RATIO, _shingle_values, dedup_and_filter, estimated_jaccard,
+    minhash_signature, mix_back, passes_filters, repetition_ratio,
 )
 
 
-def example(tokens, prompt_len=2, lang="t", truncated=False):
+def example(tokens, prompt_len=2, lang="t"):
     return TrainingExample(prompt=list(tokens[:prompt_len]),
                            response=list(tokens[prompt_len:]),
-                           lang=lang, source="test", truncated=truncated)
+                           lang=lang, source="test")
 
-
-RULES = FilterRules()
 
 
 class TestMinHash:
@@ -42,18 +40,15 @@ class TestMinHash:
     def test_signature_estimates_jaccard(self):
         # property: estimate tracks true shingle-set Jaccard within ~0.2
         rng = np.random.default_rng(2)
-        rules = FilterRules(num_hashes=128)
         for _ in range(10):
             base = rng.integers(512, size=60).tolist()
             variant = list(base)
             for i in rng.choice(60, size=rng.integers(0, 25), replace=False):
                 variant[i] = int(rng.integers(512))
-            from mtpspec.dedup import _shingle_values
-            sa = set(_shingle_values(base, rules.shingle_width).tolist())
-            sb = set(_shingle_values(variant, rules.shingle_width).tolist())
+            sa = set(_shingle_values(base).tolist())
+            sb = set(_shingle_values(variant).tolist())
             true_j = len(sa & sb) / len(sa | sb)
-            est = estimated_jaccard(minhash_signature(base, rules),
-                                    minhash_signature(variant, rules))
+            est = estimated_jaccard(minhash_signature(base), minhash_signature(variant))
             assert abs(est - true_j) < 0.2
 
     def test_near_duplicates_collapse_at_moderate_threshold(self):
@@ -69,27 +64,18 @@ class TestFilters:
     def test_repeated_four_gram_fires_repetition_rule(self):
         block = [7, 11, 13, 17]
         ex = example([1, 2] + block * 50, prompt_len=2)
-        assert repetition_ratio(ex.response, 4) > RULES.max_ngram_ratio
-        assert not passes_filters(ex, RULES)
+        assert repetition_ratio(ex.response, 4) > MAX_NGRAM_RATIO
+        assert not passes_filters(ex)
         assert dedup_and_filter([ex], 0.9) == []
 
     def test_varied_response_passes(self):
         rng = np.random.default_rng(4)
         ex = example(rng.integers(512, size=60).tolist())
-        assert passes_filters(ex, RULES)
+        assert passes_filters(ex)
 
     def test_length_range(self):
         short = example([1, 2, 3, 4, 5], prompt_len=3)  # response length 2
-        assert not passes_filters(short, RULES)
-        long = example(list(np.random.default_rng(5).integers(512, size=40)))
-        rules = FilterRules(max_response_len=16)
-        assert not passes_filters(long, rules)
-
-    def test_truncated_rule_is_opt_in(self):
-        rng = np.random.default_rng(6)
-        ex = example(rng.integers(512, size=30).tolist(), truncated=True)
-        assert passes_filters(ex, RULES)
-        assert not passes_filters(ex, FilterRules(drop_truncated=True))
+        assert not passes_filters(short)
 
     def test_filters_only_remove(self):
         rng = np.random.default_rng(7)
@@ -100,27 +86,23 @@ class TestFilters:
 
 class TestMixBack:
     def test_restores_collapsed_slice(self):
-        from mtpspec.dedup import mix_back
         rng = np.random.default_rng(8)
         base = rng.integers(512, size=40).tolist()
         rotations = [example(base[i:] + base[:i], lang="cycle") for i in range(4)]
         other = [example(rng.integers(512, size=40).tolist(), lang="en")
                  for _ in range(3)]
         data = rotations + other
-        rules = FilterRules(max_ngram_ratio=1.0)
-        kept = dedup_and_filter(data, 0.9, rules)
+        kept = dedup_and_filter(data, 0.9, max_ngram_ratio=1.0)
         assert sum(ex.lang == "cycle" for ex in kept) == 1  # rotations collapsed
-        mixed = mix_back(data, kept, langs=("cycle",), rules=rules)
+        mixed = mix_back(data, kept, langs=("cycle",), max_ngram_ratio=1.0)
         assert sum(ex.lang == "cycle" for ex in mixed) == 4
         assert sum(ex.lang == "en" for ex in mixed) == len(
             [ex for ex in kept if ex.lang == "en"])
 
     def test_exact_duplicates_stay_out(self):
-        from mtpspec.dedup import mix_back
         rng = np.random.default_rng(9)
         toks = rng.integers(512, size=40).tolist()
         data = [example(toks, lang="cycle"), example(toks, lang="cycle")]
-        kept = dedup_and_filter(data, 0.9, FilterRules(max_ngram_ratio=1.0))
-        mixed = mix_back(data, kept, langs=("cycle",),
-                         rules=FilterRules(max_ngram_ratio=1.0))
+        kept = dedup_and_filter(data, 0.9, max_ngram_ratio=1.0)
+        mixed = mix_back(data, kept, langs=("cycle",), max_ngram_ratio=1.0)
         assert len(mixed) == 1

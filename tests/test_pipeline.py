@@ -6,7 +6,7 @@ import numpy as np
 from conftest import pool_metrics
 from mtpspec.bench import BenchTask, run_benchmark, sweep_draft_depth
 from mtpspec.data import EOS_TOKEN, LANG_TAGS, language, sample_prompts
-from mtpspec.dedup import FilterRules, dedup_and_filter
+from mtpspec.dedup import dedup_and_filter
 from mtpspec.distill import GenerationConfig, response_perplexity, self_distill
 from mtpspec.model import MTPHead
 from mtpspec.specdec import (DecodeMetrics, DecodeSession, baseline_decode, draft_round,
@@ -68,7 +68,7 @@ class TestTrainingCurves:
         prompts = [(p, tag) for tag in ("en", "zh")
                    for p in sample_prompts(tag, 31, 48, 24)]
         text = self_distill(prompts, stack.main, GenerationConfig(seed=13))
-        text = dedup_and_filter(text, 0.9, FilterRules(max_ngram_ratio=0.3))
+        text = dedup_and_filter(text, 0.9, max_ngram_ratio=0.3)
         head = MTPHead(stack.main, np.random.default_rng(99))
         result = train_mtp_head(text, stack.main, head,
                                 TrainConfig(k_steps=3, beta=0.6, lr=3e-3,

@@ -8,7 +8,7 @@ from mtpspec.errors import ConfigError, StateError, TrainingDiverged
 from mtpspec.model import ModelConfig, init_model, mtp_step
 from mtpspec.tensor import grad_check, softmax_cross_entropy, transpose
 from mtpspec.training import (
-    AdamW, TrainConfig, backbone_hidden, cosine_lr, head_stream_loss,
+    WARMUP_RATIO, AdamW, TrainConfig, backbone_hidden, cosine_lr, head_stream_loss,
     mtp_training_loss, pretrain_main, step_mask_bounds, step_weights,
     train_mtp_head,
 )
@@ -54,21 +54,14 @@ class TestStepWeights:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
-        ("lr", 0.0), ("lr", -0.01),
-        ("adam_beta1", -0.1), ("adam_beta1", 1.0), ("adam_beta1", 1.5),
-        ("adam_beta2", -0.1), ("adam_beta2", 1.0),
-        ("adam_eps", 0.0), ("adam_eps", -1e-8),
-        ("weight_decay", -0.01),
-        ("warmup_ratio", -0.05), ("warmup_ratio", 1.5),
-        ("lr", float("nan")),
+        ("lr", 0.0), ("lr", -0.01), ("lr", float("nan")),
     ])
     def test_out_of_range_optimizer_settings_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
     def test_boundary_values_accepted(self):
-        TrainConfig(adam_beta1=0.0, adam_beta2=0.0, weight_decay=0.0, warmup_ratio=0.0)
-        TrainConfig(warmup_ratio=1.0)
+        TrainConfig(k_steps=1, beta=1.0, epochs=0, batch_size=1)
 
     def test_cli_sections_stay_valid(self):
         from mtpspec.cli import DEFAULT_CONFIG
@@ -182,11 +175,12 @@ class TestMtpTrainingLoss:
 class TestOptimizer:
     def test_cosine_schedule_shape(self):
         total, peak = 100, 1.0
-        lrs = [cosine_lr(s, total, peak, warmup_ratio=0.1) for s in range(total)]
-        assert lrs[0] < lrs[5] <= peak
+        lrs = [cosine_lr(s, total, peak) for s in range(total)]
+        warmup = round(WARMUP_RATIO * total)
+        assert lrs[0] < lrs[warmup - 2] < lrs[warmup - 1] == peak
         assert max(lrs) == pytest.approx(peak)
         assert lrs[-1] < 0.01
-        assert np.argmax(lrs) == 9  # end of warmup
+        assert np.argmax(lrs) == warmup - 1  # end of warmup
 
     def test_adamw_moves_only_grad_params(self):
         from mtpspec.tensor import Tensor
@@ -307,10 +301,9 @@ class TestOptimizerLoop:
 
         monkeypatch.setattr(AdamW, "step", recording_step)
         main, head = init_model(TOY)
-        cfg = TrainConfig(k_steps=2, lr=1e-2, warmup_ratio=0.34, epochs=2, batch_size=2,
-                          seed=3)
+        cfg = TrainConfig(k_steps=2, lr=1e-2, epochs=2, batch_size=2, seed=3)
         out = self._run(trainer, main, head, [toy_example(i) for i in range(5)], cfg)
-        assert lrs == [cosine_lr(s, 6, cfg.lr, cfg.warmup_ratio) for s in range(6)]
+        assert lrs == [cosine_lr(s, 6, cfg.lr) for s in range(6)]
         if trainer == "pretrain":
             assert len(out) == 6
         else:
