@@ -15,7 +15,6 @@ def example(tokens, prompt_len=2, lang="t"):
                            lang=lang, source="test")
 
 
-
 class TestMinHash:
     def test_exact_duplicates_collapse(self):
         rng = np.random.default_rng(0)
