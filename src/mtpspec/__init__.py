@@ -12,7 +12,7 @@ from .model import (KVCache, ModelConfig, MainModel, MTPHead, greedy_argmax,
                     init_model, main_forward, mtp_step)
 from .specdec import (DecodeMetrics, DecodeSession, baseline_decode, draft_round,
                       speculative_decode, verify_round)
-from .tensor import Tape, Tensor, causal_attention, grad_check, rms_norm, softmax_cross_entropy
+from .tensor import Tape, Tensor, causal_attention, grad_check, rms_norm
 from .training import TrainConfig, mtp_training_loss, pretrain_main, step_weights, train_mtp_head
 from .vocab import (CompressedVocab, FrequencyTable, VocabBank, build_frequency_table,
                     compress_vocab, draft_logits_compressed)
@@ -26,7 +26,6 @@ __all__ = [
     "DecodeMetrics", "DecodeSession", "baseline_decode", "draft_round",
     "speculative_decode", "verify_round",
     "Tape", "Tensor", "causal_attention", "grad_check", "rms_norm",
-    "softmax_cross_entropy",
     "TrainConfig", "mtp_training_loss", "pretrain_main", "step_weights",
     "train_mtp_head",
     "CompressedVocab", "FrequencyTable", "VocabBank", "build_frequency_table",

@@ -5,8 +5,9 @@ vocabulary bank it is given, every head at one draft depth K: greedy
 baseline rows, then vanilla-head rows when a vanilla head is given,
 finetuned-head rows, and finetuned-head+FR rows when a bank is given.
 
-Acceptance length tau pools committed tokens over main-model decode
-forwards across a task's prompts. Two speedup figures are reported:
+Acceptance length tau is committed tokens per draft/verify round,
+pooled over a task's prompts; a round runs one backbone forward or two
+(`DecodeMetrics.tau`). Two speedup figures are reported:
 wall-clock tokens/s against the baseline row, and the analytic ratio
 tau / (1 + K * c_draft) under the measured draft/verify cost ratio,
 which makes the draft-depth optimum checkable on any machine.

@@ -36,7 +36,7 @@ from .dedup import dedup_and_filter, mix_back
 from .distill import GenerationConfig, self_distill
 from .errors import ConfigError
 from .model import MTPHead, MainModel, ModelConfig
-from .training import TrainConfig, TrainResult, pretrain_main, train_mtp_head
+from .training import LossReport, TrainConfig, pretrain_main, train_mtp_head
 from .vocab import (FrequencyTable, VocabBank, build_frequency_table, compress_vocab,
                     load_compressed_vocab, save_compressed_vocab,
                     save_frequency_table)
@@ -65,6 +65,9 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path: str | None, seed: int | None = None) -> dict:
+    """The defaults with the config file at `path` merged over them, each of
+    its values checked against its default's type (`_same_kind`); a given
+    `seed` replaces every section's seed."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         user = data_mod.read_json(path)
@@ -79,12 +82,38 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
             if unknown:
                 raise ConfigError(f"{path}: unknown key(s) {unknown} in config "
                                   f"section {section!r}")
+            for key, value in values.items():
+                default = cfg[section][key]
+                if not _same_kind(value, default):
+                    raise ConfigError(f"{path}: {section}.{key} must be {_kind(default)}, "
+                                      f"not {json.dumps(value)}")
             cfg[section].update(values)
     if seed is not None:
         for section in cfg.values():
             if isinstance(section, dict) and "seed" in section:
                 section["seed"] = seed
     return cfg
+
+
+_KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          str: ("a string", "strings")}
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a config value has its default's type: a bool is not an
+    integer, a float setting also takes an integer, and a list holds
+    items of its default's item type."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _kind(default) -> str:
+    if isinstance(default, list):
+        return f"a list of {_KINDS[type(default[0])][1]}"
+    return _KINDS[type(default)][0]
 
 
 def _train_config(section: dict, **overrides) -> TrainConfig:
@@ -133,14 +162,14 @@ def dedup_dataset(cfg, distilled) -> list[TrainingExample]:
     return mix_back(distilled, kept, tuple(d["mix_back_langs"]), d["max_ngram_ratio"])
 
 
-def train_head(cfg, main: MainModel, dataset, **overrides) -> tuple[MTPHead, TrainResult]:
+def train_head(cfg, main: MainModel, dataset, **overrides) -> tuple[MTPHead, list[LossReport]]:
     """Fine-tune a fresh head on the backbone it drafts for.
 
     Non-None `overrides` replace fields of the `train` section.
     """
     head = MTPHead(main, np.random.default_rng(main.config.seed))
-    result = train_mtp_head(dataset, main, head, _train_config(cfg["train"], **overrides))
-    return head, result
+    reports = train_mtp_head(dataset, main, head, _train_config(cfg["train"], **overrides))
+    return head, reports
 
 
 def frequency_tables(cfg, dataset) -> dict[str, FrequencyTable]:
@@ -191,14 +220,14 @@ def cmd_train_head(args, cfg) -> int:
     out = _out(args)
     main = MainModel.load(args.main or out / "main.npz")
     dataset = load_dataset(args.data or out / "dataset.jsonl", main.config.vocab_size)
-    head, result = train_head(cfg, main, dataset, k_steps=args.k)
+    head, reports = train_head(cfg, main, dataset, k_steps=args.k)
     tag = f"-{args.tag}" if args.tag else ""
     path = out / f"head{tag}.npz"
     head.save(path)
     losses = [{"step": r.step, "total": r.total, "per_step": r.step_losses}
-              for r in result.reports]
+              for r in reports]
     (out / f"head{tag}_losses.json").write_text(json.dumps(losses))
-    final = result.reports[-1].step_losses if result.reports else []
+    final = reports[-1].step_losses if reports else []
     print(f"trained head (K={head.trained_depth}) on {len(dataset)} examples; "
           f"final per-step losses {[round(x, 4) for x in final]}; wrote {path}")
     return 0

@@ -36,26 +36,6 @@ LANG_TAGS = ("syn-a", "syn-b", "en", "zh", "cycle")
 FALLBACK_LANG = "*"
 
 
-def encode_text(text: str) -> list[int]:
-    return list(text.encode("utf-8"))
-
-
-def decode_tokens(tokens) -> str:
-    """Lossy byte-level decode; non-byte ids render as <id> markers."""
-    pieces, run = [], bytearray()
-    for t in tokens:
-        if 0 <= t <= 255:
-            run.append(t)
-        else:
-            if run:
-                pieces.append(run.decode("utf-8", errors="replace"))
-                run = bytearray()
-            pieces.append(f"<{t}>")
-    if run:
-        pieces.append(run.decode("utf-8", errors="replace"))
-    return "".join(pieces)
-
-
 @dataclass
 class TrainingExample:
     prompt: list[int]
@@ -149,13 +129,6 @@ def zipf_probs(n: int, s: float = 1.0) -> np.ndarray:
     return w / w.sum()
 
 
-def sample_zipf_tokens(rng: np.random.Generator, ids, count: int,
-                       s: float = 1.0) -> list[int]:
-    """IID draws from a Zipf(s) law over the given ids (rank = list order)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    return rng.choice(ids, size=count, p=zipf_probs(ids.size, s)).tolist()
-
-
 MARKOV_BRANCHING = 16
 
 
@@ -196,15 +169,6 @@ class MarkovLanguage:
             out.append(int(rng.choice(cands, p=probs)))
         return out
 
-    def greedy_continuation(self, prev: int, length: int) -> list[int]:
-        """Most likely continuation; the analytic oracle for greedy decodes."""
-        out = []
-        for _ in range(length):
-            cands, _ = self._table(prev)
-            prev = int(cands[0])
-            out.append(prev)
-        return out
-
 
 class CycleLanguage:
     """A deterministic period-4 token cycle; continuations are analytic."""
@@ -215,10 +179,6 @@ class CycleLanguage:
     def sample(self, rng: np.random.Generator, length: int) -> list[int]:
         phase = int(rng.integers(len(self.tokens)))
         return [self.tokens[(phase + i) % len(self.tokens)] for i in range(length)]
-
-    def continuation(self, last: int, length: int) -> list[int]:
-        phase = self.tokens.index(last)
-        return [self.tokens[(phase + 1 + i) % len(self.tokens)] for i in range(length)]
 
 
 class ByteTextLanguage:

@@ -57,10 +57,6 @@ def minhash_signature(tokens) -> np.ndarray:
     return hashed.min(axis=1)
 
 
-def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float(np.mean(sig_a == sig_b))
-
-
 def repetition_ratio(tokens, width: int) -> float:
     """Frequency share of the most common width-gram."""
     if len(tokens) < width:

@@ -116,16 +116,3 @@ def self_distill(prompts, main: MainModel, cfg: GenerationConfig) -> list[Traini
             for idx in share:
                 out[idx] = link.recv()
     return out
-
-
-def response_perplexity(main: MainModel, prompt, response) -> float:
-    """Mean per-token perplexity of a response under the main model."""
-    from .tensor import softmax_cross_entropy
-
-    _, logits = main_forward(main, list(prompt) + list(response), main.new_cache())
-    start = len(prompt) - 1
-    total = 0.0
-    for i, target in enumerate(response):
-        loss, _ = softmax_cross_entropy(logits.data[start + i], int(target))
-        total += loss
-    return float(np.exp(total / len(response)))

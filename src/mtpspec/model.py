@@ -167,14 +167,6 @@ class KVCache:
             raise ValueError(f"cannot truncate cache of length {self.length} to {length}")
         self.length = length
 
-    def clone(self) -> "KVCache":
-        other = KVCache.__new__(KVCache)
-        other.capacity = self.capacity
-        other.k = self.k.copy()
-        other.v = self.v.copy()
-        other.length = self.length
-        return other
-
 
 def _split_heads(ops, x, n_heads: int):
     """(n, m, d) stacked projections -> (n, heads, m, head_dim)."""
@@ -260,9 +252,6 @@ class MainModel:
         cfg = self.config
         return KVCache(cfg.n_layers, cfg.n_heads, cfg.head_dim, cfg.max_seq_len)
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
-
     def save(self, path) -> None:
         save_checkpoint(path, self.config, {k: v.data for k, v in self.parameters().items()})
 
@@ -311,9 +300,6 @@ class MTPHead:
                  "combine": self.combine}
         named.update(self.block.named("block"))
         return named
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
 
     def new_cache(self) -> KVCache:
         cfg = self.config
@@ -459,20 +445,18 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     return (h_new, pre_logit) if isinstance(h_new, Tensor) else (Tensor(h_new), Tensor(pre_logit))
 
 
-def greedy_argmax(logits) -> int:
-    """Index of the maximum logit; ties break toward the lowest index."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
+def greedy_argmax(logits: np.ndarray) -> int:
+    """Index of the maximum of a logit row; ties break toward the lowest index."""
+    if logits.ndim != 1 or logits.size == 0:
         raise ShapeError("greedy_argmax expects a nonempty 1-D logit row")
-    return int(_greedy(arr))
+    return int(_greedy(logits))
 
 
-def greedy_rows(logits) -> list[int]:
+def greedy_rows(logits: np.ndarray) -> list[int]:
     """`greedy_argmax` of every row of a [rows x V] logit matrix at once."""
-    arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
+    if logits.ndim != 2 or logits.size == 0:
         raise ShapeError("greedy_rows expects a nonempty 2-D logit matrix")
-    return _greedy(arr).tolist()
+    return _greedy(logits).tolist()
 
 
 def _greedy(arr: np.ndarray):

@@ -342,7 +342,7 @@ def baseline_decode(main: MainModel, prompt, max_new_tokens: int,
 
 
 # ---------------------------------------------------------------------------
-# round logs and replay
+# round logs
 
 
 def write_round_log(path, records) -> None:
@@ -378,26 +378,3 @@ def _round_record_problem(rec: dict) -> str | None:
     if type(rec["forwards"]) is not int or rec["forwards"] not in (1, 2):
         return "forwards must be 1 or 2"
     return None
-
-
-def tau_from_records(records) -> float:
-    """Recompute the mean accepted length from a round log alone."""
-    records = list(records)
-    return DecodeMetrics(rounds=len(records),
-                         output_tokens=sum(r["committed"] for r in records)).tau
-
-
-def rates_from_records(records, k_depth: int) -> list[float]:
-    """Recompute per-step acceptance rates from a round log alone."""
-    m = DecodeMetrics()
-    for rec in records:
-        m.tally(min(k_depth, len(rec["drafts"])), rec["matched"])
-    return [m.rate(k) for k in range(1, k_depth + 1)]
-
-
-def cache_consistency_gap(session: DecodeSession) -> float:
-    """Max logit gap between cached-state decoding and a from-scratch forward."""
-    _, cached = main_forward(session.main, [session.verified[-1]],
-                             session.main_cache.clone())
-    _, scratch = main_forward(session.main, session.verified)
-    return float(np.max(np.abs(cached.data[-1] - scratch.data[-1])))

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DeterminismError, NumericError, ShapeError, StateError
+from .errors import DeterminismError, ShapeError, StateError
 
 Array = np.ndarray
 
@@ -420,11 +420,6 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _record(Kernels.embedding(w, ids), scatter_add, table)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    x = _data(a)
-    return _record(np.sum(x), lambda g: (np.full_like(x, float(g)),), a)
-
-
 def silu(a: Tensor) -> Tensor:
     x = _data(a)
 
@@ -509,26 +504,6 @@ def rope_rotate(x: Tensor, cos: Array, sin: Array) -> Tensor:
 def _log_softmax(z: Array) -> Array:
     z = z - np.max(z, axis=-1, keepdims=True)
     return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-
-
-def softmax_cross_entropy(logits, target: int) -> tuple[float, Array]:
-    """Cross-entropy of a single logit row against a target id.
-
-    Returns (loss, gradient wrt the logits). Stand-alone functional form;
-    the tape-integrated batched variant is :func:`cross_entropy_rows`.
-    """
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ShapeError("softmax_cross_entropy expects a 1-D logit row")
-    if not np.all(np.isfinite(z)):
-        raise NumericError("non-finite logits")
-    if not (0 <= target < z.shape[0]):
-        raise IndexError(f"target {target} outside vocabulary of size {z.shape[0]}")
-    logp = _log_softmax(z)
-    loss = -logp[target]
-    grad = np.exp(logp)
-    grad[target] -= 1.0
-    return float(loss), grad
 
 
 def cross_entropy_rows(logits: Tensor, targets, row_weights) -> Tensor:

@@ -13,7 +13,7 @@ optimizer loop, `_fit`, and differ only in their batch loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,18 +233,6 @@ def cosine_lr(step: int, total_steps: int, peak: float) -> float:
     return peak * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-@dataclass
-class TrainResult:
-    reports: list[LossReport] = field(default_factory=list)
-
-    def final_epoch_step_means(self, steps_per_epoch: int) -> list[float]:
-        tail = self.reports[-steps_per_epoch:] if steps_per_epoch else self.reports
-        if not tail:
-            return []
-        k = len(tail[0].step_losses)
-        return [float(np.mean([r.step_losses[i] for r in tail])) for i in range(k)]
-
-
 def _fit(items, params: dict[str, Tensor], cfg: TrainConfig, batch_loss) -> list:
     """The one optimizer loop: seeded shuffled batches, cosine-scheduled AdamW.
 
@@ -352,12 +340,12 @@ class _Replay:
 
 
 def train_mtp_head(dataset, main: MainModel, head: MTPHead,
-                   cfg: TrainConfig) -> TrainResult:
+                   cfg: TrainConfig) -> list[LossReport]:
     """Fine-tune the head on a dataset; the backbone must be frozen.
 
     Deterministic given the config seed: identical seeds produce
-    bit-identical trained heads. Emits one LossReport per optimizer step
-    so per-step loss curves can be inspected afterwards.
+    bit-identical trained heads. Returns one LossReport per optimizer
+    step, so per-step loss curves can be inspected afterwards.
     """
     if not main.frozen:
         raise StateError("backbone must be frozen before head training")
@@ -370,7 +358,7 @@ def train_mtp_head(dataset, main: MainModel, head: MTPHead,
     for step, report in enumerate(reports):
         report.step = step
     head.trained_depth = cfg.k_steps
-    return TrainResult(reports)
+    return reports
 
 
 def pretrain_main(sequences, model: MainModel, cfg: TrainConfig) -> list[float]:

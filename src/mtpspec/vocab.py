@@ -180,23 +180,6 @@ def identity_vocab(main: MainModel, lang: str = FALLBACK_LANG) -> CompressedVoca
     return cv
 
 
-def size_for_coverage(table: FrequencyTable, coverage: float,
-                      specials=SPECIAL_TOKENS) -> int:
-    """Smallest keep-size whose kept mass reaches `coverage`.
-
-    Accounts for forced specials displacing counted members: the
-    returned size guarantees the final keep set covers the target.
-    """
-    specials = tuple(specials)
-    order = np.lexsort((np.arange(table.counts.size), -table.counts))
-    cum = np.cumsum(table.counts[order]) / table.total
-    base = int(np.searchsorted(cum, coverage)) + 1
-    for size in range(max(base, len(specials), 1), table.counts.size + 1):
-        if table.coverage(compress_vocab(table, size, specials).keep) >= coverage:
-            return size
-    return table.counts.size
-
-
 def draft_logits_compressed(pre_logit_state: np.ndarray, cv: CompressedVocab):
     """Logits over the kept subset only; argmax maps back to a full-vocab id.
 

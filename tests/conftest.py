@@ -41,7 +41,7 @@ def stack():
     dataset = cli.dedup_dataset(cfg, cli.distill_dataset(cfg, main))
     backbone_snapshot = {name: p.data.copy()
                          for name, p in main.parameters().items()}
-    finetuned, train_result = cli.train_head(cfg, main, dataset)
+    finetuned, train_reports = cli.train_head(cfg, main, dataset)
     vanilla, _ = cli.train_head(cfg, main, corpus, k_steps=1, epochs=2)
     return SimpleNamespace(
         config=main.config,
@@ -53,7 +53,7 @@ def stack():
         untrained=MTPHead(main, np.random.default_rng(4321)),
         tables=cli.frequency_tables(cfg, dataset),
         pretrain_curve=pretrain_curve,
-        train_result=train_result,
+        train_reports=train_reports,
         backbone_snapshot=backbone_snapshot,
         build_seconds=time.time() - t0,
     )

@@ -1,0 +1,102 @@
+"""Reference code the tests compare the package against.
+
+Nothing here runs in a decode or a pipeline stage. Each function states
+plainly something the package computes another way (a cross-entropy
+row, a replay of a round log, an analytic continuation), or draws test
+inputs.
+"""
+
+import copy
+
+import numpy as np
+
+from mtpspec import tensor as tn
+from mtpspec.data import CYCLE_TOKENS, SPECIAL_TOKENS, zipf_probs
+from mtpspec.model import MainModel, main_forward
+from mtpspec.specdec import DecodeMetrics, DecodeSession
+from mtpspec.vocab import FrequencyTable, compress_vocab
+
+
+def sample_zipf_tokens(rng: np.random.Generator, ids, count: int,
+                       s: float = 1.0) -> list[int]:
+    """IID draws from a Zipf(s) law over the given ids (rank = list order)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return rng.choice(ids, size=count, p=zipf_probs(ids.size, s)).tolist()
+
+
+def cycle_continuation(last: int, length: int) -> list[int]:
+    """The `length` cycle tokens that follow `last`."""
+    phase = CYCLE_TOKENS.index(last)
+    return [CYCLE_TOKENS[(phase + 1 + i) % len(CYCLE_TOKENS)] for i in range(length)]
+
+
+def sum_all(a: tn.Tensor) -> tn.Tensor:
+    """The sum of every entry, as a taped scalar: a loss for gradient checks."""
+    x = tn._data(a)
+    return tn._record(np.sum(x), lambda g: (np.full_like(x, float(g)),), a)
+
+
+def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy of one logit row against a target id, and its gradient
+    with respect to the logits; `tensor.cross_entropy_rows` is the taped,
+    weighted form over many rows."""
+    logp = tn._log_softmax(np.asarray(logits, dtype=np.float64))
+    grad = np.exp(logp)
+    grad[target] -= 1.0
+    return float(-logp[target]), grad
+
+
+def response_perplexity(main: MainModel, prompt, response) -> float:
+    """Mean per-token perplexity of a response under the backbone."""
+    _, logits = main_forward(main, list(prompt) + list(response), main.new_cache())
+    start = len(prompt) - 1
+    total = 0.0
+    for i, target in enumerate(response):
+        loss, _ = softmax_cross_entropy(logits.data[start + i], int(target))
+        total += loss
+    return float(np.exp(total / len(response)))
+
+
+def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
+    """The share of equal MinHash entries, which estimates Jaccard similarity."""
+    return float(np.mean(sig_a == sig_b))
+
+
+def size_for_coverage(table: FrequencyTable, coverage: float,
+                      specials=SPECIAL_TOKENS) -> int:
+    """Smallest keep-size whose kept mass reaches `coverage`.
+
+    Accounts for forced specials displacing counted members: the
+    returned size guarantees the final keep set covers the target.
+    """
+    specials = tuple(specials)
+    order = np.lexsort((np.arange(table.counts.size), -table.counts))
+    cum = np.cumsum(table.counts[order]) / table.total
+    base = int(np.searchsorted(cum, coverage)) + 1
+    for size in range(max(base, len(specials), 1), table.counts.size + 1):
+        if table.coverage(compress_vocab(table, size, specials).keep) >= coverage:
+            return size
+    return table.counts.size
+
+
+def tau_from_records(records) -> float:
+    """Recompute the mean accepted length from a round log alone."""
+    records = list(records)
+    return DecodeMetrics(rounds=len(records),
+                         output_tokens=sum(r["committed"] for r in records)).tau
+
+
+def rates_from_records(records, k_depth: int) -> list[float]:
+    """Recompute per-step acceptance rates from a round log alone."""
+    m = DecodeMetrics()
+    for rec in records:
+        m.tally(min(k_depth, len(rec["drafts"])), rec["matched"])
+    return [m.rate(k) for k in range(1, k_depth + 1)]
+
+
+def cache_consistency_gap(session: DecodeSession) -> float:
+    """Max logit gap between cached-state decoding and a from-scratch forward."""
+    _, cached = main_forward(session.main, [session.verified[-1]],
+                             copy.deepcopy(session.main_cache))
+    _, scratch = main_forward(session.main, session.verified)
+    return float(np.max(np.abs(cached.data[-1] - scratch.data[-1])))

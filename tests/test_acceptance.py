@@ -16,11 +16,12 @@ from mtpspec.data import (EOS_TOKEN, LANG_TAGS, SPECIAL_TOKENS, TrainingExample,
                           sample_prompts)
 from mtpspec.dedup import MAX_NGRAM_RATIO, dedup_and_filter, repetition_ratio
 from mtpspec.model import ModelConfig, init_model
-from mtpspec.specdec import baseline_decode, read_round_log, speculative_decode, tau_from_records
+from mtpspec.specdec import baseline_decode, read_round_log, speculative_decode
 from mtpspec.tensor import grad_check
 from mtpspec.training import (TrainConfig, _contributing_counts, backbone_hidden,
                               head_stream_loss, step_weights)
-from mtpspec.vocab import VocabBank, compress_vocab, identity_vocab, size_for_coverage
+from mtpspec.vocab import VocabBank, compress_vocab, identity_vocab
+from oracles import size_for_coverage, tau_from_records
 
 
 def _report(criterion: int, passed: bool, detail: str):

@@ -13,8 +13,9 @@ from mtpspec.bench import (
 )
 from mtpspec.errors import ConfigError
 from mtpspec.model import ModelConfig, init_model
-from mtpspec.specdec import rates_from_records, read_round_log, tau_from_records
+from mtpspec.specdec import read_round_log
 from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab
+from oracles import rates_from_records, tau_from_records
 
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=1, n_heads=2,
                   max_seq_len=64, seed=31)

@@ -123,6 +123,25 @@ class TestConfig:
         assert cfg["train"]["beta"] == 0.5
         assert cfg["dedup"]["max_ngram_ratio"] == 0.25
 
+    # a value must have its default's type: a bool is not an integer, and a
+    # list holds its default's item type
+    @pytest.mark.parametrize("section, key, value", [
+        ("data", "per_lang", 2.5), ("vocab", "size", 64.0),
+        ("dedup", "jaccard_threshold", "0.9"), ("bench", "langs", "en"),
+        ("data", "seed", "7"), ("bench", "repetitions", True),
+    ])
+    def test_malformed_value_rejected_at_load(self, tmp_path, section, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=rf"bad\.json: {section}\.{key} must be "):
+            load_config(str(path))
+
+    def test_float_setting_takes_an_integer(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"train": {"lr": 1}, "bench": {"langs": ["en"]}}))
+        cfg = load_config(str(path))
+        assert (cfg["train"]["lr"], cfg["bench"]["langs"]) == (1, ["en"])
+
     @pytest.mark.parametrize("config, field, value", [
         (TrainConfig, "epochs", 2.5), (TrainConfig, "k_steps", 2.0),
         (TrainConfig, "batch_size", True), (ModelConfig, "vocab_size", 512.0),

@@ -4,9 +4,10 @@ import numpy as np
 
 from mtpspec.data import TrainingExample
 from mtpspec.dedup import (
-    MAX_NGRAM_RATIO, _shingle_values, dedup_and_filter, estimated_jaccard,
-    minhash_signature, mix_back, passes_filters, repetition_ratio,
+    MAX_NGRAM_RATIO, _shingle_values, dedup_and_filter, minhash_signature, mix_back,
+    passes_filters, repetition_ratio,
 )
+from oracles import estimated_jaccard
 
 
 def example(tokens, prompt_len=2, lang="t"):

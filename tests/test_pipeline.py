@@ -7,12 +7,13 @@ from conftest import pool_metrics
 from mtpspec.bench import BenchTask, run_benchmark, sweep_draft_depth
 from mtpspec.data import EOS_TOKEN, LANG_TAGS, language, sample_prompts
 from mtpspec.dedup import dedup_and_filter
-from mtpspec.distill import GenerationConfig, response_perplexity, self_distill
+from mtpspec.distill import GenerationConfig, self_distill
 from mtpspec.model import MTPHead
 from mtpspec.specdec import (DecodeMetrics, DecodeSession, baseline_decode, draft_round,
                              speculative_decode, verify_round)
 from mtpspec.training import TrainConfig, train_mtp_head
 from mtpspec.vocab import VocabBank, compress_vocab
+from oracles import cycle_continuation, response_perplexity
 
 
 class TestBackboneQuality:
@@ -24,7 +25,7 @@ class TestBackboneQuality:
         for seed in range(4):
             prompt = cyc.sample(np.random.default_rng(seed), 12)
             got = baseline_decode(stack.main, prompt, 24, eos_token=None)
-            assert got == cyc.continuation(prompt[-1], 24)
+            assert got == cycle_continuation(prompt[-1], 24)
 
 
 class TestDistillationAlignment:
@@ -56,7 +57,7 @@ class TestPeriodicDraftOracle:
         session.prefill()
         for _ in range(3):
             rnd = draft_round(session, 3)
-            expected = cyc.continuation(session.verified[-1], 3)
+            expected = cycle_continuation(session.verified[-1], 3)
             assert rnd.tokens == expected
             rec = verify_round(session, rnd)
             assert rec["matched"] == 3
@@ -70,15 +71,16 @@ class TestTrainingCurves:
         text = self_distill(prompts, stack.main, GenerationConfig(seed=13))
         text = dedup_and_filter(text, 0.9, max_ngram_ratio=0.3)
         head = MTPHead(stack.main, np.random.default_rng(99))
-        result = train_mtp_head(text, stack.main, head,
-                                TrainConfig(k_steps=3, beta=0.6, lr=3e-3,
-                                            epochs=2, batch_size=8, seed=5))
+        reports = train_mtp_head(text, stack.main, head,
+                                 TrainConfig(k_steps=3, beta=0.6, lr=3e-3,
+                                             epochs=2, batch_size=8, seed=5))
         steps_per_epoch = -(-len(text) // 8)
-        l1, l2, l3 = result.final_epoch_step_means(steps_per_epoch)
+        last_epoch = reports[-steps_per_epoch:]
+        l1, l2, l3 = [float(np.mean(col)) for col in zip(*(r.step_losses for r in last_epoch))]
         assert l1 <= l2 <= l3
 
     def test_full_run_losses_are_finite_and_reported(self, stack):
-        reports = stack.train_result.reports
+        reports = stack.train_reports
         assert reports
         assert all(np.isfinite(r.total) for r in reports)
         assert all(len(r.step_losses) == 6 for r in reports)

@@ -14,15 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtpspec import tensor as tn
-from mtpspec.data import sample_prompts, sample_zipf_tokens
+from mtpspec.data import sample_prompts
 from mtpspec.errors import CapacityError, ConfigError, StateError
 from mtpspec.model import MainModel, ModelConfig, MTPHead, init_model
 from mtpspec.specdec import (
-    DecodeMetrics, DecodeSession, DraftRound, baseline_decode, cache_consistency_gap,
-    draft_round, rates_from_records, read_round_log, speculative_decode, tau_from_records,
-    verify_round, write_round_log,
+    DecodeMetrics, DecodeSession, DraftRound, baseline_decode, draft_round, read_round_log,
+    speculative_decode, verify_round, write_round_log,
 )
 from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab, load_compressed_vocab
+from oracles import (cache_consistency_gap, rates_from_records, sample_zipf_tokens,
+                     tau_from_records)
 
 STACK = Path(__file__).resolve().parents[1] / "perfbench" / "stack"
 

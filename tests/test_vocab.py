@@ -5,15 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from mtpspec.data import EOS_TOKEN, PAD_TOKEN, sample_zipf_tokens
+from mtpspec.data import EOS_TOKEN, PAD_TOKEN
 from mtpspec.errors import ConfigError, ConsistencyError, EmptyCorpusError, StateError
 from mtpspec.model import ModelConfig, greedy_argmax, init_model
 from mtpspec.vocab import (
     DETECT_WINDOW, CompressedVocab, VocabBank,
     build_frequency_table, compress_vocab, draft_logits_compressed,
     identity_vocab, load_compressed_vocab, load_frequency_table,
-    save_compressed_vocab, save_frequency_table, size_for_coverage,
+    save_compressed_vocab, save_frequency_table,
 )
+from oracles import sample_zipf_tokens, size_for_coverage
 
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=1, n_heads=2,
                   max_seq_len=32, seed=1)
