@@ -19,9 +19,8 @@ import csv
 import json
 import logging
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
-
-import numpy as np
 
 from .data import EOS_TOKEN, SPECIAL_TOKENS, read_json
 from .errors import ConfigError
@@ -63,7 +62,6 @@ class ReportRow:
     tau: float
     rates: list[float]
     tokens_per_s: float
-    tokens_per_s_std: float
     c_draft: float
     analytic_speedup: float
     wall_speedup: float
@@ -84,7 +82,7 @@ REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def _row(task: BenchTask, method: str, k_depth: int, config: ModelConfig,
-         m: DecodeMetrics, tps: float, tps_std: float, base_tps: float | None,
+         m: DecodeMetrics, tps: float, base_tps: float | None,
          c_draft: float | None = None) -> ReportRow:
     """The one place a report row is derived from pooled decode metrics.
 
@@ -101,8 +99,7 @@ def _row(task: BenchTask, method: str, k_depth: int, config: ModelConfig,
         prompts=len(task.prompts), output_tokens=m.output_tokens, rounds=m.rounds,
         tau=_round9(m.tau),
         rates=[_round9(m.rate(k)) for k in range(1, k_depth + 1)],
-        tokens_per_s=_round9(tps), tokens_per_s_std=_round9(tps_std),
-        c_draft=_round9(c_draft),
+        tokens_per_s=_round9(tps), c_draft=_round9(c_draft),
         analytic_speedup=_round9(m.tau / (1.0 + k_depth * c_draft)),
         wall_speedup=_round9(tps / base_tps) if base_tps else 0.0,
     )
@@ -119,33 +116,25 @@ def _greedy(main: MainModel, prompt, max_new_tokens: int):
 
 
 def _decode_task(task: BenchTask, k_depth: int, main: MainModel, head: MTPHead | None,
-                 vocab, repetitions: int) -> tuple[DecodeMetrics, float, float]:
-    """Run every prompt, greedily when there is no head; returns the first
-    repetition's pooled metrics plus tokens/s mean and std over repetitions
-    (token outputs must be identical across reps)."""
-    first = None
-    per_rep_tps = []
-    for _ in range(max(1, repetitions)):
-        pooled = DecodeMetrics()
-        outputs = []
-        for prompt in task.prompts:
-            out, m = (_greedy(main, prompt, task.max_new_tokens) if head is None else
-                      speculative_decode(main, head, prompt, task.max_new_tokens, k_depth,
-                                         vocab=vocab, lang=task.lang, eos_token=EOS_TOKEN))
-            outputs.append(out)
-            pooled.merge(m)
-        per_rep_tps.append(sum(map(len, outputs)) / (pooled.wall_ns * 1e-9))
-        if first is None:
-            first = pooled, outputs
-        elif outputs != first[1]:
-            raise AssertionError("decoding was not deterministic across repetitions")
-    return first[0], float(np.mean(per_rep_tps)), float(np.std(per_rep_tps))
+                 vocab) -> tuple[DecodeMetrics, float]:
+    """Decode every prompt once, greedily when there is no head; returns the
+    pooled metrics and output tokens per second. Spread over runs is
+    perfbench's job."""
+    pooled = DecodeMetrics()
+    tokens = 0
+    for prompt in task.prompts:
+        out, m = (_greedy(main, prompt, task.max_new_tokens) if head is None else
+                  speculative_decode(main, head, prompt, task.max_new_tokens, k_depth,
+                                     vocab=vocab, lang=task.lang, eos_token=EOS_TOKEN))
+        tokens += len(out)
+        pooled.merge(m)
+    return pooled, tokens / (pooled.wall_ns * 1e-9)
 
 
 def run_benchmark(tasks, *, main: MainModel, finetuned_head: MTPHead,
                   vanilla_head: MTPHead | None = None, bank: VocabBank | None = None,
-                  k_depth: int = 3, repetitions: int = 1, log_dir=None) -> list[ReportRow]:
-    """The method comparison: one row per method and task, method by method.
+                  k_depth: int = 3, log_dir=None) -> list[ReportRow]:
+    """The method comparison: one row per method and task, one decode per prompt.
 
     The greedy `baseline` rows come first because they are the speedup
     denominators. Then `vanilla-head` when that head is given,
@@ -166,11 +155,11 @@ def run_benchmark(tasks, *, main: MainModel, finetuned_head: MTPHead,
     for method, head, vocab in methods:
         k = 0 if head is None else k_depth
         for task in tasks:
-            pooled, tps, tps_std = _decode_task(task, k, main, head, vocab, repetitions)
+            pooled, tps = _decode_task(task, k, main, head, vocab)
             if head is None:
                 baseline_tps[task.name] = tps
-            rows.append(_row(task, method, k, main.config, pooled,
-                             tps, tps_std, baseline_tps[task.name]))
+            rows.append(_row(task, method, k, main.config, pooled, tps,
+                             baseline_tps[task.name]))
             if log_dir is not None and head is not None:
                 name = f"rounds_{task.name}_{method.replace('+', '_')}_k{k}.jsonl"
                 write_round_log(f"{log_dir}/{name}", pooled.records)
@@ -190,10 +179,9 @@ def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel,
     if head.trained_depth is not None and max(k_range) > head.trained_depth:
         log.warning("sweeping K up to %d beyond trained depth %d",
                     max(k_range), head.trained_depth)
-    by_k = {k: _decode_task(task, k, main, head, None, repetitions=1)
-            for k in k_range}
+    by_k = {k: _decode_task(task, k, main, head, None) for k in k_range}
     sweep = DecodeMetrics()
-    for pooled, _, _ in by_k.values():
+    for pooled, _ in by_k.values():
         sweep.merge(pooled)
     c_draft = sweep.c_draft
     base_tps = by_k[0][1] if 0 in by_k else None
@@ -220,7 +208,7 @@ def sweep_vocab_size(task: BenchTask, sizes, *, main: MainModel, head: MTPHead,
         bank = VocabBank(main, [compress_vocab(t, size, specials, main=main)
                                 for t in tables.values()])
         rows.append(_row(task, "finetuned-head+FR", k_depth, main.config,
-                         *_decode_task(task, k_depth, main, head, bank, repetitions=1),
+                         *_decode_task(task, k_depth, main, head, bank),
                          base_tps=None))
     return rows
 
@@ -229,20 +217,17 @@ def sweep_vocab_size(task: BenchTask, sizes, *, main: MainModel, head: MTPHead,
 # emission
 
 
-# (write, read) for each ReportRow field type; floats keep nine decimals
-_CSV_CELLS = {
-    "str": (str, str),
-    "int": (str, int),
-    "float": ("{:.9f}".format, float),
-    "list[float]": (lambda xs: ";".join(f"{x:.9f}" for x in xs),
-                    lambda cell: [float(x) for x in cell.split(";")] if cell else []),
-}
-# what `json.load` gives for a field written by `emit_report`; a bool is no int
-_JSON_CELLS = {
-    "str": lambda x: type(x) is str,
-    "int": lambda x: type(x) is int,
-    "float": lambda x: type(x) is float,
-    "list[float]": lambda xs: type(xs) is list and all(type(x) is float for x in xs),
+# per ReportRow field type: the value as CSV text, CSV text as the value (or a
+# ValueError), and whether a loaded value has the type; floats keep nine decimals,
+# and a bool is no int
+_Cell = namedtuple("_Cell", "write read check")
+_CELLS = {
+    "str": _Cell(str, str, lambda x: type(x) is str),
+    "int": _Cell(str, int, lambda x: type(x) is int),
+    "float": _Cell("{:.9f}".format, float, lambda x: type(x) is float),
+    "list[float]": _Cell(lambda xs: ";".join(f"{x:.9f}" for x in xs),
+                         lambda cell: [float(x) for x in cell.split(";")] if cell else [],
+                         lambda xs: type(xs) is list and all(type(x) is float for x in xs)),
 }
 
 
@@ -256,40 +241,50 @@ def emit_report(rows, out_dir, basename: str = "report") -> dict:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
-            writer.writerow([_CSV_CELLS[f.type][0](getattr(row, f.name))
+            writer.writerow([_CELLS[f.type].write(getattr(row, f.name))
                              for f in fields(ReportRow)])
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump([row.to_json() for row in rows], fh, indent=1)
     return {"csv": csv_path, "json": json_path}
 
 
+def _checked_rows(path, rows: list) -> list[ReportRow]:
+    """A loaded report's rows, CSV and JSON alike, each checked field by field."""
+    for i, obj in enumerate(rows):
+        if not isinstance(obj, dict) or obj.keys() != set(REPORT_COLUMNS):
+            raise ConfigError(f"{path}: report row {i} must hold exactly the fields "
+                              f"{REPORT_COLUMNS}")
+        for f in fields(ReportRow):
+            if not _CELLS[f.type].check(obj[f.name]):
+                raise ConfigError(f"{path}: report row {i} field {f.name!r} must be "
+                                  f"a {f.type}, not {obj[f.name]!r}")
+    return [ReportRow.from_json(obj) for obj in rows]
+
+
+def _read_cell(type_: str, cell: str):
+    """A CSV cell as its field's value, or its text for the row check to reject."""
+    try:
+        return _CELLS[type_].read(cell)
+    except ValueError:
+        return cell
+
+
 def load_report_csv(path) -> list[ReportRow]:
-    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader) != REPORT_COLUMNS:
-            raise ConfigError("unexpected report header")
-        for rec in reader:
-            if len(rec) != len(REPORT_COLUMNS):
-                raise ConfigError(f"report line {reader.line_num} has {len(rec)} cells")
-            rows.append(ReportRow.from_json({f.name: _CSV_CELLS[f.type][1](cell)
-                                             for f, cell in zip(fields(ReportRow), rec)}))
-    return rows
+        lines = list(csv.reader(fh))
+    if not lines or lines[0] != REPORT_COLUMNS:
+        raise ConfigError(f"{path}: a CSV report's header must be {REPORT_COLUMNS}")
+    # a line of the wrong length stays a list, which the row check rejects
+    rows = [{f.name: _read_cell(f.type, cell) for f, cell in zip(fields(ReportRow), line)}
+            if len(line) == len(REPORT_COLUMNS) else line for line in lines[1:]]
+    return _checked_rows(path, rows)
 
 
 def load_report_json(path) -> list[ReportRow]:
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ConfigError(f"{path}: a report must be a JSON list of rows")
-    for i, obj in enumerate(rows):
-        if not isinstance(obj, dict) or obj.keys() != set(REPORT_COLUMNS):
-            raise ConfigError(f"{path}: report row {i} must be an object with "
-                              f"keys {REPORT_COLUMNS}")
-        for f in fields(ReportRow):
-            if not _JSON_CELLS[f.type](obj[f.name]):
-                raise ConfigError(f"{path}: report row {i} field {f.name!r} must be "
-                                  f"a {f.type}, not {obj[f.name]!r}")
-    return [ReportRow.from_json(obj) for obj in rows]
+    return _checked_rows(path, rows)
 
 
 def format_table(rows) -> str:

@@ -59,15 +59,14 @@ DEFAULT_CONFIG = {
     "train": asdict(TrainConfig(k_steps=6, lr=3e-3, epochs=4, batch_size=8, seed=3)),
     "vocab": {"size": 128},
     "bench": {"k_depth": 3, "max_new_tokens": 48, "prompts_per_task": 12,
-              "prompt_len": 24, "repetitions": 1, "seed": 19,
-              "langs": list(LANG_TAGS)},
+              "prompt_len": 24, "seed": 19, "langs": list(LANG_TAGS)},
 }
 
 
 def load_config(path: str | None, seed: int | None = None) -> dict:
     """The defaults with the config file at `path` merged over them, each of
-    its values checked against its default's type (`_same_kind`); a given
-    `seed` replaces every section's seed."""
+    its values checked against its default's type (`_same_kind`) and the
+    Jaccard threshold against (0, 1]; `seed` replaces every section's seed."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         user = data_mod.read_json(path)
@@ -88,6 +87,9 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
                     raise ConfigError(f"{path}: {section}.{key} must be {_kind(default)}, "
                                       f"not {json.dumps(value)}")
             cfg[section].update(values)
+        jaccard = cfg["dedup"]["jaccard_threshold"]
+        if not 0 < jaccard <= 1:
+            raise ConfigError(f"{path}: dedup.jaccard_threshold must be in (0, 1], not {jaccard}")
     if seed is not None:
         for section in cfg.values():
             if isinstance(section, dict) and "seed" in section:
@@ -267,40 +269,44 @@ def _load_bank(args, main) -> VocabBank | None:
     return bank
 
 
+def _load_stack(args, out) -> tuple[MainModel, MTPHead]:
+    main = MainModel.load(args.main or out / "main.npz")
+    return main, MTPHead.load(args.head or out / "head.npz", main)
+
+
+def _write_report(rows, out, basename: str) -> None:
+    paths = emit_report(rows, str(out), basename)
+    print(format_table(rows))
+    print(f"wrote {paths['csv']} and {paths['json']}")
+
+
 def cmd_bench(args, cfg) -> int:
     out = _out(args)
-    main = MainModel.load(args.main or out / "main.npz")
-    head = MTPHead.load(args.head or out / "head.npz", main)
+    main, head = _load_stack(args, out)
     vanilla = MTPHead.load(args.vanilla_head, main) if args.vanilla_head else None
     bank = _load_bank(args, main)
     b = cfg["bench"]
     tasks = [_bench_task(cfg, tag) for tag in b["langs"]]
     rows = run_benchmark(tasks, main=main, finetuned_head=head, vanilla_head=vanilla,
                          bank=bank, k_depth=args.k if args.k is not None else b["k_depth"],
-                         repetitions=b["repetitions"], log_dir=str(out))
-    paths = emit_report(rows, str(out))
-    print(format_table(rows))
-    print(f"wrote {paths['csv']} and {paths['json']}")
+                         log_dir=str(out))
+    _write_report(rows, out, "report")
     return 0
 
 
 def cmd_sweep_k(args, cfg) -> int:
     out = _out(args)
-    main = MainModel.load(args.main or out / "main.npz")
-    head = MTPHead.load(args.head or out / "head.npz", main)
+    main, head = _load_stack(args, out)
     task = _bench_task(cfg, args.task_lang or cfg["bench"]["langs"][0])
     rows = sweep_draft_depth(task, range(0, args.k_max + 1), main=main, head=head)
-    paths = emit_report(rows, str(out), basename="sweep_k")
-    print(format_table(rows))
+    _write_report(rows, out, "sweep_k")
     print(f"best analytic speedup at K={argmax_speedup(rows)}")
-    print(f"wrote {paths['csv']} and {paths['json']}")
     return 0
 
 
 def cmd_sweep_vocab(args, cfg) -> int:
     out = _out(args)
-    main = MainModel.load(args.main or out / "main.npz")
-    head = MTPHead.load(args.head or out / "head.npz", main)
+    main, head = _load_stack(args, out)
     dataset = load_dataset(args.data or out / "dataset.jsonl", main.config.vocab_size)
     tables = frequency_tables(cfg, dataset)
     b = cfg["bench"]
@@ -308,19 +314,12 @@ def cmd_sweep_vocab(args, cfg) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = sweep_vocab_size(task, sizes, main=main, head=head, tables=tables,
                             k_depth=args.k if args.k is not None else b["k_depth"])
-    paths = emit_report(rows, str(out), basename="sweep_vocab")
-    print(format_table(rows))
-    print(f"wrote {paths['csv']} and {paths['json']}")
+    _write_report(rows, out, "sweep_vocab")
     return 0
 
 
 def cmd_report(args, cfg) -> int:
-    rows = load_report_json(args.rows)
-    print(format_table(rows))
-    if args.csv:
-        out = _out(args)
-        paths = emit_report(rows, str(out), basename=Path(args.rows).stem)
-        print(f"wrote {paths['csv']}")
+    print(format_table(load_report_json(args.rows)))
     return 0
 
 
@@ -378,9 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--task-lang")
 
-    p = sub.add_parser("report", help="pretty-print a JSON report")
+    p = sub.add_parser("report", help="print a saved JSON report as a table")
     p.add_argument("--rows", required=True)
-    p.add_argument("--csv", action="store_true", help="also rewrite as CSV")
 
     return parser
 

@@ -75,9 +75,7 @@ class TrainingExample:
 
 
 def save_dataset(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_json()) + "\n")
+    write_json_lines(path, (ex.to_json() for ex in examples))
 
 
 def read_json(path):
@@ -87,6 +85,13 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+
+
+def write_json_lines(path, objs) -> None:
+    """Write each object as one line of JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj) + "\n")
 
 
 def read_json_lines(path):

@@ -33,14 +33,13 @@ drafts from.
 
 from __future__ import annotations
 
-import json
 import operator
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import EOS_TOKEN, read_json_lines
+from .data import EOS_TOKEN, read_json_lines, write_json_lines
 from .errors import CapacityError, ConfigError, ShapeError, StateError
 from .model import MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step
 from .vocab import VocabBank, draft_logits_compressed
@@ -346,9 +345,7 @@ def baseline_decode(main: MainModel, prompt, max_new_tokens: int,
 
 
 def write_round_log(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    write_json_lines(path, records)
 
 
 def read_round_log(path) -> list[dict]:

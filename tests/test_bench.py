@@ -170,29 +170,28 @@ class TestEmission:
         # a format change that still round-trips would pass the test above
         rows = [ReportRow(task="zh", method="finetuned-head+FR", k=2, vocab_size=128,
                           prompts=3, output_tokens=40, rounds=17, tau=2.352941176,
-                          rates=[0.8125, 0.5], tokens_per_s=1234.5,
-                          tokens_per_s_std=0.25, c_draft=0.55,
+                          rates=[0.8125, 0.5], tokens_per_s=1234.5, c_draft=0.55,
                           analytic_speedup=1.1204481, wall_speedup=0.9),
                 ReportRow(task="en", method="baseline", k=0, vocab_size=512,
                           prompts=3, output_tokens=45, rounds=45, tau=1.0, rates=[],
-                          tokens_per_s=2000.0, tokens_per_s_std=0.0, c_draft=0.0,
+                          tokens_per_s=2000.0, c_draft=0.0,
                           analytic_speedup=1.0, wall_speedup=1.0)]
         paths = emit_report(rows, str(tmp_path))
         with open(paths["csv"], newline="") as fh:
             lines = fh.read().split("\r\n")
         assert lines[1:] == [
             "zh,finetuned-head+FR,2,128,3,40,17,2.352941176,0.812500000;0.500000000,"
-            "1234.500000000,0.250000000,0.550000000,1.120448100,0.900000000",
+            "1234.500000000,0.550000000,1.120448100,0.900000000",
             "en,baseline,0,512,3,45,45,1.000000000,,"
-            "2000.000000000,0.000000000,0.000000000,1.000000000,1.000000000",
+            "2000.000000000,0.000000000,1.000000000,1.000000000",
             "",
         ]
 
     def test_nan_rate_round_trips(self, tmp_path):
         row = ReportRow(task="toy", method="finetuned-head", k=2, vocab_size=64,
                         prompts=4, output_tokens=48, rounds=48, tau=1.0,
-                        rates=[0.0, math.nan], tokens_per_s=800.0, tokens_per_s_std=1.0,
-                        c_draft=0.5, analytic_speedup=0.5, wall_speedup=0.8)
+                        rates=[0.0, math.nan], tokens_per_s=800.0, c_draft=0.5,
+                        analytic_speedup=0.5, wall_speedup=0.8)
         paths = emit_report([row], str(tmp_path))
         with open(paths["csv"]) as fh:
             assert "0.000000000;nan" in fh.read().splitlines()[1]
@@ -212,7 +211,7 @@ class TestEmission:
     def test_malformed_report_json_rejected(self, tmp_path, case):
         good = ReportRow(task="toy", method="baseline", k=0, vocab_size=64, prompts=4,
                          output_tokens=48, rounds=48, tau=1.0, rates=[],
-                         tokens_per_s=800.0, tokens_per_s_std=0.0, c_draft=0.0,
+                         tokens_per_s=800.0, c_draft=0.0,
                          analytic_speedup=1.0, wall_speedup=1.0).to_json()
         match = "report.json"
         if case in self.WRONG_VALUES:
@@ -230,6 +229,31 @@ class TestEmission:
         path.write_text(rows)
         with pytest.raises(ConfigError, match=match):
             load_report_json(path)
+
+    # a CSV report is checked as a JSON one is, and each error names the file
+    MALFORMED_CSV = {"k-not-a-number": "report row 1 field 'k' must be a int, not 'two'",
+                     "rates-not-numbers": "report row 1 field 'rates' must be a list",
+                     "missing-cell": "report row 1 must hold exactly the fields",
+                     "empty-file": "header", "wrong-header": "header"}
+
+    @pytest.mark.parametrize("case", MALFORMED_CSV)
+    def test_malformed_report_csv_rejected(self, tmp_path, case):
+        row = ReportRow(task="toy", method="baseline", k=0, vocab_size=64, prompts=4,
+                        output_tokens=48, rounds=48, tau=1.0, rates=[],
+                        tokens_per_s=800.0, c_draft=0.0, analytic_speedup=1.0,
+                        wall_speedup=1.0)
+        path = tmp_path / "report.csv"
+        emit_report([row, row], str(tmp_path))
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        text = {"k-not-a-number": [header, first, ",".join(cells[:2] + ["two"] + cells[3:])],
+                "rates-not-numbers": [header, first, ",".join(cells[:8] + ["0.5;x"] + cells[9:])],
+                "missing-cell": [header, first, ",".join(cells[:-1])],
+                "empty-file": [],
+                "wrong-header": [header.replace("tau", "speedup"), first]}[case]
+        path.write_text("\n".join(text))
+        with pytest.raises(ConfigError, match=f"report.csv: .*{self.MALFORMED_CSV[case]}"):
+            load_report_csv(path)
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -107,7 +107,7 @@ class TestConfig:
         *(("dedup", key) for key in ("shingle_width", "num_hashes", "hash_seed",
                                      "min_response_len", "max_response_len", "ngram_width",
                                      "min_ngram_total", "drop_truncated")),
-        ("vocab", "specials"),
+        ("vocab", "specials"), ("bench", "repetitions"),
     ])
     def test_retired_key_rejected(self, tmp_path, section, key):
         path = tmp_path / "old.json"
@@ -124,11 +124,12 @@ class TestConfig:
         assert cfg["dedup"]["max_ngram_ratio"] == 0.25
 
     # a value must have its default's type: a bool is not an integer, and a
-    # list holds its default's item type
+    # list holds its default's item type; a Jaccard threshold lies in (0, 1]
     @pytest.mark.parametrize("section, key, value", [
         ("data", "per_lang", 2.5), ("vocab", "size", 64.0),
         ("dedup", "jaccard_threshold", "0.9"), ("bench", "langs", "en"),
-        ("data", "seed", "7"), ("bench", "repetitions", True),
+        ("data", "seed", "7"), ("bench", "prompts_per_task", True),
+        *(("dedup", "jaccard_threshold", value) for value in (1.5, 0, -0.1)),
     ])
     def test_malformed_value_rejected_at_load(self, tmp_path, section, key, value):
         path = tmp_path / "bad.json"
