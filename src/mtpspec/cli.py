@@ -31,7 +31,8 @@ import numpy as np
 from . import data as data_mod
 from .bench import (BenchTask, argmax_speedup, emit_report, format_table,
                     load_report_json, run_benchmark, sweep_draft_depth, sweep_vocab_size)
-from .data import LANG_TAGS, TrainingExample, load_dataset, mixed_dataset, save_dataset
+from .data import (LANG_IDS, LANG_TAGS, SPECIAL_TOKENS, TrainingExample, load_dataset,
+                   mixed_dataset, save_dataset)
 from .dedup import dedup_and_filter, mix_back
 from .distill import GenerationConfig, self_distill
 from .errors import ConfigError
@@ -65,8 +66,9 @@ DEFAULT_CONFIG = {
 
 def load_config(path: str | None, seed: int | None = None) -> dict:
     """The defaults with the config file at `path` merged over them, each of
-    its values checked against its default's type (`_same_kind`) and the
-    Jaccard threshold against (0, 1]; `seed` replaces every section's seed."""
+    its values checked against its default's type (`_same_kind`), then the
+    merged values against their ranges (`_check_ranges`); `seed` replaces
+    every section's seed."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         user = data_mod.read_json(path)
@@ -87,14 +89,32 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
                     raise ConfigError(f"{path}: {section}.{key} must be {_kind(default)}, "
                                       f"not {json.dumps(value)}")
             cfg[section].update(values)
-        jaccard = cfg["dedup"]["jaccard_threshold"]
-        if not 0 < jaccard <= 1:
-            raise ConfigError(f"{path}: dedup.jaccard_threshold must be in (0, 1], not {jaccard}")
+        _check_ranges(path, cfg)
     if seed is not None:
         for section in cfg.values():
             if isinstance(section, dict) and "seed" in section:
                 section["seed"] = seed
     return cfg
+
+
+def _check_ranges(path, cfg) -> None:
+    """Reject a Jaccard threshold outside (0, 1], a language tag outside
+    `LANG_TAGS`, an empty `data.langs` or `bench.langs`, and a vocabulary
+    too small for an id of a `data.langs` language or a special token."""
+    jaccard = cfg["dedup"]["jaccard_threshold"]
+    if not 0 < jaccard <= 1:
+        raise ConfigError(f"{path}: dedup.jaccard_threshold must be in (0, 1], not {jaccard}")
+    for section, key in (("data", "langs"), ("bench", "langs"), ("dedup", "mix_back_langs")):
+        tags = cfg[section][key]
+        nonempty = key == "langs"
+        if not set(tags) <= set(LANG_TAGS) or (nonempty and not tags):
+            raise ConfigError(f"{path}: {section}.{key} must be a {'nonempty ' if nonempty else ''}"
+                              f"list of tags from {list(LANG_TAGS)}, not {json.dumps(tags)}")
+    needed = 1 + max(*SPECIAL_TOKENS, *(max(LANG_IDS[tag]) for tag in cfg["data"]["langs"]))
+    vocab_size = cfg["model"]["vocab_size"]
+    if vocab_size < needed:
+        raise ConfigError(f"{path}: model.vocab_size must be at least {needed} to hold every id "
+                          f"of data.langs and the special tokens, not {vocab_size}")
 
 
 _KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 def seed_key(*parts) -> list[int]:
@@ -32,7 +33,10 @@ SYN_A_IDS = tuple(range(260, 384))
 SYN_B_IDS = tuple(range(384, 508))
 CYCLE_TOKENS = (508, 509, 510, 511)
 
-LANG_TAGS = ("syn-a", "syn-b", "en", "zh", "cycle")
+# the ids each language may emit, in the order corpora list the languages
+LANG_IDS = {"syn-a": SYN_A_IDS, "syn-b": SYN_B_IDS, "en": range(256), "zh": range(256),
+            "cycle": CYCLE_TOKENS}
+LANG_TAGS = tuple(LANG_IDS)
 FALLBACK_LANG = "*"
 
 
@@ -134,6 +138,30 @@ def zipf_probs(n: int, s: float = 1.0) -> np.ndarray:
     return w / w.sum()
 
 
+def cumulative(p) -> list[float]:
+    """The cumulative table `Generator.choice(a, p=p)` builds, for `draw`.
+
+    It is built as numpy 2.4 builds it (`cdf = p.cumsum(); cdf /= cdf[-1]`)
+    and `p` is checked here, once, as `choice` checks it on every call:
+    finite, nonnegative, and summing to 1 within sqrt(eps).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if (p.ndim != 1 or not p.size or not np.isfinite(p).all() or (p < 0).any()
+            or abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
+        raise NumericError("probabilities must be finite, nonnegative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw(rng: np.random.Generator, cdf: list[float]) -> int:
+    """The index `Generator.choice(a, p=p)` draws for a `cdf = cumulative(p)`:
+    one `rng.random()` double inverted by `bisect_right`, as `choice` does with
+    `searchsorted(side="right")`, so the index and the generator's state after
+    the draw are `choice`'s own."""
+    return bisect_right(cdf, rng.random())
+
+
 MARKOV_BRANCHING = 16
 
 
@@ -143,7 +171,10 @@ class MarkovLanguage:
     Each previous token maps to `MARKOV_BRANCHING` candidates drawn from a
     global Zipf law over the language's ids, so the corpus has a
     long-tail marginal while staying predictable enough to learn at
-    desk scale.
+    desk scale. The first token follows that law too; each later token
+    is one of its state's candidates under a Zipf law over their ranks.
+    Both laws become `cumulative` tables once, here, and each token is one
+    `draw`: the tokens and generator states `Generator.choice` gives.
     """
 
     def __init__(self, tag: str, ids, seed: int):
@@ -152,26 +183,26 @@ class MarkovLanguage:
         self.seed = seed
         self.branching = min(MARKOV_BRANCHING, self.ids.size)
         self._marginal = zipf_probs(self.ids.size)
-        self._transitions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._marginal_cdf = cumulative(self._marginal)
+        self._branch_cdf = cumulative(zipf_probs(self.branching))
+        self._transitions: dict[int, list[int]] = {}
 
-    def _table(self, prev: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._transitions.get(prev)
-        if cached is None:
+    def _table(self, prev: int) -> list[int]:
+        """The candidates that may follow `prev`, drawn once per state."""
+        cands = self._transitions.get(prev)
+        if cands is None:
             state_rng = np.random.default_rng((self.seed, prev))
             keep = self.ids != prev  # no self-loops: greedy orbits stay multi-token
             pool, p = self.ids[keep], self._marginal[keep]
             cands = state_rng.choice(pool, size=self.branching, replace=False,
-                                     p=p / p.sum())
-            cached = (cands, zipf_probs(self.branching))
-            self._transitions[prev] = cached
-        return cached
+                                     p=p / p.sum()).tolist()
+            self._transitions[prev] = cands
+        return cands
 
     def sample(self, rng: np.random.Generator, length: int) -> list[int]:
-        tok = int(rng.choice(self.ids, p=self._marginal))
-        out = [tok]
+        out = [int(self.ids[draw(rng, self._marginal_cdf)])]
         while len(out) < length:
-            cands, probs = self._table(out[-1])
-            out.append(int(rng.choice(cands, p=probs)))
+            out.append(self._table(out[-1])[draw(rng, self._branch_cdf)])
         return out
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .data import EOS_TOKEN, TrainingExample, seed_key
-from .errors import CapacityError, ConfigError, check_int_fields
+from .data import EOS_TOKEN, TrainingExample, cumulative, draw, seed_key
+from .errors import CapacityError, ConfigError, NumericError, check_int_fields
 from .model import MainModel, greedy_argmax, main_forward
 
 
@@ -40,9 +40,17 @@ class GenerationConfig:
 
 def sample_token(rng: np.random.Generator, logits: np.ndarray,
                  cfg: GenerationConfig) -> int:
-    """Temperature + top-k + top-p sampling over one logit row."""
+    """Temperature + top-k + top-p sampling over one logit row.
+
+    The kept tokens' probabilities become a `data.cumulative` table, and
+    the token is one `data.draw` from it: the token and generator state
+    `Generator.choice` gives. A non-finite logit is a `NumericError` at
+    every temperature.
+    """
     if cfg.temperature == 0.0:
         return greedy_argmax(logits)
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logit")
     z = logits / cfg.temperature
     z = z - z.max()
     probs = np.exp(z)
@@ -56,7 +64,7 @@ def sample_token(rng: np.random.Generator, logits: np.ndarray,
         cum = np.cumsum(kept) / kept.sum()
         cutoff = int(np.searchsorted(cum, cfg.top_p)) + 1
         order, kept = order[:cutoff], kept[:cutoff]
-    return int(rng.choice(order, p=kept / kept.sum()))
+    return int(order[draw(rng, cumulative(kept / kept.sum()))])
 
 
 def generate(main: MainModel, prompt, cfg: GenerationConfig,

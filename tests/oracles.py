@@ -11,7 +11,8 @@ import copy
 import numpy as np
 
 from mtpspec import tensor as tn
-from mtpspec.data import CYCLE_TOKENS, SPECIAL_TOKENS, zipf_probs
+from mtpspec.data import CYCLE_TOKENS, SPECIAL_TOKENS, MarkovLanguage, zipf_probs
+from mtpspec.distill import GenerationConfig
 from mtpspec.model import MainModel, main_forward
 from mtpspec.specdec import DecodeMetrics, DecodeSession
 from mtpspec.vocab import FrequencyTable, compress_vocab
@@ -22,6 +23,41 @@ def sample_zipf_tokens(rng: np.random.Generator, ids, count: int,
     """IID draws from a Zipf(s) law over the given ids (rank = list order)."""
     ids = np.asarray(ids, dtype=np.int64)
     return rng.choice(ids, size=count, p=zipf_probs(ids.size, s)).tolist()
+
+
+def markov_sample(lang: MarkovLanguage, rng: np.random.Generator, length: int) -> list[int]:
+    """`MarkovLanguage.sample` with every token drawn by `Generator.choice`
+    and each state's candidates drawn again on every visit."""
+    marginal = zipf_probs(lang.ids.size)
+
+    def candidates(prev: int) -> np.ndarray:
+        state_rng = np.random.default_rng((lang.seed, prev))
+        keep = lang.ids != prev
+        pool, p = lang.ids[keep], marginal[keep]
+        return state_rng.choice(pool, size=lang.branching, replace=False, p=p / p.sum())
+
+    out = [int(rng.choice(lang.ids, p=marginal))]
+    while len(out) < length:
+        out.append(int(rng.choice(candidates(out[-1]), p=zipf_probs(lang.branching))))
+    return out
+
+
+def sample_token(rng: np.random.Generator, logits: np.ndarray, cfg: GenerationConfig) -> int:
+    """`distill.sample_token` at a temperature above zero, with the kept token
+    drawn by `Generator.choice`."""
+    z = logits / cfg.temperature
+    z = z - z.max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    order = np.lexsort((np.arange(probs.size), -probs))
+    if cfg.top_k and cfg.top_k < order.size:
+        order = order[:cfg.top_k]
+    kept = probs[order]
+    if cfg.top_p < 1.0:
+        cum = np.cumsum(kept) / kept.sum()
+        cutoff = int(np.searchsorted(cum, cfg.top_p)) + 1
+        order, kept = order[:cutoff], kept[:cutoff]
+    return int(rng.choice(order, p=kept / kept.sum()))
 
 
 def cycle_continuation(last: int, length: int) -> list[int]:

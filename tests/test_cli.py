@@ -124,18 +124,32 @@ class TestConfig:
         assert cfg["dedup"]["max_ngram_ratio"] == 0.25
 
     # a value must have its default's type: a bool is not an integer, and a
-    # list holds its default's item type; a Jaccard threshold lies in (0, 1]
+    # list holds its default's item type; a Jaccard threshold lies in (0, 1];
+    # language lists hold known tags, and the data and bench lists at least one;
+    # the vocabulary holds every id of the data languages (syn-b reaches 507)
     @pytest.mark.parametrize("section, key, value", [
         ("data", "per_lang", 2.5), ("vocab", "size", 64.0),
         ("dedup", "jaccard_threshold", "0.9"), ("bench", "langs", "en"),
         ("data", "seed", "7"), ("bench", "prompts_per_task", True),
         *(("dedup", "jaccard_threshold", value) for value in (1.5, 0, -0.1)),
+        *(pytest.param(section, key, value, id=f"{section}-{key}-{name}")
+          for section, key in (("bench", "langs"), ("data", "langs"))
+          for name, value in (("empty", []), ("unknown", ["xx"]))),
+        pytest.param("dedup", "mix_back_langs", ["xx"], id="dedup-mix_back_langs-unknown"),
+        ("model", "vocab_size", 300),
     ])
     def test_malformed_value_rejected_at_load(self, tmp_path, section, key, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ConfigError, match=rf"bad\.json: {section}\.{key} must be "):
             load_config(str(path))
+
+    def test_byte_only_config_takes_a_byte_vocabulary(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"model": {"vocab_size": 300},
+                                    "data": {"langs": ["en", "zh"]}}))
+        cfg = load_config(str(path))
+        assert (cfg["model"]["vocab_size"], cfg["data"]["langs"]) == (300, ["en", "zh"])
 
     def test_float_setting_takes_an_integer(self, tmp_path):
         path = tmp_path / "ok.json"

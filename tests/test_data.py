@@ -10,7 +10,7 @@ from mtpspec.data import (
     seed_key,
 )
 from mtpspec.errors import ConfigError
-from oracles import cycle_continuation, sample_zipf_tokens
+from oracles import cycle_continuation, markov_sample, sample_zipf_tokens
 
 
 class TestTokenSpace:
@@ -87,6 +87,17 @@ class TestLanguages:
         for tag, ids in (("syn-a", SYN_A_IDS), ("syn-b", SYN_B_IDS)):
             seq = language(tag).sample(np.random.default_rng(0), 200)
             assert set(seq) <= set(ids)
+
+    # the cumulative-table draws are Generator.choice's: same tokens, and the
+    # generator left in the same state, at every length from 1 to 100
+    @pytest.mark.parametrize("tag", ["syn-a", "syn-b"])
+    def test_markov_sample_equals_choice_oracle(self, tag):
+        lang = language(tag)
+        for seed in range(200):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            length = 1 + seed % 100
+            assert lang.sample(rng, length) == markov_sample(lang, oracle_rng, length)
+            assert rng.random() == oracle_rng.random()
 
     def test_cycle_is_period_four(self):
         cyc = language("cycle")

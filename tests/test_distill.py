@@ -5,9 +5,10 @@ import pytest
 
 from mtpspec import distill
 from mtpspec.distill import GenerationConfig, generate, sample_token, self_distill
-from mtpspec.errors import CapacityError, ConfigError
+from mtpspec.errors import CapacityError, ConfigError, NumericError
 from mtpspec.model import ModelConfig, init_model
 from mtpspec.specdec import baseline_decode
+from oracles import sample_token as sample_token_oracle
 
 CFG = ModelConfig(vocab_size=64, model_dim=16, n_layers=1, n_heads=2,
                   max_seq_len=64, seed=21)
@@ -59,6 +60,31 @@ class TestSampleToken:
         cfg = GenerationConfig(temperature=1.0, top_k=4, top_p=1.0)
         seen = {sample_token(rng, logits, cfg) for _ in range(200)}
         assert seen <= {12, 13, 14, 15}
+
+    # rows of 8, 64 and 512 logits, every third one rounded so that ties
+    # abound, under six settings that include top_k=0 and top_p=1.0
+    def test_equals_choice_oracle(self):
+        settings = [GenerationConfig(), GenerationConfig(temperature=1.0, top_k=0, top_p=1.0),
+                    GenerationConfig(temperature=0.3, top_k=5, top_p=0.5),
+                    GenerationConfig(temperature=1.5, top_k=0, top_p=0.9),
+                    GenerationConfig(temperature=0.8, top_k=50, top_p=1.0),
+                    GenerationConfig(temperature=2.0, top_k=1, top_p=0.95)]
+        rows = np.random.default_rng(5)
+        rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+        for i in range(1200):
+            logits = rows.normal(scale=3.0, size=(8, 64, 512)[i % 3])
+            if i // 3 % 3 == 0:
+                logits = np.round(logits)
+            cfg = settings[i // 9 % len(settings)]
+            assert sample_token(rng, logits, cfg) == sample_token_oracle(oracle_rng, logits, cfg)
+            assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        logits = np.linspace(0, 3, 16)
+        logits[5] = bad
+        with pytest.raises(NumericError, match="non-finite logit"):
+            sample_token(np.random.default_rng(7), logits, GenerationConfig(temperature=0.6))
 
 
 class TestGenerate:
