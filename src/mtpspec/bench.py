@@ -4,13 +4,14 @@
 vocabulary bank it is given, every head at one draft depth K: greedy
 baseline rows, then vanilla-head rows when a vanilla head is given,
 finetuned-head rows, and finetuned-head+FR rows when a bank is given.
+It and both sweeps are lists of arms decoded by one loop, `_compare`.
 
 Acceptance length tau is committed tokens per draft/verify round,
 pooled over a task's prompts; a round runs one backbone forward or two
 (`DecodeMetrics.tau`). Two speedup figures are reported:
-wall-clock tokens/s against the baseline row, and the analytic ratio
-tau / (1 + K * c_draft) under the measured draft/verify cost ratio,
-which makes the draft-depth optimum checkable on any machine.
+wall-clock tokens/s against the task's greedy baseline row, and the
+analytic ratio tau / (1 + K * c_draft) under the measured draft/verify
+cost ratio, which makes the draft-depth optimum checkable on any machine.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import logging
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
 
 from .data import EOS_TOKEN, SPECIAL_TOKENS, read_json
 from .errors import ConfigError
@@ -105,30 +107,43 @@ def _row(task: BenchTask, method: str, k_depth: int, config: ModelConfig,
     )
 
 
-def _greedy(main: MainModel, prompt, max_new_tokens: int):
-    """Timed plain greedy decode, shaped like `speculative_decode`'s result:
-    every token after the prefill's costs one decode forward (a round)."""
-    t0 = time.perf_counter_ns()
-    out = baseline_decode(main, prompt, max_new_tokens, eos_token=EOS_TOKEN)
-    n = len(out) - 1
-    return out, DecodeMetrics(rounds=n, output_tokens=n,
-                              wall_ns=time.perf_counter_ns() - t0)
+def _compare(tasks, arms, main: MainModel, *, log_dir=None,
+             pool_c_draft: bool = False) -> list[ReportRow]:
+    """The one decode loop: a row per arm (method, head, bank, K) and task,
+    one decode per prompt; spread over runs is perfbench's job.
 
-
-def _decode_task(task: BenchTask, k_depth: int, main: MainModel, head: MTPHead | None,
-                 vocab) -> tuple[DecodeMetrics, float]:
-    """Decode every prompt once, greedily when there is no head; returns the
-    pooled metrics and output tokens per second. Spread over runs is
-    perfbench's job."""
-    pooled = DecodeMetrics()
-    tokens = 0
-    for prompt in task.prompts:
-        out, m = (_greedy(main, prompt, task.max_new_tokens) if head is None else
-                  speculative_decode(main, head, prompt, task.max_new_tokens, k_depth,
-                                     vocab=vocab, lang=task.lang, eos_token=EOS_TOKEN))
-        tokens += len(out)
-        pooled.merge(m)
-    return pooled, tokens / (pooled.wall_ns * 1e-9)
+    A head-less arm decodes greedily, each token after the prefill's one
+    forward (a round), and its tokens/s is the `wall_speedup` denominator
+    of its task (0 without one). The others run `speculative_decode` and
+    write round logs when `log_dir` is given. Each row is priced at its
+    own c_draft, or with `pool_c_draft` at the one pooled over every decode.
+    """
+    runs, base_tps = [], {}
+    for method, head, bank, k in arms:
+        for task in tasks:
+            pooled, tokens = DecodeMetrics(), 0
+            for prompt in task.prompts:
+                if head is None:
+                    t0 = time.perf_counter_ns()
+                    out = baseline_decode(main, prompt, task.max_new_tokens, eos_token=EOS_TOKEN)
+                    m = DecodeMetrics(rounds=len(out) - 1, output_tokens=len(out) - 1,
+                                      wall_ns=time.perf_counter_ns() - t0)
+                else:
+                    out, m = speculative_decode(main, head, prompt, task.max_new_tokens, k,
+                                                vocab=bank, lang=task.lang, eos_token=EOS_TOKEN)
+                tokens += len(out)
+                pooled.merge(m)
+            tps = tokens / (pooled.wall_ns * 1e-9)
+            if head is None:
+                base_tps[task.name] = tps
+            elif log_dir is not None:
+                name = f"rounds_{task.name}_{method.replace('+', '_')}_k{k}.jsonl"
+                write_round_log(f"{log_dir}/{name}", pooled.records)
+            runs.append((task, method, k, pooled, tps))
+    c_draft = (reduce(DecodeMetrics.merge, (run[3] for run in runs), DecodeMetrics()).c_draft
+               if pool_c_draft else None)
+    return [_row(task, method, k, main.config, pooled, tps, base_tps.get(task.name), c_draft)
+            for task, method, k, pooled, tps in runs]
 
 
 def run_benchmark(tasks, *, main: MainModel, finetuned_head: MTPHead,
@@ -139,39 +154,26 @@ def run_benchmark(tasks, *, main: MainModel, finetuned_head: MTPHead,
     The greedy `baseline` rows come first because they are the speedup
     denominators. Then `vanilla-head` when that head is given,
     `finetuned-head`, and `finetuned-head+FR` (the finetuned head
-    drafting over `bank`) when a bank is given, all at `k_depth`.
-    """
+    drafting over `bank`) when a bank is given, all at `k_depth`; each
+    row is priced at its own c_draft."""
     if k_depth < 0:
         raise ConfigError("k_depth must be >= 0")
-    methods = [("baseline", None, None)]
+    arms = [("baseline", None, None, 0)]
     if vanilla_head is not None:
-        methods.append(("vanilla-head", vanilla_head, None))
-    methods.append(("finetuned-head", finetuned_head, None))
+        arms.append(("vanilla-head", vanilla_head, None, k_depth))
+    arms.append(("finetuned-head", finetuned_head, None, k_depth))
     if bank is not None:
-        methods.append(("finetuned-head+FR", finetuned_head, bank))
-
-    rows: list[ReportRow] = []
-    baseline_tps: dict[str, float] = {}
-    for method, head, vocab in methods:
-        k = 0 if head is None else k_depth
-        for task in tasks:
-            pooled, tps = _decode_task(task, k, main, head, vocab)
-            if head is None:
-                baseline_tps[task.name] = tps
-            rows.append(_row(task, method, k, main.config, pooled, tps,
-                             baseline_tps[task.name]))
-            if log_dir is not None and head is not None:
-                name = f"rounds_{task.name}_{method.replace('+', '_')}_k{k}.jsonl"
-                write_round_log(f"{log_dir}/{name}", pooled.records)
-    return rows
+        arms.append(("finetuned-head+FR", finetuned_head, bank, k_depth))
+    return _compare(tasks, arms, main, log_dir=log_dir)
 
 
 def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel,
                       head: MTPHead) -> list[ReportRow]:
-    """tau / speed table over draft depths; K=0 rows are exact baselines.
+    """tau / speed table over draft depths, one row per depth.
 
-    The analytic speedup for every row uses the pooled c_draft measured
-    across the sweep so the depth optimum reflects one cost ratio.
+    K=0 is the greedy `baseline` row, the `wall_speedup` denominator of
+    the others. Every row's analytic speedup uses the c_draft pooled over
+    the sweep's head decodes, so the depth optimum reflects one cost ratio.
     """
     k_range = list(k_range)
     if not k_range or min(k_range) < 0:
@@ -179,15 +181,9 @@ def sweep_draft_depth(task: BenchTask, k_range, *, main: MainModel,
     if head.trained_depth is not None and max(k_range) > head.trained_depth:
         log.warning("sweeping K up to %d beyond trained depth %d",
                     max(k_range), head.trained_depth)
-    by_k = {k: _decode_task(task, k, main, head, None) for k in k_range}
-    sweep = DecodeMetrics()
-    for pooled, _ in by_k.values():
-        sweep.merge(pooled)
-    c_draft = sweep.c_draft
-    base_tps = by_k[0][1] if 0 in by_k else None
-    return [_row(task, "finetuned-head", k, main.config, *by_k[k],
-                 base_tps, c_draft=c_draft)
+    arms = [("baseline", None, None, 0) if k == 0 else ("finetuned-head", head, None, k)
             for k in k_range]
+    return _compare([task], arms, main, pool_c_draft=True)
 
 
 def argmax_speedup(rows) -> int:
@@ -199,18 +195,17 @@ def argmax_speedup(rows) -> int:
 def sweep_vocab_size(task: BenchTask, sizes, *, main: MainModel, head: MTPHead,
                      tables: dict, specials=SPECIAL_TOKENS,
                      k_depth: int = 3) -> list[ReportRow]:
-    """tau / speed table over compressed-vocabulary sizes for one task."""
-    rows = []
+    """tau / speed table over compressed-vocabulary sizes for one task, each
+    row priced at its own c_draft; with no baseline row, `wall_speedup` is 0."""
+    arms = []
     for size in sizes:
         if size > main.config.vocab_size:
             log.warning("clamping vocab size %d to |V|=%d", size, main.config.vocab_size)
             size = main.config.vocab_size
         bank = VocabBank(main, [compress_vocab(t, size, specials, main=main)
                                 for t in tables.values()])
-        rows.append(_row(task, "finetuned-head+FR", k_depth, main.config,
-                         *_decode_task(task, k_depth, main, head, bank),
-                         base_tps=None))
-    return rows
+        arms.append(("finetuned-head+FR", head, bank, k_depth))
+    return _compare([task], arms, main)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
 def _check_ranges(path, cfg) -> None:
     """Reject a Jaccard threshold outside (0, 1], a language tag outside
     `LANG_TAGS`, an empty `data.langs` or `bench.langs`, and a vocabulary
-    too small for an id of a `data.langs` language or a special token."""
+    too small for a special token or an id of a `data.langs` or
+    `bench.langs` language."""
     jaccard = cfg["dedup"]["jaccard_threshold"]
     if not 0 < jaccard <= 1:
         raise ConfigError(f"{path}: dedup.jaccard_threshold must be in (0, 1], not {jaccard}")
@@ -110,11 +111,12 @@ def _check_ranges(path, cfg) -> None:
         if not set(tags) <= set(LANG_TAGS) or (nonempty and not tags):
             raise ConfigError(f"{path}: {section}.{key} must be a {'nonempty ' if nonempty else ''}"
                               f"list of tags from {list(LANG_TAGS)}, not {json.dumps(tags)}")
-    needed = 1 + max(*SPECIAL_TOKENS, *(max(LANG_IDS[tag]) for tag in cfg["data"]["langs"]))
     vocab_size = cfg["model"]["vocab_size"]
-    if vocab_size < needed:
-        raise ConfigError(f"{path}: model.vocab_size must be at least {needed} to hold every id "
-                          f"of data.langs and the special tokens, not {vocab_size}")
+    for section in ("data", "bench"):
+        needed = 1 + max(*SPECIAL_TOKENS, *(max(LANG_IDS[tag]) for tag in cfg[section]["langs"]))
+        if vocab_size < needed:
+            raise ConfigError(f"{path}: model.vocab_size must be at least {needed} to hold every "
+                              f"id of {section}.langs and the special tokens, not {vocab_size}")
 
 
 _KINDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
@@ -331,8 +333,7 @@ def cmd_sweep_vocab(args, cfg) -> int:
     tables = frequency_tables(cfg, dataset)
     b = cfg["bench"]
     task = _bench_task(cfg, args.task_lang or b["langs"][0])
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = sweep_vocab_size(task, sizes, main=main, head=head, tables=tables,
+    rows = sweep_vocab_size(task, args.sizes, main=main, head=head, tables=tables,
                             k_depth=args.k if args.k is not None else b["k_depth"])
     _write_report(rows, out, "sweep_vocab")
     return 0
@@ -344,6 +345,10 @@ def cmd_report(args, cfg) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]  # argparse reports a ValueError as a usage error
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,15 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--main")
     p.add_argument("--head")
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--task-lang")
+    p.add_argument("--task-lang", choices=LANG_TAGS)
 
     p = sub.add_parser("sweep-vocab", help="vocabulary-size sweep on one task")
     p.add_argument("--main")
     p.add_argument("--head")
     p.add_argument("--data")
-    p.add_argument("--sizes", default="32,128,512")
+    p.add_argument("--sizes", type=_int_list, default="32,128,512")
     p.add_argument("--k", type=int)
-    p.add_argument("--task-lang")
+    p.add_argument("--task-lang", choices=LANG_TAGS)
 
     p = sub.add_parser("report", help="print a saved JSON report as a table")
     p.add_argument("--rows", required=True)

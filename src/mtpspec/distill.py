@@ -85,10 +85,10 @@ def generate(main: MainModel, prompt, cfg: GenerationConfig,
 def self_distill(prompts, main: MainModel, cfg: GenerationConfig) -> list[TrainingExample]:
     """Generate one example per (prompt tokens, lang tag) pair.
 
-    Responses that hit the length cap are truncated and flagged so the
-    cleaning heuristics can drop them later. A prompt and its longest
-    response must fit the backbone (`CapacityError` before anything is
-    generated). With workers (`workers.extra_processes`) each of the
+    Responses that hit the length cap are truncated and flagged; the flag
+    is kept in the dataset files for readers, and no stage drops on it. A
+    prompt and its longest response must fit the backbone (`CapacityError`
+    before anything is generated). With workers (`workers.extra_processes`) each of the
     processes generates every n-th prompt, so each share holds its part
     of every language and the shares take about as long; per-prompt
     seeds make the examples the same either way, and they come back in

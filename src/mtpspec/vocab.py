@@ -29,12 +29,6 @@ class FrequencyTable:
     counts: np.ndarray  # int64, one slot per vocabulary id
     total: int
 
-    def __add__(self, other: "FrequencyTable") -> "FrequencyTable":
-        if self.counts.shape != other.counts.shape:
-            raise ConfigError("frequency tables cover different vocabularies")
-        return FrequencyTable(self.lang, self.counts + other.counts,
-                              self.total + other.total)
-
     def coverage(self, keep) -> float:
         """Fraction of corpus occurrences covered by the kept ids."""
         return float(self.counts[np.asarray(keep)].sum() / self.total)

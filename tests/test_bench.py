@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mtpspec import bench
 from mtpspec.bench import (
     REPORT_COLUMNS, BenchTask, ReportRow, argmax_speedup, emit_report,
     format_table, load_report_csv, load_report_json, run_benchmark,
@@ -13,7 +14,7 @@ from mtpspec.bench import (
 )
 from mtpspec.errors import ConfigError
 from mtpspec.model import ModelConfig, init_model
-from mtpspec.specdec import read_round_log
+from mtpspec.specdec import baseline_decode, read_round_log, speculative_decode
 from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab
 from oracles import rates_from_records, tau_from_records
 
@@ -115,6 +116,29 @@ class TestSweeps:
         assert rows[0].k == 0
         assert rows[0].tau == 1.0
         assert rows[0].analytic_speedup == 1.0
+
+    def test_k_zero_row_is_the_greedy_baseline(self, rig, monkeypatch):
+        main, head, task = rig
+        greedy_calls, spec_depths = [], []
+
+        def counted_baseline(*args, **kwargs):
+            greedy_calls.append(args[1])
+            return baseline_decode(*args, **kwargs)
+
+        def counted_speculative(*args, **kwargs):
+            spec_depths.append(args[4])
+            return speculative_decode(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "baseline_decode", counted_baseline)
+        monkeypatch.setattr(bench, "speculative_decode", counted_speculative)
+        rows = sweep_draft_depth(task, range(0, 3), main=main, head=head)
+        assert greedy_calls == task.prompts
+        assert spec_depths == [1] * len(task.prompts) + [2] * len(task.prompts)
+        assert [(r.k, r.method) for r in rows] == [
+            (0, "baseline"), (1, "finetuned-head"), (2, "finetuned-head")]
+        for row in rows[1:]:
+            assert row.wall_speedup == pytest.approx(
+                row.tokens_per_s / rows[0].tokens_per_s, rel=1e-6)
 
     def test_argmax_matches_brute_force(self, rig):
         main, head, task = rig

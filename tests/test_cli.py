@@ -126,28 +126,35 @@ class TestConfig:
     # a value must have its default's type: a bool is not an integer, and a
     # list holds its default's item type; a Jaccard threshold lies in (0, 1];
     # language lists hold known tags, and the data and bench lists at least one;
-    # the vocabulary holds every id of the data languages (syn-b reaches 507)
-    @pytest.mark.parametrize("section, key, value", [
-        ("data", "per_lang", 2.5), ("vocab", "size", 64.0),
-        ("dedup", "jaccard_threshold", "0.9"), ("bench", "langs", "en"),
-        ("data", "seed", "7"), ("bench", "prompts_per_task", True),
-        *(("dedup", "jaccard_threshold", value) for value in (1.5, 0, -0.1)),
-        *(pytest.param(section, key, value, id=f"{section}-{key}-{name}")
+    # the vocabulary holds every id of the data and bench languages (syn-b
+    # reaches 507), so byte-only data with the default bench languages fails;
+    # `others` holds the rest of the config file
+    @pytest.mark.parametrize("section, key, value, others", [
+        *(pytest.param(section, key, value, {}, id=f"{section}-{key}-{value}")
+          for section, key, value in (
+              ("data", "per_lang", 2.5), ("vocab", "size", 64.0),
+              ("dedup", "jaccard_threshold", "0.9"), ("bench", "langs", "en"),
+              ("data", "seed", "7"), ("bench", "prompts_per_task", True),
+              *(("dedup", "jaccard_threshold", value) for value in (1.5, 0, -0.1)),
+              ("model", "vocab_size", 300))),
+        *(pytest.param(section, key, value, {}, id=f"{section}-{key}-{name}")
           for section, key in (("bench", "langs"), ("data", "langs"))
           for name, value in (("empty", []), ("unknown", ["xx"]))),
-        pytest.param("dedup", "mix_back_langs", ["xx"], id="dedup-mix_back_langs-unknown"),
-        ("model", "vocab_size", 300),
+        pytest.param("dedup", "mix_back_langs", ["xx"], {}, id="dedup-mix_back_langs-unknown"),
+        pytest.param("model", "vocab_size", 300, {"data": {"langs": ["en", "zh"]}},
+                     id="model-vocab_size-300-byte-data"),
     ])
-    def test_malformed_value_rejected_at_load(self, tmp_path, section, key, value):
+    def test_malformed_value_rejected_at_load(self, tmp_path, section, key, value, others):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({section: {key: value}}))
+        path.write_text(json.dumps({section: {key: value}, **others}))
         with pytest.raises(ConfigError, match=rf"bad\.json: {section}\.{key} must be "):
             load_config(str(path))
 
     def test_byte_only_config_takes_a_byte_vocabulary(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"model": {"vocab_size": 300},
-                                    "data": {"langs": ["en", "zh"]}}))
+                                    "data": {"langs": ["en", "zh"]},
+                                    "bench": {"langs": ["en", "zh"]}}))
         cfg = load_config(str(path))
         assert (cfg["model"]["vocab_size"], cfg["data"]["langs"]) == (300, ["en", "zh"])
 
@@ -265,3 +272,15 @@ class TestBenchCommands:
         assert "tau" in printed and "analytic" in printed
         ks = [r.k for r in load_report_json(out / "sweep_k.json")]
         assert ks == [0, 1, 2]
+
+    # a bad flag value is a usage error before the stack is loaded
+    @pytest.mark.parametrize("argv", [
+        ["sweep-k", "--task-lang", "xx"], ["sweep-vocab", "--task-lang", "xx"],
+        ["sweep-vocab", "--sizes", "32,abc"],
+    ], ids=["sweep-k-task-lang", "sweep-vocab-task-lang", "sweep-vocab-sizes"])
+    def test_bad_flag_value_is_a_usage_error(self, workdir, capsys, argv):
+        base, _ = workdir
+        with pytest.raises(SystemExit) as exit_info:
+            main(base + argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err

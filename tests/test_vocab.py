@@ -33,14 +33,6 @@ class TestFrequencyTable:
         assert table.counts[0] == 3 and table.counts[1] == 1 and table.counts[2] == 1
         assert table.total == 5
 
-    def test_concatenation_adds_elementwise(self):
-        a = build_frequency_table([[0, 1, 1]], "t", vocab_size=4)
-        b = build_frequency_table([[1, 2]], "t", vocab_size=4)
-        both = build_frequency_table([[0, 1, 1], [1, 2]], "t", vocab_size=4)
-        merged = a + b
-        np.testing.assert_array_equal(merged.counts, both.counts)
-        assert merged.total == both.total
-
     def test_zipf_long_tail_top64_covers_over_60_percent(self):
         rng = np.random.default_rng(7)
         tokens = sample_zipf_tokens(rng, list(range(512)), 200_000, s=1.0)
