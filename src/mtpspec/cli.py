@@ -347,8 +347,20 @@ def cmd_report(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",")]  # argparse reports a ValueError as a usage error
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a usage error
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its message for a ValueError
+    return parse
+
+
+def _size_list(text: str) -> list[int]:
+    """Comma-separated vocabulary sizes, each at least 1."""
+    return [_at_least(1)(s) for s in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-head", help="fine-tune the shared draft head")
     p.add_argument("--main")
     p.add_argument("--data")
-    p.add_argument("--k", type=int, help="prediction depth override")
+    p.add_argument("--k", type=_at_least(1), help="prediction depth override")
     p.add_argument("--tag", help="suffix for the head artifact name")
 
     p = sub.add_parser("build-vocab", help="frequency table + compressed vocabulary")
     p.add_argument("--lang", required=True)
-    p.add_argument("--size", type=int)
+    p.add_argument("--size", type=_at_least(1))
     p.add_argument("--data")
 
     p = sub.add_parser("bench", help="method comparison over the desk tasks")
@@ -386,20 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head")
     p.add_argument("--vanilla-head")
     p.add_argument("--vocab", nargs="*", help="compressed vocab files for FR rows")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_at_least(0))
 
     p = sub.add_parser("sweep-k", help="draft-depth sweep on one task")
     p.add_argument("--main")
     p.add_argument("--head")
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--k-max", type=_at_least(0), default=6)
     p.add_argument("--task-lang", choices=LANG_TAGS)
 
     p = sub.add_parser("sweep-vocab", help="vocabulary-size sweep on one task")
     p.add_argument("--main")
     p.add_argument("--head")
     p.add_argument("--data")
-    p.add_argument("--sizes", type=_int_list, default="32,128,512")
-    p.add_argument("--k", type=int)
+    p.add_argument("--sizes", type=_size_list, default="32,128,512")
+    p.add_argument("--k", type=_at_least(0))
     p.add_argument("--task-lang", choices=LANG_TAGS)
 
     p = sub.add_parser("report", help="print a saved JSON report as a table")

@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as tn
 from .errors import (CapacityError, ConfigError, ConsistencyError, NumericError, ShapeError,
                      StateError, check_int_fields)
-from .tensor import Tensor
+from .tensor import Tape, Tensor
 
 INIT_STD = 0.02
 
@@ -149,15 +149,6 @@ class KVCache:
             raise CapacityError(
                 f"cache length {self.length} + {count} exceeds capacity {self.capacity}")
 
-    def write(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        t = k_new.shape[1]
-        self.k[layer][:, self.length:self.length + t] = k_new
-        self.v[layer][:, self.length:self.length + t] = v_new
-
-    def view(self, layer: int, extra: int):
-        end = self.length + extra
-        return self.k[layer][:, :end], self.v[layer][:, :end]
-
     def advance(self, count: int) -> None:
         self.reserve(count)
         self.length += count
@@ -168,45 +159,67 @@ class KVCache:
         self.length = length
 
 
-def _split_heads(ops, x, n_heads: int):
+def _split_heads(x: Tensor, n_heads: int) -> Tensor:
     """(n, m, d) stacked projections -> (n, heads, m, head_dim)."""
     n, m, d = x.shape
-    return ops.transpose(ops.reshape(x, (n, m, n_heads, d // n_heads)), (0, 2, 1, 3))
+    return tn.transpose(tn.reshape(x, (n, m, n_heads, d // n_heads)), (0, 2, 1, 3))
 
 
-def _merge_heads(ops, x):
+def _merge_heads(x: Tensor) -> Tensor:
     h, m, dh = x.shape
-    return ops.reshape(ops.transpose(x, (1, 0, 2)), (m, h * dh))
+    return tn.reshape(tn.transpose(x, (1, 0, 2)), (m, h * dh))
 
 
-def block_forward(block: TransformerBlock, x, cos, sin, *, cfg: ModelConfig,
-                  cache: KVCache | None = None, layer: int = 0):
-    """One block over `x`: a Tensor under a tape, a plain array otherwise.
+def block_forward(block: TransformerBlock, x: Tensor, cos, sin, cfg: ModelConfig) -> Tensor:
+    """One block over `x` as the public primitives, which a tape records.
 
     `cos`/`sin` are the rotary rows of x's positions. The caller checks
-    its inputs (`main_forward`, `mtp_step`), reserves room in `cache`,
-    which holds arrays and so serves tape-free forwards only, and
-    advances it after the last block.
+    its inputs (`main_forward`, `mtp_step`). `block_kernels` is the same
+    math with no tape, and its results are these bits.
     """
-    ops = tn.ops()
-    a = ops.rms_norm(x, ops.operand(block.attn_norm), cfg.rms_eps)
-    w_qkv = ops.stacked(block.qkv, (block.wq, block.wk, block.wv))
-    qkv = _split_heads(ops, ops.matmul(a, w_qkv), cfg.n_heads)
-    qk, v = ops.take(qkv, slice(0, 2), 2)
-    q, k = ops.take(ops.rope_rotate(qk, cos, sin), 0, 1)
+    a = tn.rms_norm(x, block.attn_norm, cfg.rms_eps)
+    w_qkv = tn.stacked(block.qkv, (block.wq, block.wk, block.wv))
+    qk, v = tn.take(_split_heads(tn.matmul(a, w_qkv), cfg.n_heads), slice(0, 2), 2)
+    q, k = tn.take(tn.rope_rotate(qk, cos, sin), 0, 1)
+    x = tn.add(x, tn.matmul(_merge_heads(tn.causal_attention(q, k, v)), block.wo))
+    g = tn.rms_norm(x, block.mlp_norm, cfg.rms_eps)
+    gate, up = tn.take(tn.matmul(g, tn.stacked(block.gate_up, (block.w_gate, block.w_up))), 0, 1)
+    return tn.add(x, tn.matmul(tn.mul(tn.silu(gate), up), block.w_down))
 
+
+def block_kernels(block: TransformerBlock, x: np.ndarray, cos, sin, cfg: ModelConfig,
+                  cache: KVCache | None = None, layer: int = 0) -> np.ndarray:
+    """`block_forward` with no tape, as straight-line code on arrays.
+
+    Views, cache writes and weight products are numpy calls; every other
+    op is its `tensor.Kernels` kernel. A 2-D product is `np.dot`, which
+    dispatches faster than `np.matmul` and, on the BLAS the tests run
+    on, gives its bits. With `cache`, the new rows' keys
+    and values go into the cache's `layer` after its `length` rows, and
+    the attention reads all of them; the caller reserves that room and
+    advances the cache after the last block.
+    """
+    m = x.shape[0]
+    kn = tn.Kernels
+    qkv = (kn.rms_norm(x, block.attn_norm.data, cfg.rms_eps) @ block.qkv).reshape(
+        3, m, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
+    q, k = kn.rope_rotate(qkv[:2], cos, sin)
+    v = qkv[2]
     past = 0
     if cache is not None:
-        past = cache.length
-        cache.write(layer, k, v)
-        k, v = cache.view(layer, extra=x.shape[0])
-    attn = ops.causal_attention(q, k, v, past)
-
-    x = ops.add(x, ops.matmul(_merge_heads(ops, attn), ops.operand(block.wo)))
-    g = ops.rms_norm(x, ops.operand(block.mlp_norm), cfg.rms_eps)
-    gate, up = ops.take(ops.matmul(g, ops.stacked(block.gate_up, (block.w_gate, block.w_up))), 0, 1)
-    mlp = ops.mul(ops.silu(gate), up)
-    return ops.add(x, ops.matmul(mlp, ops.operand(block.w_down)))
+        past, end = cache.length, cache.length + m
+        cache.k[layer, :, past:end] = k
+        cache.v[layer, :, past:end] = v
+        k, v = cache.k[layer, :, :end], cache.v[layer, :, :end]
+    attn = kn.causal_attention(q, k, v, past)
+    y = np.dot(attn.transpose(1, 0, 2).reshape(m, cfg.model_dim), block.wo.data)
+    y += x
+    gate, up = kn.rms_norm(y, block.mlp_norm.data, cfg.rms_eps) @ block.gate_up
+    mlp = kn.silu(gate)
+    mlp *= up
+    out = np.dot(mlp, block.w_down.data)
+    out += y
+    return out
 
 
 class MainModel:
@@ -359,44 +372,48 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
 
     Appends the tokens' keys/values to `cache` when given; returns
     last-layer hidden states (pre final norm) and full-vocabulary logits
-    for each new position, as Tensors. With no tape active the forward
-    runs on the kernels and records nothing (see ``tensor.ops``), so its
-    inputs are checked here: tokens (`ShapeError`, `IndexError`) and room
-    in the cache and the rotary table (`CapacityError`). The cache
-    stores arrays, which carry no gradient, so a cache under a tape
-    raises `StateError` rather than drop the gradient through the
-    cached keys and values. A frozen model's tape-free forward of
-    `CONTIGUOUS_HEAD_ROWS` or more rows projects through `output_wt`,
-    which gives the transposed view's bits faster.
+    for each new position, as Tensors. Under a tape the forward composes
+    the public primitives (`block_forward`); with none it runs
+    `block_kernels` and records nothing, in bits equal to the taped
+    ones. Either way its inputs are checked here: tokens (`ShapeError`,
+    `IndexError`) and room in the cache and the rotary table
+    (`CapacityError`). The cache stores arrays, which carry no gradient,
+    so a cache under a tape raises `StateError` rather than drop the
+    gradient through the cached keys and values. The logit projection is
+    the public, checked `matmul` on both paths, so a tracer of the public
+    primitives sees one per tape-free forward. A frozen model's tape-free
+    forward of `CONTIGUOUS_HEAD_ROWS` or more rows projects through
+    `output_wt`, which gives the transposed view's bits faster.
     """
     cfg = model.config
-    ops = tn.ops()
+    taped = Tape.active()
     tokens = _token_ids(tokens, cfg.vocab_size)
     n = tokens.size
     past = cache.length if cache is not None else 0
     if cache is not None:
-        if ops is not tn.Kernels:
+        if taped:
             raise StateError("a KV cache serves tape-free forwards only")
         cache.reserve(n)
     cos, sin = model.rope.slices(past, n)
 
-    x = ops.embedding(ops.operand(model.embed), tokens)
+    if taped:
+        x = tn.embedding(model.embed, tokens)
+        for blk in model.blocks:
+            x = block_forward(blk, x, cos, sin, cfg)
+        head = tn.transpose(model.output_w, (1, 0))
+        return x, tn.matmul(tn.rms_norm(x, model.final_norm, cfg.rms_eps), head)
+
+    x = model.embed.data[tokens]
     for i, blk in enumerate(model.blocks):
-        x = block_forward(blk, x, cos, sin, cfg=cfg, cache=cache, layer=i)
+        x = block_kernels(blk, x, cos, sin, cfg, cache, i)
     if cache is not None:
         cache.advance(n)
-    # The logit projection calls the public, checked `matmul` on either
-    # path, so a tape-free forward wraps its operands in Tensors: one call
-    # per forward, and the op a tracer of the public primitives still sees
-    # in a tape-free decode (perfbench counts it).
-    if ops is tn.Kernels and n >= CONTIGUOUS_HEAD_ROWS and model.output_wt is not None:
+    if n >= CONTIGUOUS_HEAD_ROWS and model.output_wt is not None:
         head = model.output_wt
     else:
-        head = ops.transpose(ops.operand(model.output_w), (1, 0))
-    normed = ops.rms_norm(x, ops.operand(model.final_norm), cfg.rms_eps)
-    if ops is tn.Kernels:
-        x, normed, head = Tensor(x), Tensor(normed), Tensor(head)
-    return x, tn.matmul(normed, head)
+        head = model.output_w.data.T
+    normed = tn.Kernels.rms_norm(x, model.final_norm.data, cfg.rms_eps)
+    return Tensor(x), tn.matmul(Tensor(normed), Tensor(head))
 
 
 def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None,
@@ -410,39 +427,46 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     cache-free training path). Returns the block's output hidden states
     and the pre-logit states as Tensors; logits are produced separately
     by projecting the latter through the shared output head. Like
-    `main_forward`, it runs on the kernels when no tape is active and
-    checks its inputs here: `h_prev` must be (tokens, model_dim)
-    (`ShapeError`), the tokens vocabulary ids (`IndexError`), and the
-    cache and rotary table must have room (`CapacityError`). Under a
-    tape a cache raises `StateError`, as in `main_forward`.
+    `main_forward`, it composes the primitives under a tape and runs
+    `block_kernels` with none, and checks its inputs here: `h_prev` must
+    be (tokens, model_dim) (`ShapeError`), the tokens vocabulary ids
+    (`IndexError`), and the cache and rotary table must have room
+    (`CapacityError`). Under a tape a cache raises `StateError`, as in
+    `main_forward`.
     """
     cfg = head.config
-    ops = tn.ops()
-    if ops is tn.Kernels:
+    taped = Tape.active()
+    if taped:
+        h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
+    else:
         h_prev = h_prev.data if isinstance(h_prev, Tensor) else np.asarray(h_prev, dtype=np.float64)
-    elif not isinstance(h_prev, Tensor):
-        h_prev = Tensor(h_prev)
     tokens = _token_ids(shifted_tokens, cfg.vocab_size)
-    if h_prev.shape != (tokens.size, cfg.model_dim):
-        raise ShapeError(f"h_prev shape {h_prev.shape} must be ({tokens.size} tokens, "
-                         f"model_dim {cfg.model_dim})")
-    if cache is not None and ops is not tn.Kernels:
-        raise StateError("a KV cache serves tape-free steps only")
     m = tokens.size
-    pos = cache.length if cache is not None else pos_offset
+    if h_prev.shape != (m, cfg.model_dim):
+        raise ShapeError(f"h_prev shape {h_prev.shape} must be ({m} tokens, "
+                         f"model_dim {cfg.model_dim})")
     if cache is not None:
+        if taped:
+            raise StateError("a KV cache serves tape-free steps only")
         cache.reserve(m)
-    cos, sin = head.rope.slices(pos, m)
+    cos, sin = head.rope.slices(cache.length if cache is not None else pos_offset, m)
+    eps = cfg.rms_eps
 
-    hn = ops.rms_norm(h_prev, ops.operand(head.norm_hidden), cfg.rms_eps)
-    en = ops.rms_norm(ops.embedding(ops.constant(head.embed), tokens),
-                      ops.operand(head.norm_embed), cfg.rms_eps)
-    x = ops.matmul(ops.concat_last(hn, en), ops.operand(head.combine))
-    h_new = block_forward(head.block, x, cos, sin, cfg=cfg, cache=cache, layer=0)
+    if taped:
+        hn = tn.rms_norm(h_prev, head.norm_hidden, eps)
+        en = tn.rms_norm(tn.embedding(tn.constant(head.embed), tokens), head.norm_embed, eps)
+        x = tn.matmul(tn.concat_last(hn, en), head.combine)
+        h_new = block_forward(head.block, x, cos, sin, cfg)
+        return h_new, tn.rms_norm(h_new, tn.constant(head.final_norm), eps)
+
+    kn = tn.Kernels
+    hn = kn.rms_norm(h_prev, head.norm_hidden.data, eps)
+    en = kn.rms_norm(head.embed.data[tokens], head.norm_embed.data, eps)
+    x = np.dot(np.concatenate((hn, en), axis=-1), head.combine.data)
+    h_new = block_kernels(head.block, x, cos, sin, cfg, cache)
     if cache is not None:
         cache.advance(m)
-    pre_logit = ops.rms_norm(h_new, ops.constant(head.final_norm), cfg.rms_eps)
-    return (h_new, pre_logit) if isinstance(h_new, Tensor) else (Tensor(h_new), Tensor(pre_logit))
+    return Tensor(h_new), Tensor(kn.rms_norm(h_new, head.final_norm.data, eps))
 
 
 def greedy_argmax(logits: np.ndarray) -> int:

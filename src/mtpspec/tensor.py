@@ -1,29 +1,30 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-The module has two op sets with the same names. A kernel, the attribute
-of :class:`Kernels` with its name, holds a forward primitive's math on
-plain ndarrays and checks nothing. The public primitive of that name
-takes Tensors only (an ndarray operand raises `TypeError` before any
-math runs), checks their shapes, calls the kernel and returns a Tensor;
-under an active :class:`Tape` it also appends a backward closure for a
-gradient-bearing input, and ``Tape.backward`` replays those in exact
-reverse order. Both op sets run the same kernel, so their results are
-bitwise equal. The hot kernels call ufunc methods (``np.add.reduce``,
-``np.maximum.reduce``) rather than ``np.sum``/``np.max``, which give the
-same bits without numpy's Python wrappers.
+Each forward op's arithmetic is written once, on plain ndarrays, as the
+attribute of :class:`Kernels` with its name; a kernel checks nothing. The
+public primitive of that name takes Tensors only (an ndarray operand
+raises `TypeError` before any math runs), checks their shapes, calls the
+kernel and returns a Tensor; under an active :class:`Tape` it also
+appends a backward closure for a gradient-bearing input, and
+``Tape.backward`` replays those in exact reverse order.
 
-A forward picks its op set once per call with `ops`: the kernels when no
-tape is active, this module's primitives under one. The two sets share
-their names (`operand`, `constant` and `stacked` included), so a forward
-is written once. A tape-free forward at decode sizes costs about one
-numpy call's dispatch per operation, not arithmetic, so a primitive's
-type dispatch and shape checks were a large share of it; the kernels
-skip them, and the forwards check their own inputs once where they
-enter, with the typed errors the primitives raise. For the same reason
-the kernels save numpy calls wherever the bits stay the same: a one-row
-`rms_norm` computes its inverse root on a Python float with the same
-IEEE steps, and causal masks are read-only slices of one
-lower-triangular table.
+The model's forwards come in two op orders over the same kernels. Under
+a tape (`Tape.active`) they compose the public primitives, so the tape
+records each op. With no tape they are straight-line code: numpy for
+views, cache writes and products, the kernels for every other op, and no
+Tensor until the result. A tape-free forward at decode sizes costs about
+one numpy call's dispatch per operation, not arithmetic, so a primitive's
+type dispatch, shape checks and Tensor wrapping would be a large share of
+it; the forwards instead check their inputs once where they enter, with
+the typed errors the primitives raise. Nothing ties the two op orders
+together but tests: `TestTapeFreeForward`, `TestDeskShape` and the bit
+pins require their results to be bitwise equal. For the same reason the
+kernels save numpy calls wherever the bits stay the same: the hot ones
+call ufunc methods (``np.add.reduce``, ``np.maximum.reduce``) with
+positional arguments rather than ``np.sum``/``np.max``, work in place
+once they own a buffer, and a one-row `rms_norm` computes its inverse
+root on a Python float with the same IEEE steps; causal masks are
+read-only slices of one lower-triangular table.
 
 Weights that are used together can live in one buffer: `stacked` passes
 a (n, k, j) buffer whose n parts are the parameters' own views, and
@@ -40,7 +41,6 @@ repeated forward passes being bit-identical.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -160,6 +160,11 @@ class Tape:
     def __len__(self) -> int:
         return len(self._ops)
 
+    @staticmethod
+    def active() -> bool:
+        """Whether a tape is recording: a forward composes primitives if so, kernels if not."""
+        return _ACTIVE_TAPE is not None
+
     def backward(self, root: Tensor) -> None:
         """Seed root's gradient with ones and replay the tape reversed."""
         if self._used:
@@ -172,29 +177,16 @@ class Tape:
             op()
 
 
-_PRIMITIVES = sys.modules[__name__]  # the public primitives, as one op set
-
-
-def ops():
-    """The op set a forward runs, picked once per call: `Kernels` when no
-    tape is active, this module's primitives under one."""
-    return Kernels if _ACTIVE_TAPE is None else _PRIMITIVES
-
-
-def operand(t: Tensor) -> Tensor:
-    """How a forward passes `t` to the primitives: as is (`Kernels` passes its array)."""
-    return t
-
-
 def constant(t: Tensor) -> Tensor:
-    """Like `operand` for a weight that must get no gradient: a grad-free Tensor over its array."""
+    """A grad-free Tensor over `t`'s array: how a taped forward uses a weight
+    that must get no gradient."""
     return Tensor(t.data)
 
 
 def stacked(buffer: Array, parts: Sequence[Tensor]) -> Tensor:
-    """How a forward passes weights that are consecutive views of one buffer:
-    a Tensor over the same memory whose gradient goes to `parts`, one
-    slice of the first axis each (`Kernels` passes `buffer` itself)."""
+    """How a taped forward passes weights that are consecutive views of one
+    buffer: a Tensor over the same memory whose gradient goes to `parts`,
+    one slice of the first axis each."""
     return _record(buffer, tuple, *parts)
 
 
@@ -236,46 +228,49 @@ class Kernels:
     """Each forward primitive's math on arrays, with no checks and no tape.
 
     A primitive checks its Tensor operands and calls its kernel for the
-    forward, so the math exists once. A forward that checked its inputs
-    where they entered runs on the kernels when no tape is active (`ops`):
-    the weights were checked where they were built or loaded, and the
-    shape of every other operand follows from them. The names are the
-    primitives', `operand`, `constant` and `stacked` included, so one
-    forward definition runs on either op set.
+    forward, and a tape-free forward calls the kernels it needs directly,
+    so each op's arithmetic is written once, here. A caller of a kernel
+    has checked its operands: the weights where they were built or
+    loaded, the rest where they entered its forward.
     """
 
     add = np.add
     mul = np.multiply
     scale = np.multiply
     matmul = np.matmul
-    operand = staticmethod(lambda t: t.data)
-    constant = operand
-    stacked = staticmethod(lambda buffer, parts: buffer)
     transpose = staticmethod(lambda x, axes: x.transpose(axes))
     reshape = staticmethod(lambda x, shape: x.reshape(shape))
     take = staticmethod(lambda x, *keys: tuple([x[key] for key in keys]))
     concat_last = staticmethod(lambda x, y: np.concatenate([x, y], axis=-1))
     embedding = staticmethod(lambda w, ids: w[ids])
-    silu = staticmethod(lambda x: x * _sigmoid(x))
+
+    @staticmethod
+    def silu(x: Array) -> Array:
+        y = _sigmoid(x)
+        y *= x
+        return y
 
     @staticmethod
     def rms_norm(x: Array, gamma: Array, eps: float) -> Array:
-        ss = np.add.reduce(x * x, axis=-1, keepdims=True)
-        if ss.size == 1 and (r := ss.item() / x.shape[-1] + eps) > 0:
+        d = x.shape[-1]
+        if x.size == d and (r := float(np.add.reduce(x * x, None)) / d + eps) > 0:
             # One row: the same IEEE steps on a float, not four ufunc calls.
             # r == 0 stays on arrays, where 1/0 warns instead of raising.
-            return x * (1.0 / math.sqrt(r)) * gamma
-        return x * _inv_rms(ss, x.shape[-1], eps) * gamma
+            y = x * (1.0 / math.sqrt(r))
+        else:
+            y = x * _inv_rms(np.add.reduce(x * x, -1, None, None, True), d, eps)
+        y *= gamma
+        return y
 
     @staticmethod
     def softmax_last(x: Array, mask: Array | None = None) -> Array:
         if mask is None:
-            z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+            z = x - np.maximum.reduce(x, -1, None, None, True)
         else:
             z = x + mask
-            z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+            z -= np.maximum.reduce(z, -1, None, None, True)
         y = np.exp(z, out=z)  # in place from here on: one score-sized buffer, not three
-        y /= np.add.reduce(y, axis=-1, keepdims=True)
+        y /= np.add.reduce(y, -1, None, None, True)
         return y
 
     @staticmethod
@@ -287,11 +282,19 @@ class Kernels:
 
     @staticmethod
     def causal_attention(q: Array, k: Array, v: Array, past_len: int = 0) -> Array:
-        return _attend(Kernels, q, k, v, past_len)
+        m = q.shape[-2]
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= 1.0 / math.sqrt(q.shape[-1])
+        mask = None if m == 1 else _causal_mask(m, k.shape[-2], past_len)
+        return Kernels.softmax_last(scores, mask) @ v
 
 
 def _sigmoid(x: Array) -> Array:
-    return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), computed in one new buffer."""
+    y = np.negative(x)
+    np.exp(y, out=y)
+    y += 1.0
+    return np.divide(1.0, y, out=y)
 
 
 def _inv_rms(ss: Array, d: int, eps: float) -> Array:
@@ -574,16 +577,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, past_len: int = 0) -> Tens
     m, s = q.shape[-2], k.shape[-2]
     if s != past_len + m:
         raise ShapeError(f"key rows {s} != past_len {past_len} + query rows {m}")
-    return _attend(_PRIMITIVES, q, k, v, past_len)
-
-
-def _attend(op_set, q, k, v, past_len: int):
-    """Attention composed of the ops of `op_set`: the kernels, or primitives a tape records."""
-    m, s = q.shape[-2], k.shape[-2]
-    scores = op_set.scale(op_set.matmul(q, op_set.transpose(k, _swap_last(k.ndim))),
-                          1.0 / math.sqrt(q.shape[-1]))
-    probs = op_set.softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
-    return op_set.matmul(probs, v)
+    scores = scale(matmul(q, transpose(k, _swap_last(k.ndim))), 1.0 / math.sqrt(q.shape[-1]))
+    probs = softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
+    return matmul(probs, v)
 
 
 def _swap_last(ndim: int) -> tuple[int, ...]:

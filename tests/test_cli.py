@@ -215,8 +215,10 @@ class TestPipelineArtifacts:
 
     def test_build_vocab_size_zero_rejected(self, workdir):
         base, out = workdir
-        with pytest.raises(ConfigError):
+        with pytest.raises(SystemExit) as exit_info:  # a usage error, at parse time
             main(base + ["build-vocab", "--lang", "syn-a", "--size", "0"])
+        assert exit_info.value.code == 2
+        assert not (out / "vocab_syn-a_0.json").exists()
         assert not (out / "vocab_syn-a_128.json").exists()
 
     def test_pretrain_zero_epochs_rejected_before_writing(self, tmp_path):
@@ -276,8 +278,12 @@ class TestBenchCommands:
     # a bad flag value is a usage error before the stack is loaded
     @pytest.mark.parametrize("argv", [
         ["sweep-k", "--task-lang", "xx"], ["sweep-vocab", "--task-lang", "xx"],
-        ["sweep-vocab", "--sizes", "32,abc"],
-    ], ids=["sweep-k-task-lang", "sweep-vocab-task-lang", "sweep-vocab-sizes"])
+        ["sweep-vocab", "--sizes", "32,abc"], ["bench", "--k", "-1"],
+        ["sweep-vocab", "--k", "-1"], ["sweep-k", "--k-max", "-1"], ["train-head", "--k", "0"],
+        ["build-vocab", "--size", "0", "--lang", "syn-a"], ["sweep-vocab", "--sizes", "32,0"],
+    ], ids=["sweep-k-task-lang", "sweep-vocab-task-lang", "sweep-vocab-sizes", "bench-k",
+            "sweep-vocab-k", "sweep-k-k-max", "train-head-k", "build-vocab-size",
+            "sweep-vocab-sizes-zero"])
     def test_bad_flag_value_is_a_usage_error(self, workdir, capsys, argv):
         base, _ = workdir
         with pytest.raises(SystemExit) as exit_info:

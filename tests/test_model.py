@@ -226,7 +226,18 @@ class TestTapeFreeForward:
         with Tape() as tape:
             _, logits = main_forward(main, tokens)
             cross_entropy_rows(logits, np.roll(tokens, -1), np.full(12, 0.5))
-        assert len(tape) == 55  # 27 per block, embedding, final norm, projection, loss
+        # 25 per block, embedding, head transpose, final norm, projection, loss
+        assert len(tape) == 55
+
+    def test_taped_head_step_records_the_primitives_it_always_did(self):
+        _, head = init_model(ModelConfig())
+        rng = np.random.default_rng(14)
+        tokens = rng.integers(head.config.vocab_size, size=12)
+        with Tape() as tape:
+            mtp_step(head, rng.normal(size=(12, head.config.model_dim)), tokens)
+        # two input norms, concat, combine, 25 in the block, final norm; the
+        # embedding of the frozen table records nothing
+        assert len(tape) == 30
 
     def test_main_forward_cache_rejected_under_tape(self, models):
         main, _ = models

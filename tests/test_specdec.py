@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from mtpspec import tensor as tn
 from mtpspec.data import sample_prompts
 from mtpspec.errors import CapacityError, ConfigError, StateError
-from mtpspec.model import MainModel, ModelConfig, MTPHead, init_model
+from mtpspec.model import MainModel, ModelConfig, MTPHead, init_model, main_forward, mtp_step
 from mtpspec.specdec import (
     DecodeMetrics, DecodeSession, DraftRound, baseline_decode, draft_round, read_round_log,
     speculative_decode, verify_round, write_round_log,
 )
+from mtpspec.training import backbone_hidden
 from mtpspec.vocab import VocabBank, build_frequency_table, compress_vocab, load_compressed_vocab
 from oracles import (cache_consistency_gap, rates_from_records, sample_zipf_tokens,
                      tau_from_records)
@@ -206,7 +207,7 @@ class TestLosslessness:
 PUBLIC_PRIMITIVES = sorted(
     name for name, f in vars(tn).items()
     if inspect.isfunction(f) and f.__module__ == tn.__name__ and not name.startswith("_")
-    and name not in ("ops", "diverted_grads", "grad_check"))
+    and name not in ("diverted_grads", "grad_check"))
 
 
 def test_tape_free_decodes_run_on_the_kernels(monkeypatch):
@@ -233,7 +234,7 @@ def test_tape_free_decodes_run_on_the_kernels(monkeypatch):
     for name in PUBLIC_PRIMITIVES:
         monkeypatch.setattr(tn, name, refuse)
     monkeypatch.setattr(tn, "matmul", lambda a, b: matmuls.append(1) or public_matmul(a, b))
-    assert {"causal_attention", "embedding", "operand", "rms_norm", "take"} <= set(PUBLIC_PRIMITIVES)
+    assert {"causal_attention", "embedding", "rms_norm", "take"} <= set(PUBLIC_PRIMITIVES)
     for p, (tokens, rounds) in zip(prompts, expected):
         matmuls.clear()
         out, got, m = decode(p)
@@ -242,6 +243,36 @@ def test_tape_free_decodes_run_on_the_kernels(monkeypatch):
         matmuls.clear()
         assert baseline_decode(main, p, 32) == tokens
         assert len(matmuls) == len(tokens)
+
+
+def test_cache_free_tape_free_forwards_run_on_the_kernels(monkeypatch):
+    """Cache-free forwards with no tape take the same kernel path as decodes:
+    `backbone_hidden` and `main_forward` call one public primitive, the
+    logit projection's `matmul`, and a head step calls none."""
+    main = MainModel.load(STACK / "main.npz")
+    head = MTPHead.load(STACK / "head.npz", main)
+    tokens = sample_prompts("en", 112, 1, 40)[0]
+
+    def run():
+        hidden, logits = main_forward(main, tokens)
+        step = mtp_step(head, hidden.data[:-1], tokens[1:])
+        return [hidden.data, logits.data, backbone_hidden(main, tokens),
+                *(t.data for t in step)]
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tape-free forward called a public tensor primitive")
+
+    matmuls = []
+    public_matmul = tn.matmul
+    for name in PUBLIC_PRIMITIVES:
+        monkeypatch.setattr(tn, name, refuse)
+    monkeypatch.setattr(tn, "matmul", lambda a, b: matmuls.append(1) or public_matmul(a, b))
+    got = run()
+    assert len(matmuls) == 2  # main_forward's projection, and backbone_hidden's
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
 
 
 class TestDecodeLoopProperties:
