@@ -7,11 +7,17 @@ runs one transformer block over its own stream, and projects logits
 through the main model's shared output head; one weight set is reused at
 every prediction step.
 
+A block is defined once, as straight-line code on arrays
+(`block_kernels`). Under a tape each block call is one tape step
+(`taped_block`), whose backward `block_backward` is written out by hand
+from the gradient rules in `tensor.Grads`; with no tape the forwards
+record nothing.
+
 Each block keeps its Q/K/V weights in one (3, d, d) buffer and its
 SwiGLU gate/up weights in one (2, d, f) buffer. The parameters `wq`,
 `wk`, `wv`, `w_gate` and `w_up` are contiguous views into them, so
 checkpoints, the optimizer and gradient checks see the named weights and
-work on them in place, while the forward projects with one stacked
+work on them in place, while the block projects with one stacked
 matmul per buffer and rotates q and k with one rotary call. Those views
 must stay views: loading writes through them, and freezing locks the
 buffers too.
@@ -159,51 +165,25 @@ class KVCache:
         self.length = length
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(n, m, d) stacked projections -> (n, heads, m, head_dim)."""
-    n, m, d = x.shape
-    return tn.transpose(tn.reshape(x, (n, m, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    h, m, dh = x.shape
-    return tn.reshape(tn.transpose(x, (1, 0, 2)), (m, h * dh))
-
-
-def block_forward(block: TransformerBlock, x: Tensor, cos, sin, cfg: ModelConfig) -> Tensor:
-    """One block over `x` as the public primitives, which a tape records.
-
-    `cos`/`sin` are the rotary rows of x's positions. The caller checks
-    its inputs (`main_forward`, `mtp_step`). `block_kernels` is the same
-    math with no tape, and its results are these bits.
-    """
-    a = tn.rms_norm(x, block.attn_norm, cfg.rms_eps)
-    w_qkv = tn.stacked(block.qkv, (block.wq, block.wk, block.wv))
-    qk, v = tn.take(_split_heads(tn.matmul(a, w_qkv), cfg.n_heads), slice(0, 2), 2)
-    q, k = tn.take(tn.rope_rotate(qk, cos, sin), 0, 1)
-    x = tn.add(x, tn.matmul(_merge_heads(tn.causal_attention(q, k, v)), block.wo))
-    g = tn.rms_norm(x, block.mlp_norm, cfg.rms_eps)
-    gate, up = tn.take(tn.matmul(g, tn.stacked(block.gate_up, (block.w_gate, block.w_up))), 0, 1)
-    return tn.add(x, tn.matmul(tn.mul(tn.silu(gate), up), block.w_down))
-
-
 def block_kernels(block: TransformerBlock, x: np.ndarray, cos, sin, cfg: ModelConfig,
-                  cache: KVCache | None = None, layer: int = 0) -> np.ndarray:
-    """`block_forward` with no tape, as straight-line code on arrays.
+                  cache: KVCache | None = None, layer: int = 0) -> tuple[np.ndarray, tuple]:
+    """One block over the rows `x`: its output, and the intermediates
+    `block_backward` needs.
 
-    Views, cache writes and weight products are numpy calls; every other
-    op is its `tensor.Kernels` kernel. A 2-D product is `np.dot`, which
-    dispatches faster than `np.matmul` and, on the BLAS the tests run
-    on, gives its bits. With `cache`, the new rows' keys
-    and values go into the cache's `layer` after its `length` rows, and
-    the attention reads all of them; the caller reserves that room and
-    advances the cache after the last block.
+    `cos`/`sin` are the rotary rows of x's positions; the caller checks
+    its inputs. Views, cache writes and weight products are numpy calls
+    (a 2-D one `np.dot`, which dispatches faster than `np.matmul` with
+    its bits on the BLAS the tests run on); every other op is a
+    `tensor.Kernels` kernel. With `cache`, the new rows' keys and values
+    go into its `layer` after its `length` rows, and the attention reads
+    all of them; the caller reserves that room and advances the cache.
     """
     m = x.shape[0]
     kn = tn.Kernels
-    qkv = (kn.rms_norm(x, block.attn_norm.data, cfg.rms_eps) @ block.qkv).reshape(
-        3, m, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
-    q, k = kn.rope_rotate(qkv[:2], cos, sin)
+    a = kn.rms_norm(x, block.attn_norm.data, cfg.rms_eps)
+    qkv = (a @ block.qkv).reshape(3, m, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
+    qk = kn.rope_rotate(qkv[:2], cos, sin)
+    q, k = qk
     v = qkv[2]
     past = 0
     if cache is not None:
@@ -211,15 +191,58 @@ def block_kernels(block: TransformerBlock, x: np.ndarray, cos, sin, cfg: ModelCo
         cache.k[layer, :, past:end] = k
         cache.v[layer, :, past:end] = v
         k, v = cache.k[layer, :, :end], cache.v[layer, :, :end]
-    attn = kn.causal_attention(q, k, v, past)
-    y = np.dot(attn.transpose(1, 0, 2).reshape(m, cfg.model_dim), block.wo.data)
+    probs = tn._causal_probs(q, k, past)
+    merged = (probs @ v).transpose(1, 0, 2).reshape(m, cfg.model_dim)
+    y = np.dot(merged, block.wo.data)
     y += x
-    gate, up = kn.rms_norm(y, block.mlp_norm.data, cfg.rms_eps) @ block.gate_up
-    mlp = kn.silu(gate)
-    mlp *= up
+    normed = kn.rms_norm(y, block.mlp_norm.data, cfg.rms_eps)
+    gate_up = normed @ block.gate_up
+    act = kn.silu(gate_up[0])
+    mlp = act * gate_up[1]
     out = np.dot(mlp, block.w_down.data)
     out += y
-    return out
+    return out, (a, qk, v, probs, merged, y, normed, gate_up, act, mlp)
+
+
+def taped_block(block: TransformerBlock, x: Tensor, cos, sin, cfg: ModelConfig) -> Tensor:
+    """`block_kernels` as one tape step, whose backward is `block_backward`."""
+    out, saved = block_kernels(block, x.data, cos, sin, cfg)
+    return tn._record(out, lambda g: block_backward(block, g, x.data, saved, cos, sin, cfg),
+                      block.w_down, block.w_gate, block.w_up, block.mlp_norm, x, block.wo,
+                      block.wq, block.wk, block.wv, x, block.attn_norm)
+
+
+def block_backward(block: TransformerBlock, g: np.ndarray, x: np.ndarray, saved: tuple,
+                   cos, sin, cfg: ModelConfig) -> tuple[np.ndarray, ...]:
+    """The gradients of one block for its output gradient `g`, in the order
+    `taped_block` lists the block's inputs.
+
+    They are the bits of the block composed of public primitives
+    (`tests/oracles.py` keeps it): its rules run here in reverse order,
+    as the same `tensor.Grads` rules. The Q/K/V and gate/up parts'
+    gradients to their shared input add last part first, and the heads'
+    gradient is made contiguous, as the tape's copy of a view was.
+    """
+    a, qk, v, probs, merged, y, normed, gate_up, act, mlp = saved
+    gr, eps = tn.Grads, cfg.rms_eps
+    m = x.shape[0]
+    g_mlp, g_down = gr.matmul(g, mlp, block.w_down.data)
+    g_gate_up = np.empty_like(gate_up)
+    g_act, g_gate_up[1] = gr.mul(g_mlp, act, gate_up[1])
+    g_gate_up[0] = gr.silu(g_act, gate_up[0])
+    g_normed, g_w = gr.matmul(g_gate_up, normed, block.gate_up)
+    g_y, g_mlp_norm = gr.rms_norm(g_normed[1] + g_normed[0], y, block.mlp_norm.data, eps)
+    g_y += g
+    g_merged, g_wo = gr.matmul(g_y, merged, block.wo.data)
+    g_heads = g_merged.reshape(m, cfg.n_heads, cfg.head_dim).transpose(1, 0, 2).copy()
+    g_q, g_k, g_v = gr.causal_attention(g_heads, *qk, v, probs)
+    g_qkv = np.empty((3, m, cfg.n_heads, cfg.head_dim))
+    heads = g_qkv.transpose(0, 2, 1, 3)
+    heads[:2] = gr.rope_rotate(np.stack((g_q, g_k)), cos, sin)
+    heads[2] = g_v
+    g_a, g_qkv_w = gr.matmul(g_qkv.reshape(3, m, cfg.model_dim), a, block.qkv)
+    g_x, g_attn_norm = gr.rms_norm(g_a[2] + g_a[1] + g_a[0], x, block.attn_norm.data, eps)
+    return (g_down, g_w[0], g_w[1], g_mlp_norm, g_y, g_wo, *g_qkv_w, g_x, g_attn_norm)
 
 
 class MainModel:
@@ -328,10 +351,12 @@ class MTPHead:
     def load(cls, path, main: MainModel) -> "MTPHead":
         cfg, arrays = load_checkpoint(path)
         if cfg != main.config:
-            raise ConsistencyError("head checkpoint config does not match the main model")
+            raise ConsistencyError(f"{path}: head checkpoint config does not match the main model")
         head = cls(main, np.random.default_rng(cfg.seed))
         depth = arrays.pop("__trained_depth__", None)
         if depth is not None:
+            if depth.shape != () or depth.dtype.kind not in "iu" or depth < 1:
+                raise ConsistencyError(f"{path}: __trained_depth__ must be a positive integer")
             head.trained_depth = int(depth)
         _load_into(head.parameters(), arrays)
         return head
@@ -372,10 +397,9 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
 
     Appends the tokens' keys/values to `cache` when given; returns
     last-layer hidden states (pre final norm) and full-vocabulary logits
-    for each new position, as Tensors. Under a tape the forward composes
-    the public primitives (`block_forward`); with none it runs
-    `block_kernels` and records nothing, in bits equal to the taped
-    ones. Either way its inputs are checked here: tokens (`ShapeError`,
+    for each new position, as Tensors. Each block runs `block_kernels`,
+    under a tape as one step (`taped_block`) between primitives, with
+    none bare. Either way its inputs are checked here: tokens (`ShapeError`,
     `IndexError`) and room in the cache and the rotary table
     (`CapacityError`). The cache stores arrays, which carry no gradient,
     so a cache under a tape raises `StateError` rather than drop the
@@ -399,13 +423,13 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     if taped:
         x = tn.embedding(model.embed, tokens)
         for blk in model.blocks:
-            x = block_forward(blk, x, cos, sin, cfg)
+            x = taped_block(blk, x, cos, sin, cfg)
         head = tn.transpose(model.output_w, (1, 0))
         return x, tn.matmul(tn.rms_norm(x, model.final_norm, cfg.rms_eps), head)
 
     x = model.embed.data[tokens]
     for i, blk in enumerate(model.blocks):
-        x = block_kernels(blk, x, cos, sin, cfg, cache, i)
+        x = block_kernels(blk, x, cos, sin, cfg, cache, i)[0]
     if cache is not None:
         cache.advance(n)
     if n >= CONTIGUOUS_HEAD_ROWS and model.output_wt is not None:
@@ -427,7 +451,7 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     cache-free training path). Returns the block's output hidden states
     and the pre-logit states as Tensors; logits are produced separately
     by projecting the latter through the shared output head. Like
-    `main_forward`, it composes the primitives under a tape and runs
+    `main_forward`, it runs its block as `taped_block` under a tape and as
     `block_kernels` with none, and checks its inputs here: `h_prev` must
     be (tokens, model_dim) (`ShapeError`), the tokens vocabulary ids
     (`IndexError`), and the cache and rotary table must have room
@@ -454,16 +478,16 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
 
     if taped:
         hn = tn.rms_norm(h_prev, head.norm_hidden, eps)
-        en = tn.rms_norm(tn.embedding(tn.constant(head.embed), tokens), head.norm_embed, eps)
+        en = tn.rms_norm(tn.embedding(Tensor(head.embed.data), tokens), head.norm_embed, eps)
         x = tn.matmul(tn.concat_last(hn, en), head.combine)
-        h_new = block_forward(head.block, x, cos, sin, cfg)
-        return h_new, tn.rms_norm(h_new, tn.constant(head.final_norm), eps)
+        h_new = taped_block(head.block, x, cos, sin, cfg)
+        return h_new, tn.rms_norm(h_new, Tensor(head.final_norm.data), eps)
 
     kn = tn.Kernels
     hn = kn.rms_norm(h_prev, head.norm_hidden.data, eps)
     en = kn.rms_norm(head.embed.data[tokens], head.norm_embed.data, eps)
     x = np.dot(np.concatenate((hn, en), axis=-1), head.combine.data)
-    h_new = block_kernels(head.block, x, cos, sin, cfg, cache)
+    h_new = block_kernels(head.block, x, cos, sin, cfg, cache)[0]
     if cache is not None:
         cache.advance(m)
     return Tensor(h_new), Tensor(kn.rms_norm(h_new, head.final_norm.data, eps))
@@ -503,9 +527,19 @@ def save_checkpoint(path, config: ModelConfig, arrays: dict[str, np.ndarray]) ->
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    with np.load(path) as data:
-        cfg = ModelConfig(**json.loads(bytes(data["__config__"]).decode("utf-8")))
-        arrays = {key[len("param/"):]: data[key] for key in data.files if key.startswith("param/")}
+    """The config and arrays of a `save_checkpoint` file; an unreadable file
+    or config is a `ConfigError`, a weight not of finite floats a
+    `ConsistencyError`, each naming the path."""
+    try:  # np.load, the config and pickled (object) arrays raise these
+        with np.load(path) as data:
+            cfg = ModelConfig(**json.loads(bytes(data["__config__"]).decode("utf-8")))
+            arrays = {key.removeprefix("param/"): data[key]
+                      for key in data.files if key.startswith("param/")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a readable checkpoint ({exc})") from None
+    for name, arr in arrays.items():
+        if not name.startswith("__") and not (arr.dtype.kind == "f" and np.isfinite(arr).all()):
+            raise ConsistencyError(f"{path}: {name} is not an array of finite floats")
     return cfg, arrays
 
 

@@ -1,37 +1,32 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 Each forward op's arithmetic is written once, on plain ndarrays, as the
-attribute of :class:`Kernels` with its name; a kernel checks nothing. The
-public primitive of that name takes Tensors only (an ndarray operand
-raises `TypeError` before any math runs), checks their shapes, calls the
-kernel and returns a Tensor; under an active :class:`Tape` it also
-appends a backward closure for a gradient-bearing input, and
-``Tape.backward`` replays those in exact reverse order.
+attribute of :class:`Kernels` with its name, and each gradient rule once,
+as the attribute of :class:`Grads` with its name; neither checks
+anything. The public primitive of that name takes Tensors only (an
+ndarray operand raises `TypeError` before any math runs), checks their
+shapes, calls the kernel and returns a Tensor; under an active
+:class:`Tape` it also appends a backward step that calls the rule for a
+gradient-bearing input, and ``Tape.backward`` replays those steps in
+exact reverse order.
 
-The model's forwards come in two op orders over the same kernels. Under
-a tape (`Tape.active`) they compose the public primitives, so the tape
-records each op. With no tape they are straight-line code: numpy for
-views, cache writes and products, the kernels for every other op, and no
-Tensor until the result. A tape-free forward at decode sizes costs about
-one numpy call's dispatch per operation, not arithmetic, so a primitive's
-type dispatch, shape checks and Tensor wrapping would be a large share of
-it; the forwards instead check their inputs once where they enter, with
-the typed errors the primitives raise. Nothing ties the two op orders
-together but tests: `TestTapeFreeForward`, `TestDeskShape` and the bit
-pins require their results to be bitwise equal. For the same reason the
-kernels save numpy calls wherever the bits stay the same: the hot ones
-call ufunc methods (``np.add.reduce``, ``np.maximum.reduce``) with
-positional arguments rather than ``np.sum``/``np.max``, work in place
-once they own a buffer, and a one-row `rms_norm` computes its inverse
-root on a Python float with the same IEEE steps; causal masks are
-read-only slices of one lower-triangular table.
-
-Weights that are used together can live in one buffer: `stacked` passes
-a (n, k, j) buffer whose n parts are the parameters' own views, and
-`matmul` of a 2-D left operand against it makes all n products in one
-call. Its backward adds the left operand's n gradients last part first,
-the order in which n separate products would have replayed, so trained
-bits do not depend on the stacking. `take` splits such a result again.
+The model's transformer block is not a composition of primitives. It is
+straight-line code on arrays (`model.block_kernels`): numpy for views,
+cache writes and products, the kernels for every other op. Under a tape
+each block call is one tape step, whose backward (`model.block_backward`)
+calls the rules here in the order the primitives would have replayed
+them, so a block's gradient has the bits of that composition. A
+tape-free forward at decode sizes costs about one numpy call's dispatch
+per operation, not arithmetic, so a primitive's type dispatch, shape
+checks and Tensor wrapping would be a large share of it; the forwards
+instead check their inputs once where they enter, with the typed errors
+the primitives raise. For the same reason the kernels save numpy calls
+wherever the bits stay the same: the hot ones call ufunc methods
+(``np.add.reduce``, ``np.maximum.reduce``) with positional arguments
+rather than ``np.sum``/``np.max``, work in place once they own a buffer,
+and a one-row `rms_norm` computes its inverse root on a Python float
+with the same IEEE steps; causal masks are read-only slices of one
+lower-triangular table.
 
 Everything is float64. Determinism matters more than speed here: the
 whole verification story (gradient checks, lossless decoding) leans on
@@ -64,10 +59,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     @property
     def size(self) -> int:
@@ -162,7 +153,7 @@ class Tape:
 
     @staticmethod
     def active() -> bool:
-        """Whether a tape is recording: a forward composes primitives if so, kernels if not."""
+        """Whether a tape is recording: a forward records its ops if so, and runs bare if not."""
         return _ACTIVE_TAPE is not None
 
     def backward(self, root: Tensor) -> None:
@@ -175,19 +166,6 @@ class Tape:
         root.accumulate_grad(np.ones_like(root.data))
         for op in reversed(self._ops):
             op()
-
-
-def constant(t: Tensor) -> Tensor:
-    """A grad-free Tensor over `t`'s array: how a taped forward uses a weight
-    that must get no gradient."""
-    return Tensor(t.data)
-
-
-def stacked(buffer: Array, parts: Sequence[Tensor]) -> Tensor:
-    """How a taped forward passes weights that are consecutive views of one
-    buffer: a Tensor over the same memory whose gradient goes to `parts`,
-    one slice of the first axis each."""
-    return _record(buffer, tuple, *parts)
 
 
 def _data(t: Tensor) -> Array:
@@ -204,7 +182,8 @@ def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Ten
     backward step: for the output gradient g, `grads(g)` returns each
     input's gradient in input order, and they accumulate in that order.
     Every consumer of the output replays before this step, so g is final
-    here and the step releases it: the tape holds only live gradients.
+    here and the step releases it: the tape holds only live gradients. An
+    input listed twice gets two contributions, in that order.
     """
     result = Tensor(out)
     tape = _ACTIVE_TAPE
@@ -228,8 +207,8 @@ class Kernels:
     """Each forward primitive's math on arrays, with no checks and no tape.
 
     A primitive checks its Tensor operands and calls its kernel for the
-    forward, and a tape-free forward calls the kernels it needs directly,
-    so each op's arithmetic is written once, here. A caller of a kernel
+    forward, and the model's block (`model.block_kernels`) calls the
+    kernels it needs directly, so each op's arithmetic is written once, here. A caller of a kernel
     has checked its operands: the weights where they were built or
     loaded, the rest where they entered its forward.
     """
@@ -240,7 +219,6 @@ class Kernels:
     matmul = np.matmul
     transpose = staticmethod(lambda x, axes: x.transpose(axes))
     reshape = staticmethod(lambda x, shape: x.reshape(shape))
-    take = staticmethod(lambda x, *keys: tuple([x[key] for key in keys]))
     concat_last = staticmethod(lambda x, y: np.concatenate([x, y], axis=-1))
     embedding = staticmethod(lambda w, ids: w[ids])
 
@@ -282,11 +260,56 @@ class Kernels:
 
     @staticmethod
     def causal_attention(q: Array, k: Array, v: Array, past_len: int = 0) -> Array:
-        m = q.shape[-2]
-        scores = q @ k.swapaxes(-1, -2)
-        scores *= 1.0 / math.sqrt(q.shape[-1])
-        mask = None if m == 1 else _causal_mask(m, k.shape[-2], past_len)
-        return Kernels.softmax_last(scores, mask) @ v
+        return _causal_probs(q, k, past_len) @ v
+
+
+class Grads:
+    """Each primitive's gradient rule on arrays, with no checks: for the output
+    gradient `g` and the forward's operands (softmax: its result), the
+    operands' gradients. Primitives' tape steps and `model.block_backward`
+    call them."""
+
+    matmul = staticmethod(lambda g, x, y: (g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g))
+    mul = staticmethod(lambda g, x, y: (g * y, g * x))
+    softmax_last = staticmethod(lambda g, y: y * (g - np.add.reduce(g * y, -1, None, None, True)))
+
+    @staticmethod
+    def silu(g: Array, x: Array) -> Array:
+        sig = _sigmoid(x)
+        return g * sig * (1.0 + x * (1.0 - sig))
+
+    @staticmethod
+    def rms_norm(g: Array, x: Array, gamma: Array, eps: float) -> tuple[Array, Array]:
+        d = x.shape[-1]
+        inv = _inv_rms(np.add.reduce(x * x, axis=-1, keepdims=True), d, eps)
+        normed = x * inv
+        u = g * gamma
+        s = np.add.reduce(u * x, axis=-1, keepdims=True)
+        return (inv * u - (inv ** 3) * x * s / d,
+                np.add.reduce(g * normed, axis=tuple(range(g.ndim - 1))))
+
+    @staticmethod
+    def rope_rotate(g: Array, cos: Array, sin: Array) -> Array:
+        gx = _swap_halves(g * sin)
+        gx += g * cos
+        return gx
+
+    @staticmethod
+    def causal_attention(g: Array, q: Array, k: Array, v: Array,
+                         probs: Array) -> tuple[Array, Array, Array]:
+        """Given the forward's attention weights `probs`."""
+        g_probs, g_v = Grads.matmul(g, probs, v)
+        g_scores = Grads.softmax_last(g_probs, probs) * (1.0 / math.sqrt(q.shape[-1]))
+        g_q, g_kt = Grads.matmul(g_scores, q, k.swapaxes(-1, -2))
+        return g_q, g_kt.swapaxes(-1, -2), g_v
+
+
+def _causal_probs(q: Array, k: Array, past_len: int) -> Array:
+    """Attention weights: softmax(q k^T / sqrt(head_dim)) under the causal mask."""
+    m = q.shape[-2]
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= 1.0 / math.sqrt(q.shape[-1])
+    return Kernels.softmax_last(scores, None if m == 1 else _causal_mask(m, k.shape[-2], past_len))
 
 
 def _sigmoid(x: Array) -> Array:
@@ -322,7 +345,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     x, y = _data(a), _data(b)
     if x.shape != y.shape:
         raise ShapeError(f"mul: shapes {x.shape} vs {y.shape}")
-    return _record(Kernels.mul(x, y), lambda g: (g * y, g * x), a, b)
+    return _record(Kernels.mul(x, y), lambda g: Grads.mul(g, x, y), a, b)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -330,28 +353,13 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; batched operands must share leading dimensions.
-
-    A 2-D left operand may also meet a stacked (n, k, j) right operand:
-    the result stacks its n products, (n, m, j), and the left operand's
-    gradient adds their n gradients from the last to the first.
-    """
+    """Matrix product; batched operands must share leading dimensions."""
     x, y = _data(a), _data(b)
     if x.ndim < 2 or y.ndim < 2:
         raise ShapeError("matmul operands must be at least 2-D")
-    stacked_right = x.ndim == 2 and y.ndim == 3
-    if x.shape[-1] != y.shape[-2] or (x.shape[:-2] != y.shape[:-2] and not stacked_right):
+    if x.shape[-1] != y.shape[-2] or x.shape[:-2] != y.shape[:-2]:
         raise ShapeError(f"matmul: shapes {x.shape} vs {y.shape}")
-
-    def grads(g):
-        gx = g @ y.swapaxes(-1, -2)
-        if stacked_right:
-            parts, gx = gx, gx[-1]
-            for part in parts[-2::-1]:
-                gx = gx + part
-        return gx, x.swapaxes(-1, -2) @ g
-
-    return _record(Kernels.matmul(x, y), grads, a, b)
+    return _record(Kernels.matmul(x, y), lambda g: Grads.matmul(g, x, y), a, b)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -366,36 +374,18 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice rows [start, stop) along the first axis: `take` of one slice, bounds-checked."""
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"rows: [{start}, {stop}) outside axis of size {a.shape[0]}")
-    return take(a, slice(start, stop))[0]
-
-
-def take(a: Tensor, *keys) -> tuple[Tensor, ...]:
-    """The parts a[key] along the first axis, one per key (an int or a slice).
-
-    The keys must pick disjoint parts; each is a Tensor over a view of
-    `a`. This is the one primitive with several outputs, so under a tape
-    it records its own backward step rather than going through `_record`:
-    that step moves the parts' gradients into one zero array for `a`.
-    """
+    """Rows [start, stop) along the first axis, bounds-checked: a view of `a`
+    whose gradient goes back into a zero array of `a`'s shape."""
     x = _data(a)
-    outs = tuple([Tensor(part) for part in Kernels.take(x, *keys)])
-    tape = _ACTIVE_TAPE
-    if tape is not None and a.requires_grad:
-        for out in outs:
-            out.requires_grad = True
+    if not (0 <= start <= stop <= x.shape[0]):
+        raise ShapeError(f"rows: [{start}, {stop}) outside axis of size {x.shape[0]}")
 
-        def op():
-            if any(out.grad is not None for out in outs):
-                full = np.zeros_like(x)
-                for key, out in zip(keys, outs):
-                    if out.grad is not None:
-                        full[key], out.grad = out.grad, None
-                a.accumulate_grad(full)
-        tape._ops.append(op)
-    return outs
+    def grads(g):
+        full = np.zeros_like(x)
+        full[start:stop] = g
+        return (full,)
+
+    return _record(x[start:stop], grads, a)
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -425,12 +415,7 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     x = _data(a)
-
-    def grads(g):
-        sig = _sigmoid(x)
-        return (g * sig * (1.0 + x * (1.0 - sig)),)
-
-    return _record(Kernels.silu(x), grads, a)
+    return _record(Kernels.silu(x), lambda g: (Grads.silu(g, x),), a)
 
 
 def rms_norm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
@@ -448,15 +433,8 @@ def rms_norm(x: Tensor, gamma: Tensor, eps: float = 1e-6) -> Tensor:
     if gd.shape != (d,):
         raise ShapeError(f"rms_norm: gamma shape {gd.shape} vs last dim {d}")
 
-    def grads(g):
-        inv = _inv_rms(np.add.reduce(xd * xd, axis=-1, keepdims=True), d, eps)
-        normed = xd * inv
-        u = g * gd
-        s = np.add.reduce(u * xd, axis=-1, keepdims=True)
-        return (inv * u - (inv ** 3) * xd * s / d,
-                np.add.reduce(g * normed, axis=tuple(range(g.ndim - 1))))
-
-    return _record(Kernels.rms_norm(xd, gd, eps), grads, x, gamma)
+    return _record(Kernels.rms_norm(xd, gd, eps), lambda g: Grads.rms_norm(g, xd, gd, eps),
+                   x, gamma)
 
 
 def softmax_last(x: Tensor, mask: Array | None = None) -> Tensor:
@@ -467,8 +445,7 @@ def softmax_last(x: Tensor, mask: Array | None = None) -> Tensor:
     at least one finite entry.
     """
     y = Kernels.softmax_last(_data(x), mask)
-    return _record(
-        y, lambda g: (y * (g - np.add.reduce(g * y, axis=-1, keepdims=True)),), x)
+    return _record(y, lambda g: (Grads.softmax_last(g, y),), x)
 
 
 def rope_rotate(x: Tensor, cos: Array, sin: Array) -> Tensor:
@@ -492,12 +469,8 @@ def rope_rotate(x: Tensor, cos: Array, sin: Array) -> Tensor:
     if cos.shape[-1] != dh or sin.shape[-1] != dh:
         raise ShapeError("rope tables do not match the full width")
 
-    def grads(g):
-        gx = _swap_halves(g * sin)
-        gx += g * cos
-        return (gx,)
-
-    return _record(Kernels.rope_rotate(xd, cos, sin), grads, x)
+    return _record(Kernels.rope_rotate(xd, cos, sin),
+                   lambda g: (Grads.rope_rotate(g, cos, sin),), x)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +539,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, past_len: int = 0) -> Tens
     positions <= past_len + j, so a single query row needs no mask.
     Supports an optional leading head axis.
     """
-    for t in (q, k, v):
-        _data(t)  # an array raises TypeError here, before the checks below
+    qd, kd, vd = _data(q), _data(k), _data(v)  # an array raises TypeError before the checks
     if past_len < 0:
         raise ValueError("past_len must be nonnegative")
     if k.shape != v.shape:
@@ -577,15 +549,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, past_len: int = 0) -> Tens
     m, s = q.shape[-2], k.shape[-2]
     if s != past_len + m:
         raise ShapeError(f"key rows {s} != past_len {past_len} + query rows {m}")
-    scores = scale(matmul(q, transpose(k, _swap_last(k.ndim))), 1.0 / math.sqrt(q.shape[-1]))
-    probs = softmax_last(scores, None if m == 1 else _causal_mask(m, s, past_len))
-    return matmul(probs, v)
-
-
-def _swap_last(ndim: int) -> tuple[int, ...]:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+    probs = _causal_probs(qd, kd, past_len)
+    return _record(probs @ vd, lambda g: Grads.causal_attention(g, qd, kd, vd, probs), q, k, v)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ inputs.
 """
 
 import copy
+import math
 
 import numpy as np
 
@@ -70,6 +71,33 @@ def sum_all(a: tn.Tensor) -> tn.Tensor:
     """The sum of every entry, as a taped scalar: a loss for gradient checks."""
     x = tn._data(a)
     return tn._record(np.sum(x), lambda g: (np.full_like(x, float(g)),), a)
+
+
+def composed_attention(q: tn.Tensor, k: tn.Tensor, v: tn.Tensor, past_len: int = 0) -> tn.Tensor:
+    """`tensor.causal_attention` of (heads, rows, head_dim) operands composed of
+    the public primitives: under a tape, op by op what it records as one step."""
+    m, s = q.shape[-2], k.shape[-2]
+    scores = tn.scale(tn.matmul(q, tn.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(q.shape[-1]))
+    mask = None if m == 1 else np.where(np.tri(m, s, past_len, dtype=bool), 0.0, -np.inf)
+    return tn.matmul(tn.softmax_last(scores, mask), v)
+
+
+def composed_block(block, x: tn.Tensor, cos, sin, cfg) -> tn.Tensor:
+    """One transformer block composed of the public primitives, with separate
+    Q/K/V and gate/up products: under a tape, op by op what
+    `model.taped_block` records as one step."""
+    m, d = x.shape
+
+    def heads(t):  # (m, d) -> (heads, m, head_dim)
+        return tn.transpose(tn.reshape(t, (m, cfg.n_heads, cfg.head_dim)), (1, 0, 2))
+
+    a = tn.rms_norm(x, block.attn_norm, cfg.rms_eps)
+    q, k, v = (heads(tn.matmul(a, w)) for w in (block.wq, block.wk, block.wv))
+    attn = composed_attention(tn.rope_rotate(q, cos, sin), tn.rope_rotate(k, cos, sin), v)
+    x = tn.add(x, tn.matmul(tn.reshape(tn.transpose(attn, (1, 0, 2)), (m, d)), block.wo))
+    g = tn.rms_norm(x, block.mlp_norm, cfg.rms_eps)
+    mlp = tn.mul(tn.silu(tn.matmul(g, block.w_gate)), tn.matmul(g, block.w_up))
+    return tn.add(x, tn.matmul(mlp, block.w_down))
 
 
 def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:

@@ -2,6 +2,8 @@
 
 import contextlib
 import copy
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +11,15 @@ import pytest
 
 from mtpspec.errors import (CapacityError, ConfigError, ConsistencyError, NumericError,
                             ShapeError, StateError)
+from mtpspec import model as model_module
 from mtpspec.model import (
     CONTIGUOUS_HEAD_ROWS, KVCache, ModelConfig, MainModel, MTPHead, _load_into, greedy_argmax,
-    greedy_rows, init_model, load_checkpoint, main_forward, mtp_step,
+    greedy_rows, init_model, load_checkpoint, main_forward, mtp_step, taped_block,
 )
 from mtpspec import tensor as tn
 from mtpspec.tensor import Tape, Tensor, cross_entropy_rows, grad_check
-from oracles import sum_all
+from mtpspec.training import TrainConfig, backbone_hidden, head_stream_loss
+from oracles import composed_block, sum_all
 
 STACK = Path(__file__).resolve().parents[1] / "perfbench" / "stack"
 
@@ -220,14 +224,15 @@ class TestTapeFreeForward:
         for a, b in zip(free, taped):
             assert np.array_equal(a, b)
 
-    def test_taped_backbone_loss_records_the_primitives_it_always_did(self):
-        main, _ = init_model(ModelConfig())
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_taped_backbone_loss_records_one_step_per_block(self, n_layers):
+        main, _ = init_model(ModelConfig(n_layers=n_layers))
         tokens = np.random.default_rng(13).integers(main.config.vocab_size, size=12)
         with Tape() as tape:
             _, logits = main_forward(main, tokens)
             cross_entropy_rows(logits, np.roll(tokens, -1), np.full(12, 0.5))
-        # 25 per block, embedding, head transpose, final norm, projection, loss
-        assert len(tape) == 55
+        # one per block, embedding, head transpose, final norm, projection, loss
+        assert len(tape) == n_layers + 5
 
     def test_taped_head_step_records_the_primitives_it_always_did(self):
         _, head = init_model(ModelConfig())
@@ -235,9 +240,9 @@ class TestTapeFreeForward:
         tokens = rng.integers(head.config.vocab_size, size=12)
         with Tape() as tape:
             mtp_step(head, rng.normal(size=(12, head.config.model_dim)), tokens)
-        # two input norms, concat, combine, 25 in the block, final norm; the
+        # two input norms, concat, combine, one for the block, final norm; the
         # embedding of the frozen table records nothing
-        assert len(tape) == 30
+        assert len(tape) == 6
 
     def test_main_forward_cache_rejected_under_tape(self, models):
         main, _ = models
@@ -386,22 +391,27 @@ class TestDeskShape:
         pytest.param(buffer, m, id=str(m) if buffer == "qkv" else f"{buffer}-{m}")
         for buffer in STACKS for m in (1, 4, 24, 57, 128)])
     def test_stacked_product_equals_separate_products(self, desk, buffer, m):
+        """The stacked product and its `Grads.matmul` rule, as `block_kernels` and
+        `block_backward` run them, equal the separate products and their sum
+        of gradients replayed last part first."""
         blk = desk[0].blocks[0]
         stack = getattr(blk, buffer)
         rng = np.random.default_rng(m)
-        a = Tensor(rng.normal(size=(m, 64)), requires_grad=True)
+        a = rng.normal(size=(m, 64))
         g = rng.normal(size=(len(stack), m, stack.shape[-1]))
-        parts = [Tensor(getattr(blk, name).data, requires_grad=True) for name in STACKS[buffer]]
-        with Tape() as tape:
-            out = tn.matmul(a, tn.stacked(stack, parts))
-            tape.backward(sum_all(tn.mul(out, Tensor(g))))
-        expected = g[-1] @ parts[-1].data.T
+        parts = [getattr(blk, name).data for name in STACKS[buffer]]
+        out = a @ stack
+        ga, gw = tn.Grads.matmul(g, a, stack)
+        expected = g[-1] @ parts[-1].T
         for i in range(len(parts) - 2, -1, -1):
-            expected += g[i] @ parts[i].data.T
-        assert np.array_equal(a.grad, expected)
+            expected += g[i] @ parts[i].T
+        summed = ga[-1]
+        for part in ga[-2::-1]:
+            summed = summed + part
+        assert np.array_equal(summed, expected)
         for i, w in enumerate(parts):
-            assert np.array_equal(out.data[i], a.data @ w.data)
-            assert np.array_equal(w.grad, a.data.T @ g[i])
+            assert np.array_equal(out[i], a @ w)
+            assert np.array_equal(gw[i], a.T @ g[i])
 
     @staticmethod
     def assert_views_of_one_buffer(desk, buffer):
@@ -436,19 +446,92 @@ class TestDeskShape:
             normed = tn.Kernels.rms_norm(hidden.data, main.final_norm.data, cfg.rms_eps)
             assert np.array_equal(logits.data, normed @ main.embed.data.T), rows
 
-    def test_gradients_through_stacked_projection(self):
+
+class TestBlockBackward:
+    """`taped_block` records a block as one tape step, and `block_backward`
+    gives the gradients the block composed of public primitives
+    (`oracles.composed_block`) gets, bit for bit, at the desk config."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        return init_model(ModelConfig())
+
+    @staticmethod
+    def block_grads(forward, block, x, prior, g, rope_rows, cfg):
+        """The block's output, its parameters' and input's gradients, and the tape length.
+
+        The input starts with the gradient `prior`, so the order in which its
+        two contributions add shows."""
+        params = list(block.named("block").values())
+        x = Tensor(x, requires_grad=True)
+        x.grad = prior.copy()
+        with Tape() as tape:
+            out = forward(block, x, *rope_rows, cfg)
+            tape.backward(sum_all(tn.mul(out, Tensor(g))))
+        grads = [p.grad for p in params] + [x.grad]
+        for p in params:
+            p.zero_grad()
+        return out.data, grads, len(tape)
+
+    @pytest.mark.parametrize("which", ["backbone", "head"])
+    @pytest.mark.parametrize("rows", [1, 2, 7, 40, 128])
+    def test_gradients_equal_the_composed_block(self, desk, which, rows):
+        main, head = desk
+        cfg = main.config
+        block = main.blocks[-1] if which == "backbone" else head.block
+        rng = np.random.default_rng(rows)
+        x, prior, g = (rng.normal(size=(rows, cfg.model_dim)) for _ in range(3))
+        rope_rows = main.rope.slices(0, rows)
+        out, grads, steps = self.block_grads(taped_block, block, x, prior, g, rope_rows, cfg)
+        ref_out, ref_grads, _ = self.block_grads(composed_block, block, x, prior, g, rope_rows, cfg)
+        assert steps == 3  # the block, the product with g, the sum
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("loss", ["backbone", "head"])
+    def test_loss_gradients_equal_the_composed_blocks(self, monkeypatch, loss):
+        """A backbone loss and a K=3 `head_stream_loss` over 80 tokens."""
+        def grads():
+            main, head = init_model(ModelConfig())
+            tokens = np.random.default_rng(80).integers(main.config.vocab_size, size=80)
+            if loss == "head":
+                main.freeze()
+                hidden = backbone_hidden(main, tokens)
+            with Tape() as tape:
+                if loss == "backbone":
+                    _, logits = main_forward(main, tokens)
+                    total = cross_entropy_rows(logits, np.roll(tokens, -1), np.full(80, 1 / 80))
+                else:
+                    total, _ = head_stream_loss(head, hidden, tokens, 20, TrainConfig(k_steps=3),
+                                                [0.5, 0.3, 0.2])
+                tape.backward(total)
+            model = main if loss == "backbone" else head
+            return [p.grad for p in model.parameters().values()]
+
+        ours = grads()
+        monkeypatch.setattr(model_module, "taped_block", composed_block)
+        for got, want in zip(ours, grads(), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.0, 1.0, 0.25, 0.0]],
+                             ids=["one-row", "masked-rows"])
+    def test_grad_check_covers_every_block_parameter_and_the_input(self, weights):
         # a toy size: finite differences at d=64 would take some 25k forwards
         cfg = ModelConfig(vocab_size=12, model_dim=8, n_layers=1, n_heads=2,
                           max_seq_len=8, seed=4)
         main, _ = init_model(cfg)
-        blk = main.blocks[0]
-        tokens = [3, 1, 4, 1, 5]
+        block = main.blocks[0]
+        rows = len(weights)
+        rng = np.random.default_rng(rows)
+        x = Tensor(rng.normal(size=(rows, cfg.model_dim)), requires_grad=True)
+        rope_rows = main.rope.slices(2, rows)
+        targets = rng.integers(cfg.model_dim, size=rows)
 
         def loss():
-            _, logits = main_forward(main, tokens)
-            return cross_entropy_rows(logits, [1, 4, 1, 5, 9], np.full(5, 0.2))
+            return cross_entropy_rows(taped_block(block, x, *rope_rows, cfg), targets, weights)
 
-        assert grad_check(loss, [blk.wq, blk.wk, blk.wv, blk.w_gate, blk.w_up]) < 1e-4
+        assert grad_check(loss, [*block.named("block").values(), x]) < 1e-4
 
 
 class TestGreedyArgmax:
@@ -550,6 +633,45 @@ class TestOutputHeadCopy:
         loaded = MainModel.load(tmp_path / "main.npz")
         assert not loaded.output_wt.flags.writeable
         assert np.array_equal(loaded.output_wt, main.embed.data.T)
+
+
+def _json_bytes(obj) -> np.ndarray:
+    return np.frombuffer(json.dumps(obj).encode("utf-8"), dtype=np.uint8).copy()
+
+
+# name: (the checkpoint it edits, the edit of its arrays)
+MALFORMED_CHECKPOINTS = {
+    "no-config": ("main", lambda a: a.pop("__config__")),
+    "non-json-config": ("main", lambda a: a.update(__config__=_json_bytes("x")[1:])),
+    "unknown-config-key": ("main", lambda a: a.update(
+        __config__=_json_bytes({**CFG.__dict__, "colour": "red"}))),
+    "string-array": ("main", lambda a: a.update(
+        {"param/embed": np.full(a["param/embed"].shape, "0.5")})),
+    "object-array": ("main", lambda a: a.update({"param/embed": np.array([None], object)})),
+    "all-nan-weights": ("main", lambda a: a.update(
+        {"param/block0.wo": np.full_like(a["param/block0.wo"], np.nan)})),
+    "depth-list": ("head", lambda a: a.update({"param/__trained_depth__": np.array([1, 2])})),
+    "depth-negative": ("head", lambda a: a.update({"param/__trained_depth__": np.array(-3)})),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoints_fail_naming_the_path(tmp_path, case):
+    which, edit = MALFORMED_CHECKPOINTS[case]
+    main, head = init_model(CFG)
+    head.trained_depth = 3
+    main.save(tmp_path / "main.npz")
+    head.save(tmp_path / "head.npz")
+    with np.load(tmp_path / f"{which}.npz") as data:
+        arrays = dict(data)
+    edit(arrays)
+    bad = tmp_path / f"bad-{which}.npz"
+    np.savez(bad, **arrays)
+    with pytest.raises((ConfigError, ConsistencyError), match=re.escape(str(bad))):
+        if which == "main":
+            MainModel.load(bad)
+        else:
+            MTPHead.load(bad, MainModel.load(tmp_path / "main.npz"))
 
 
 class TestCheckpoint:

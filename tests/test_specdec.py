@@ -234,7 +234,7 @@ def test_tape_free_decodes_run_on_the_kernels(monkeypatch):
     for name in PUBLIC_PRIMITIVES:
         monkeypatch.setattr(tn, name, refuse)
     monkeypatch.setattr(tn, "matmul", lambda a, b: matmuls.append(1) or public_matmul(a, b))
-    assert {"causal_attention", "embedding", "rms_norm", "take"} <= set(PUBLIC_PRIMITIVES)
+    assert {"causal_attention", "embedding", "rms_norm"} <= set(PUBLIC_PRIMITIVES)
     for p, (tokens, rounds) in zip(prompts, expected):
         matmuls.clear()
         out, got, m = decode(p)

@@ -8,7 +8,7 @@ import pytest
 from mtpspec import tensor as T
 from mtpspec.errors import DeterminismError, ShapeError, StateError
 from mtpspec.tensor import Tensor, Tape
-from oracles import softmax_cross_entropy, sum_all
+from oracles import composed_attention, softmax_cross_entropy, sum_all
 
 
 def fd_grad(loss_fn, param, eps=1e-6):
@@ -267,6 +267,23 @@ class TestCausalAttention:
         assert not np.shares_memory(early, T._mask_table)
         assert early.tobytes() == self.rule_mask(3, 5, 2).tobytes()
 
+    @pytest.mark.parametrize("m, past_len", [(1, 0), (1, 4), (5, 0), (3, 4)])
+    def test_gradients_equal_the_composed_primitives(self, m, past_len):
+        """One tape step with the bits of its composition of primitives."""
+        rng = np.random.default_rng(10 * m + past_len)
+        q, g = rng.normal(size=(2, 2, m, 4))
+        k, v = rng.normal(size=(2, 2, m + past_len, 4))
+
+        def run(attention):
+            operands = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            with Tape() as tape:
+                out = attention(*operands, past_len)
+                tape.backward(sum_all(T.mul(out, Tensor(g))))
+            return [out.data] + [t.grad for t in operands]
+
+        for got, want in zip(run(T.causal_attention), run(composed_attention), strict=True):
+            assert np.array_equal(got, want)
+
     def test_head_dim_mismatch(self):
         with pytest.raises(ShapeError):
             T.causal_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3))),
@@ -389,7 +406,7 @@ class TestTape:
         b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         with Tape() as tape:
             h = a @ b
-            top, bottom = T.take(h, slice(0, 1), slice(1, 2))
+            top, bottom = T.rows(h, 0, 1), T.rows(h, 1, 2)
             loss = sum_all(T.add(T.mul(top, top), T.scale(bottom, 3.0)))
             tape.backward(loss)
         assert all(t.grad is None for t in (h, top, bottom, loss))
@@ -437,6 +454,7 @@ BAD_CALLS = {
     "matmul-inner": (T.matmul, (_ones(2, 3), _ones(2, 3)), (), ShapeError),
     "matmul-1d": (T.matmul, (_ones(3), _ones(3, 2)), (), ShapeError),
     "matmul-batch": (T.matmul, (_ones(2, 2, 3), _ones(3, 3, 2)), (), ShapeError),
+    "matmul-2d-by-3d": (T.matmul, (_ones(2, 3), _ones(4, 3, 5)), (), ShapeError),
     "concat-rows": (T.concat_last, (_ones(2, 3), _ones(3, 3)), (), ShapeError),
     "gamma-width": (T.rms_norm, (_ones(2, 3), _ones(4)), (), ShapeError),
     "negative-eps": (T.rms_norm, (_ones(2, 3), _ones(3)), (-1.0,), ValueError),
@@ -568,62 +586,26 @@ class TestGradCheck:
 
 
 class TestStackedProjection:
-    """A 2-D operand against weights stacked in one buffer, and `take`."""
-
-    @staticmethod
-    def stack(rng, n=3, d=4):
-        buffer = rng.normal(size=(n, d, d))
-        return buffer, [Tensor(w, requires_grad=True) for w in buffer]
+    """A 2-D operand against weights stacked in one buffer, as the model's
+    blocks project: one product per part, and the `Grads.matmul` rule
+    `model.block_backward` runs on the stack."""
 
     def test_values_and_gradients_equal_separate_products(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(5, 4))
         g = rng.normal(size=(3, 5, 4))
-        buffer, parts = self.stack(rng)
-        a = Tensor(x, requires_grad=True)
-        with Tape() as tape:
-            out = T.matmul(a, T.stacked(buffer, parts))
-            tape.backward(sum_all(T.mul(out, Tensor(g))))
-        assert np.array_equal(T.Kernels.matmul(x, buffer), out.data)
+        buffer = rng.normal(size=(3, 4, 4))
+        out = T.Kernels.matmul(x, buffer)
+        gx, gw = T.Grads.matmul(g, x, buffer)
         for i, w in enumerate(buffer):
-            assert np.array_equal(out.data[i], x @ w)
-            assert np.array_equal(parts[i].grad, x.T @ g[i])
+            assert np.array_equal(out[i], x @ w)
+            assert np.array_equal(gw[i], x.T @ g[i])
+            assert np.array_equal(gx[i], g[i] @ w.T)
         # replayed as three products would be: v's gradient first, then k's, then q's
         expected = g[2] @ buffer[2].T
         expected += g[1] @ buffer[1].T
         expected += g[0] @ buffer[0].T
-        assert np.array_equal(a.grad, expected)
-
-    def test_gradient_check_through_take(self):
-        rng = np.random.default_rng(22)
-        buffer, parts = self.stack(rng)
-        x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-
-        def loss():  # a taped forward as the model writes one
-            first_two, last = T.take(T.matmul(x, T.stacked(buffer, parts)), slice(0, 2), 2)
-            q, k = T.take(T.silu(first_two), 0, 1)
-            return T.cross_entropy_rows(T.add(T.mul(q, k), last), [0, 3], [0.5, 0.5])
-
-        assert T.grad_check(loss, [x, *parts]) < 1e-6
-
-    def test_take_array_call_gives_views_and_records_nothing(self):
-        a = np.arange(24.0).reshape(3, 2, 4)
-        with Tape() as tape:
-            free = T.Kernels.take(a, slice(0, 2), 2)
-            assert len(tape) == 0
-        assert all(np.shares_memory(p, a) for p in free)
-        with Tape() as tape:
-            taped = T.take(Tensor(a, requires_grad=True), slice(0, 2), 2)
-            assert len(tape) == 1
-        for f, t in zip(free, taped):
-            assert np.array_equal(f, t.data)
-
-    def test_only_a_2d_left_operand_meets_a_stack(self):
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(_ones(2, 2, 3)), Tensor(_ones(3, 3, 2)))
-        with pytest.raises(ShapeError):
-            T.matmul(Tensor(_ones(2, 3)), Tensor(_ones(3, 2, 2)))
-        assert T.matmul(Tensor(_ones(2, 3)), Tensor(_ones(4, 3, 5))).shape == (4, 2, 5)
+        assert np.array_equal(gx[2] + gx[1] + gx[0], expected)
 
 
 def _square(theta):
