@@ -183,7 +183,7 @@ def block_kernels(block: TransformerBlock, x: np.ndarray, cos, sin, cfg: ModelCo
     a = kn.rms_norm(x, block.attn_norm.data, cfg.rms_eps)
     qkv = (a @ block.qkv).reshape(3, m, cfg.n_heads, cfg.head_dim).transpose(0, 2, 1, 3)
     qk = kn.rope_rotate(qkv[:2], cos, sin)
-    q, k = qk
+    q, k = qk[0], qk[1]  # two views; unpacking the array would iterate it
     v = qkv[2]
     past = 0
     if cache is not None:
@@ -295,7 +295,7 @@ class MainModel:
     def load(cls, path) -> "MainModel":
         cfg, arrays = load_checkpoint(path)
         model = cls(cfg, np.random.default_rng(cfg.seed))
-        _load_into(model.parameters(), arrays)
+        _load_into(model.parameters(), arrays, path)
         model.freeze()
         return model
 
@@ -358,7 +358,7 @@ class MTPHead:
             if depth.shape != () or depth.dtype.kind not in "iu" or depth < 1:
                 raise ConsistencyError(f"{path}: __trained_depth__ must be a positive integer")
             head.trained_depth = int(depth)
-        _load_into(head.parameters(), arrays)
+        _load_into(head.parameters(), arrays, path)
         return head
 
 
@@ -378,12 +378,30 @@ def _token_ids(tokens, vocab_size: int) -> np.ndarray:
     """`tokens` as a nonempty 1-D int64 array of vocabulary ids, or a typed error.
 
     Ids must be integers: bool, float, complex, string and object ids raise
-    `TypeError` rather than be cast. One reduction checks the range: read as
-    uint64, a negative id wraps past 2**63, above any vocabulary.
+    `TypeError` rather than be cast, and an integer outside the vocabulary,
+    however large, raises `IndexError`. A list of in-range Python ints, the
+    decoders' form, takes one pass over its elements. Any other sequence is
+    checked element by element too, since numpy counts a bool among ints
+    as an integer and turns an int beyond int64 into a float or an object.
+    An array is checked by its dtype and one reduction: read as uint64, a
+    negative id wraps past 2**63, above any vocabulary.
     """
+    if type(tokens) is list and tokens:
+        for t in tokens:
+            if type(t) is not int or not 0 <= t < vocab_size:
+                break
+        else:
+            return np.array(tokens, np.int64)
     ids = np.asarray(tokens)
     if ids.ndim != 1 or ids.size == 0:
         raise ShapeError("tokens must be a nonempty 1-D sequence")
+    if not isinstance(tokens, np.ndarray):
+        for t in tokens:
+            if type(t) is bool or not isinstance(t, (int, np.integer)):
+                raise TypeError(f"token ids must be integers, not {type(t).__name__}")
+        if not all(0 <= t < vocab_size for t in tokens):
+            raise IndexError(f"token id outside vocabulary of size {vocab_size}")
+        return np.array(tokens, np.int64)
     if ids.dtype.kind not in "iu":
         raise TypeError(f"token ids must be integers, not {ids.dtype}")
     ids = ids.astype(np.int64, copy=False)
@@ -427,7 +445,7 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
         head = tn.transpose(model.output_w, (1, 0))
         return x, tn.matmul(tn.rms_norm(x, model.final_norm, cfg.rms_eps), head)
 
-    x = model.embed.data[tokens]
+    x = model.embed.data.take(tokens, 0)
     for i, blk in enumerate(model.blocks):
         x = block_kernels(blk, x, cos, sin, cfg, cache, i)[0]
     if cache is not None:
@@ -435,7 +453,7 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     if n >= CONTIGUOUS_HEAD_ROWS and model.output_wt is not None:
         head = model.output_wt
     else:
-        head = model.output_w.data.T
+        head = model.embed.data.T
     normed = tn.Kernels.rms_norm(x, model.final_norm.data, cfg.rms_eps)
     return Tensor(x), tn.matmul(Tensor(normed), Tensor(head))
 
@@ -458,7 +476,7 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     (`CapacityError`). Under a tape a cache raises `StateError`, as in
     `main_forward`.
     """
-    cfg = head.config
+    cfg, main = head.config, head.main
     taped = Tape.active()
     if taped:
         h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
@@ -473,24 +491,24 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
         if taped:
             raise StateError("a KV cache serves tape-free steps only")
         cache.reserve(m)
-    cos, sin = head.rope.slices(cache.length if cache is not None else pos_offset, m)
+    cos, sin = main.rope.slices(cache.length if cache is not None else pos_offset, m)
     eps = cfg.rms_eps
 
     if taped:
         hn = tn.rms_norm(h_prev, head.norm_hidden, eps)
-        en = tn.rms_norm(tn.embedding(Tensor(head.embed.data), tokens), head.norm_embed, eps)
+        en = tn.rms_norm(tn.embedding(Tensor(main.embed.data), tokens), head.norm_embed, eps)
         x = tn.matmul(tn.concat_last(hn, en), head.combine)
         h_new = taped_block(head.block, x, cos, sin, cfg)
-        return h_new, tn.rms_norm(h_new, Tensor(head.final_norm.data), eps)
+        return h_new, tn.rms_norm(h_new, Tensor(main.final_norm.data), eps)
 
     kn = tn.Kernels
     hn = kn.rms_norm(h_prev, head.norm_hidden.data, eps)
-    en = kn.rms_norm(head.embed.data[tokens], head.norm_embed.data, eps)
-    x = np.dot(np.concatenate((hn, en), axis=-1), head.combine.data)
+    en = kn.rms_norm(main.embed.data.take(tokens, 0), head.norm_embed.data, eps)
+    x = np.dot(np.concatenate((hn, en), 1), head.combine.data)
     h_new = block_kernels(head.block, x, cos, sin, cfg, cache)[0]
     if cache is not None:
         cache.advance(m)
-    return Tensor(h_new), Tensor(kn.rms_norm(h_new, head.final_norm.data, eps))
+    return Tensor(h_new), Tensor(kn.rms_norm(h_new, main.final_norm.data, eps))
 
 
 def greedy_argmax(logits: np.ndarray) -> int:
@@ -543,15 +561,18 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     return cfg, arrays
 
 
-def _load_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+def _load_into(params: dict[str, Tensor], arrays: dict[str, np.ndarray],
+               path="<arrays>") -> None:
+    """Write `arrays`, read from the file `path`, into `params`; each error names the path."""
     missing = set(params) - set(arrays)
     extra = set(arrays) - set(params)
     if missing or extra:
-        raise ConsistencyError(f"checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        raise ConsistencyError(f"{path}: checkpoint mismatch: missing={sorted(missing)} "
+                               f"extra={sorted(extra)}")
     for name, p in params.items():  # every check before any write: a failed load changes nothing
         if np.shape(arrays[name]) != p.data.shape:
-            raise ConsistencyError(f"checkpoint shape mismatch for {name}")
+            raise ConsistencyError(f"{path}: checkpoint shape mismatch for {name}")
         if not p.data.flags.writeable:
-            raise StateError(f"cannot load into frozen parameter {name}")
+            raise StateError(f"{path}: cannot load into frozen parameter {name}")
     for name, p in params.items():
         p.data[...] = arrays[name]  # in place: a parameter may be a view into a stacked buffer

@@ -105,7 +105,7 @@ class DecodeMetrics:
         return self
 
 
-@dataclass
+@dataclass(slots=True)
 class DraftRound:
     tokens: list[int]
     lang: str
@@ -117,12 +117,19 @@ class DraftRound:
     verify_ns: int = 0
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int through `operator.index`, so a float raises `TypeError`
+    rather than be truncated; so does a bool, which is not a count or an id."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 def _checked_request(main: MainModel, prompt, max_new_tokens) -> tuple[list[int], int]:
     """The prompt as a list of ints and the token budget as an int, or a typed
-    error. Both go through `operator.index`, so a float raises `TypeError`
-    rather than be truncated."""
-    prompt = [operator.index(t) for t in prompt]
-    max_new_tokens = operator.index(max_new_tokens)
+    error (`_integer`)."""
+    prompt = [_integer(t, "a prompt token") for t in prompt]
+    max_new_tokens = _integer(max_new_tokens, "max_new_tokens")
     if not prompt:
         raise ShapeError("prompt must be nonempty")
     if max_new_tokens < 0:
@@ -197,29 +204,29 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
     if that draft differs from the backbone's greedy choice.
     """
     cv = session.bank.select(session.lang, session.verified)
-    stream_len = session.draft_cache.length
-    n_hidden = session.main_cache.length
+    head, cache, eos = session.head, session.draft_cache, session.eos
+    stream_len, n_hidden = cache.length, session.main_cache.length
     h_in = session.hiddens[stream_len:n_hidden]
     step_tokens = session.verified[stream_len + 1:n_hidden + 1]
     greedy, verify_ns = (_verify_rows(session, [session.verified[-1]])
                          if session.first_draft_rejected else ([], 0))
     tokens: list[int] = []
-    round_ns = 0
-    while len(tokens) < k_depth and (not tokens or tokens[-1] != session.eos):
-        t0 = time.perf_counter_ns()
-        h_new, pre = mtp_step(session.head, h_in, step_tokens, session.draft_cache)
-        _, tok = draft_logits_compressed(pre.data[-1], cv)
-        round_ns += time.perf_counter_ns() - t0
+    clock, round_ns = time.perf_counter_ns, 0
+    while len(tokens) < k_depth:
+        t0 = clock()
+        h_new, pre = mtp_step(head, h_in, step_tokens, cache)
+        tok = draft_logits_compressed(pre.data[-1], cv)[1]
+        round_ns += clock() - t0
         tokens.append(tok)
-        if greedy and tokens[0] != greedy[0]:
+        if tok == eos or (greedy and tokens[0] != greedy[0]):
             break
         h_in, step_tokens = h_new.data[-1:], [tok]
 
-    session.metrics.draft_ns += round_ns
-    session.metrics.draft_forwards += len(tokens)
-    session.metrics.draft_mults += len(tokens) * cv.w_view.size
-    return DraftRound(tokens=tokens, lang=cv.lang, base_verified=len(session.verified),
-                      draft_ns=round_ns, greedy=greedy, verify_ns=verify_ns)
+    m = session.metrics
+    m.draft_ns += round_ns
+    m.draft_forwards += len(tokens)
+    m.draft_mults += len(tokens) * cv.w_view.size
+    return DraftRound(tokens, cv.lang, len(session.verified), round_ns, greedy, verify_ns)
 
 
 def _verify_rows(session: DecodeSession, rows: list[int]) -> tuple[list[int], int]:
@@ -242,23 +249,25 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
     the first draft rejected; commit the matched prefix plus the backbone's
     own next token, roll both caches back, and return the round's record
     (also appended to the metrics)."""
-    if (rnd.base_verified != len(session.verified)
+    tokens, verified = rnd.tokens, session.verified
+    if (rnd.base_verified != len(verified)
             or session.main_cache.length != rnd.base_verified - 1 + len(rnd.greedy)):
         raise StateError("draft round does not match current session state")
 
-    greedy, verify_ns = list(rnd.greedy), rnd.verify_ns
+    greedy, verify_ns = rnd.greedy, rnd.verify_ns
     forwards = 1 if greedy else 0
-    if rnd.tokens[:len(greedy)] == greedy:
-        more, ns = _verify_rows(session, ([session.verified[-1]] + rnd.tokens)[len(greedy):])
-        greedy += more
+    if tokens[:len(greedy)] == greedy:
+        more, ns = _verify_rows(session, ([verified[-1]] + tokens)[len(greedy):])
+        greedy = greedy + more
         verify_ns += ns
         forwards += 1
 
+    drafted = len(tokens)
     matched = 0
-    while matched < len(rnd.tokens) and rnd.tokens[matched] == greedy[matched]:
+    while matched < drafted and tokens[matched] == greedy[matched]:
         matched += 1
     bonus = greedy[matched]
-    committed = rnd.tokens[:matched] + [bonus]
+    committed = tokens[:matched] + [bonus]
 
     # an accepted end-of-sequence stops generation; later tokens are discarded
     if session.eos is not None and session.eos in committed:
@@ -269,24 +278,24 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
         committed = committed[:room]
     bonus_committed = bonus if len(committed) == matched + 1 else None
 
-    session.verified.extend(committed)
+    verified.extend(committed)
     if session.generated >= session.max_new:
         session.finished = True
 
-    session.main_cache.truncate(len(session.verified) - 1)
+    session.main_cache.truncate(len(verified) - 1)
     # drop the drafted positions: keep those whose hidden came from the backbone
     session.draft_cache.truncate(min(session.draft_cache.length, rnd.base_verified - 1))
 
-    if rnd.tokens:
+    if drafted:
         session.first_draft_rejected = matched == 0
     m = session.metrics
     m.rounds += 1
     m.output_tokens += len(committed)
-    m.tally(len(rnd.tokens), matched)
+    m.tally(drafted, matched)
     record = {
         "round": m.rounds - 1,
         "lang": rnd.lang,
-        "drafts": list(rnd.tokens),
+        "drafts": list(tokens),
         "matched": matched,
         "committed": len(committed),
         "next_token": bonus_committed,
@@ -308,7 +317,7 @@ def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: i
     prompt, depth and vocabulary mode: drafts only ever propose, the
     backbone's greedy choices decide.
     """
-    k_depth = operator.index(k_depth)
+    k_depth = _integer(k_depth, "k_depth")
     if k_depth < 0:
         raise ConfigError("k_depth must be >= 0")
     t0 = time.perf_counter_ns()

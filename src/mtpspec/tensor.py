@@ -21,12 +21,18 @@ per operation, not arithmetic, so a primitive's type dispatch, shape
 checks and Tensor wrapping would be a large share of it; the forwards
 instead check their inputs once where they enter, with the typed errors
 the primitives raise. For the same reason the kernels save numpy calls
-wherever the bits stay the same: the hot ones call ufunc methods
-(``np.add.reduce``, ``np.maximum.reduce``) with positional arguments
-rather than ``np.sum``/``np.max``, work in place once they own a buffer,
-and a one-row `rms_norm` computes its inverse root on a Python float
-with the same IEEE steps; causal masks are read-only slices of one
-lower-triangular table.
+wherever the bits stay the same:
+
+- the hot ones call ufunc methods (``np.add.reduce``,
+  ``np.maximum.reduce``) rather than ``np.sum``/``np.max``, pass every
+  argument by position, the output buffer too, and work in place once
+  they own a buffer;
+- a one-row `rms_norm` computes its inverse root on a Python float with
+  the same IEEE steps;
+- the rotary half-swap is one ``take`` with a cached permutation of the
+  last axis, not two slices and a concatenation, and the embedding
+  gather is a ``take`` too: a take copies values, so no bit moves;
+- causal masks are read-only slices of one lower-triangular table.
 
 Everything is float64. Determinism matters more than speed here: the
 whole verification story (gradient checks, lossless decoding) leans on
@@ -35,6 +41,7 @@ repeated forward passes being bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -220,7 +227,7 @@ class Kernels:
     transpose = staticmethod(lambda x, axes: x.transpose(axes))
     reshape = staticmethod(lambda x, shape: x.reshape(shape))
     concat_last = staticmethod(lambda x, y: np.concatenate([x, y], axis=-1))
-    embedding = staticmethod(lambda w, ids: w[ids])
+    embedding = staticmethod(lambda w, ids: w.take(ids, 0))
 
     @staticmethod
     def silu(x: Array) -> Array:
@@ -247,7 +254,7 @@ class Kernels:
         else:
             z = x + mask
             z -= np.maximum.reduce(z, -1, None, None, True)
-        y = np.exp(z, out=z)  # in place from here on: one score-sized buffer, not three
+        y = np.exp(z, z)  # in place from here on: one score-sized buffer, not three
         y /= np.add.reduce(y, -1, None, None, True)
         return y
 
@@ -315,9 +322,9 @@ def _causal_probs(q: Array, k: Array, past_len: int) -> Array:
 def _sigmoid(x: Array) -> Array:
     """1 / (1 + exp(-x)), computed in one new buffer."""
     y = np.negative(x)
-    np.exp(y, out=y)
+    np.exp(y, y)
     y += 1.0
-    return np.divide(1.0, y, out=y)
+    return np.divide(1.0, y, y)
 
 
 def _inv_rms(ss: Array, d: int, eps: float) -> Array:
@@ -325,9 +332,18 @@ def _inv_rms(ss: Array, d: int, eps: float) -> Array:
     return 1.0 / np.sqrt(ss / d + eps)
 
 
+@functools.cache
+def _half_swap(width: int) -> Array:
+    """The read-only permutation of a last axis of `width` that exchanges its halves."""
+    h = width // 2
+    perm = np.concatenate((np.arange(h, width), np.arange(h)))
+    perm.flags.writeable = False
+    return perm
+
+
 def _swap_halves(x: Array) -> Array:
-    h = x.shape[-1] // 2
-    return np.concatenate([x[..., h:], x[..., :h]], axis=-1)
+    """x with the halves of its last axis exchanged, in a new array: one `take`."""
+    return x.take(_half_swap(x.shape[-1]), -1)
 
 
 # ---------------------------------------------------------------------------

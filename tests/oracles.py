@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from mtpspec import tensor as tn
+from mtpspec.errors import ShapeError
 from mtpspec.data import CYCLE_TOKENS, SPECIAL_TOKENS, MarkovLanguage, zipf_probs
 from mtpspec.distill import GenerationConfig
 from mtpspec.model import MainModel, main_forward
@@ -164,3 +165,20 @@ def cache_consistency_gap(session: DecodeSession) -> float:
                              copy.deepcopy(session.main_cache))
     _, scratch = main_forward(session.main, session.verified)
     return float(np.max(np.abs(cached.data[-1] - scratch.data[-1])))
+
+
+def token_ids(tokens: list, vocab_size: int) -> np.ndarray:
+    """The forwards' token check on a flat list, one element at a time: an
+    empty list raises `ShapeError`; any element that is not an integer (a
+    bool is not one) raises `TypeError`; then any integer outside
+    [0, vocab_size), however large, raises `IndexError`."""
+    if not tokens:
+        raise ShapeError("no tokens")
+    for t in tokens:
+        if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):
+            raise TypeError(f"{t!r} is not an integer")
+    ids = [int(t) for t in tokens]
+    for t in ids:
+        if not 0 <= t < vocab_size:
+            raise IndexError(f"{t} is outside [0, {vocab_size})")
+    return np.array(ids, dtype=np.int64)

@@ -19,7 +19,9 @@ from mtpspec.model import (
 from mtpspec import tensor as tn
 from mtpspec.tensor import Tape, Tensor, cross_entropy_rows, grad_check
 from mtpspec.training import TrainConfig, backbone_hidden, head_stream_loss
-from oracles import composed_block, sum_all
+from hypothesis import given, settings, strategies as st
+
+from oracles import composed_block, sum_all, token_ids
 
 STACK = Path(__file__).resolve().parents[1] / "perfbench" / "stack"
 
@@ -282,6 +284,12 @@ MALFORMED = {
     "main-float-tokens": (lambda m, h: main_forward(m, [1.7, 2]), "both", TypeError),
     "main-string-tokens": (lambda m, h: main_forward(m, ["3"]), "both", TypeError),
     "main-bool-tokens": (lambda m, h: main_forward(m, [True, False]), "both", TypeError),
+    "main-bool-among-ints": (lambda m, h: main_forward(m, [True, 5]), "both", TypeError),
+    "main-numpy-bool-among-ints": (lambda m, h: main_forward(m, [3, np.True_]), "both",
+                                   TypeError),
+    "main-token-past-uint64": (lambda m, h: main_forward(m, [1, 2**64]), "both", IndexError),
+    "main-tokens-past-both-int64s": (lambda m, h: main_forward(m, [2**63, -1]), "both",
+                                     IndexError),
     "main-complex-tokens": (lambda m, h: main_forward(m, [1 + 0j]), "both", TypeError),
     "main-object-tokens": (lambda m, h: main_forward(m, np.array([1, 2], object)), "both",
                            TypeError),
@@ -306,6 +314,7 @@ MALFORMED = {
     "step-float-tokens": (lambda m, h: mtp_step(h, _rows(1), [1.0]), "both", TypeError),
     "step-string-tokens": (lambda m, h: mtp_step(h, _rows(1), ["3"]), "both", TypeError),
     "step-bool-tokens": (lambda m, h: mtp_step(h, _rows(1), [True]), "both", TypeError),
+    "step-bool-among-ints": (lambda m, h: mtp_step(h, _rows(2), [5, True]), "both", TypeError),
     "step-rotary-range": (lambda m, h: mtp_step(h, _rows(2), [1, 2], pos_offset=47), "both",
                           CapacityError),
     "step-rotary-negative": (lambda m, h: mtp_step(h, _rows(1), [1], pos_offset=-1), "both",
@@ -346,6 +355,38 @@ def test_strided_token_ids_are_accepted(models, taped):
 
     for a, b in zip(run(ids), run(ids.copy())):
         assert np.array_equal(a, b)
+
+
+# the elements a token list may hold: ids in and out of the vocabulary (past
+# int64 and uint64 too), bools, floats and numpy scalars
+TOKEN_ELEMENTS = st.one_of(
+    st.integers(0, CFG.vocab_size - 1),
+    st.integers(CFG.vocab_size, 2**70),
+    st.integers(-2**70, -1),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1]),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.floats(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(tokens=st.lists(TOKEN_ELEMENTS, max_size=6))
+def test_token_ids_follow_the_element_oracle(tokens):
+    """The forwards' one-pass route for lists of ints, and the general checks
+    behind it, give the element-by-element oracle's ids or its error type."""
+    try:
+        expected = token_ids(tokens, CFG.vocab_size)
+    except (ShapeError, TypeError, IndexError) as exc:
+        with pytest.raises(Exception) as raised:
+            model_module._token_ids(tokens, CFG.vocab_size)
+        assert type(raised.value) is type(exc)
+    else:
+        ids = model_module._token_ids(tokens, CFG.vocab_size)
+        assert ids.dtype == np.int64 and ids.tolist() == expected.tolist()
 
 
 class TestDeskShape:
@@ -672,6 +713,24 @@ def test_malformed_checkpoints_fail_naming_the_path(tmp_path, case):
             MainModel.load(bad)
         else:
             MTPHead.load(bad, MainModel.load(tmp_path / "main.npz"))
+
+
+def test_head_checkpoint_loaded_as_backbone_names_the_file(tmp_path):
+    main, head = init_model(CFG)
+    path = tmp_path / "head.npz"
+    head.save(path)
+    with pytest.raises(ConsistencyError, match=re.escape(str(path))):
+        MainModel.load(path)
+
+
+def test_checkpoint_shape_mismatch_names_the_file(tmp_path):
+    main, _ = init_model(CFG)
+    arrays = {k: p.data for k, p in main.parameters().items()}
+    arrays["block1.wo"] = np.zeros((3, 3))
+    path = tmp_path / "main.npz"
+    model_module.save_checkpoint(path, CFG, arrays)
+    with pytest.raises(ConsistencyError, match=re.escape(str(path)) + ".*block1.wo"):
+        MainModel.load(path)
 
 
 class TestCheckpoint:

@@ -139,6 +139,13 @@ class TestRequestChecks:
         with pytest.raises(TypeError):
             DECODERS[decode](main, head, prompt, 4)
 
+    @pytest.mark.parametrize("prompt,max_new", [([True, 2, 3], 4), ([1, 2, 3], True)],
+                             ids=["prompt-bool", "budget-bool"])
+    def test_bool_is_not_an_integer(self, stack, decode, prompt, max_new):
+        main, head, _ = stack
+        with pytest.raises(TypeError):
+            DECODERS[decode](main, head, prompt, max_new)
+
     def test_numpy_integers_decode_like_ints(self, stack, decode):
         main, head, _ = stack
         expected = DECODERS[decode](main, head, [4, 5, 6], 5)
@@ -150,6 +157,12 @@ def test_non_integer_depth_rejected(stack, k_depth):
     main, head, _ = stack
     with pytest.raises(TypeError):
         speculative_decode(main, head, [1, 2, 3], 4, k_depth)
+
+
+def test_bool_depth_rejected(stack):
+    main, head, _ = stack
+    with pytest.raises(TypeError):
+        speculative_decode(main, head, [1, 2, 3], 4, True)
 
 
 class TestLosslessness:
