@@ -14,7 +14,9 @@ import numpy as np
 from . import workers
 from .data import EOS_TOKEN, TrainingExample, cumulative, draw, seed_key
 from .errors import CapacityError, ConfigError, NumericError, check_int_fields
-from .model import MainModel, greedy_argmax, main_forward
+from .model import MainModel, greedy_argmax
+from .specdec import decode_loop
+from .tensor import Kernels
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,16 @@ def sample_token(rng: np.random.Generator, logits: np.ndarray,
                  cfg: GenerationConfig) -> int:
     """Temperature + top-k + top-p sampling over one logit row.
 
-    The kept tokens' probabilities become a `data.cumulative` table, and
-    the token is one `data.draw` from it: the token and generator state
-    `Generator.choice` gives. A non-finite logit is a `NumericError` at
-    every temperature.
+    `tensor.Kernels.softmax_last` normalizes the row. The kept tokens'
+    probabilities become a `data.cumulative` table, and the token is one
+    `data.draw` from it: the token and generator state `Generator.choice`
+    gives. A non-finite logit is a `NumericError` at every temperature.
     """
     if cfg.temperature == 0.0:
         return greedy_argmax(logits)
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logit")
-    z = logits / cfg.temperature
-    z = z - z.max()
-    probs = np.exp(z)
-    probs /= probs.sum()
+    probs = Kernels.softmax_last(logits / cfg.temperature)
 
     order = np.lexsort((np.arange(probs.size), -probs))  # prob desc, ties by id
     if cfg.top_k and cfg.top_k < order.size:
@@ -69,17 +68,11 @@ def sample_token(rng: np.random.Generator, logits: np.ndarray,
 
 def generate(main: MainModel, prompt, cfg: GenerationConfig,
              rng: np.random.Generator) -> tuple[list[int], bool]:
-    """Sample a continuation; returns (tokens, hit_length_cap)."""
-    cache = main.new_cache()
-    _, logits = main_forward(main, prompt, cache)
-    out: list[int] = []
-    tok = sample_token(rng, logits.data[-1], cfg)
-    out.append(tok)
-    while tok != cfg.eos_token and len(out) < cfg.max_new_tokens:
-        _, logits = main_forward(main, [tok], cache)
-        tok = sample_token(rng, logits.data[-1], cfg)
-        out.append(tok)
-    return out, tok != cfg.eos_token
+    """Sample a continuation by `sample_token` in the greedy baseline's token
+    loop, `specdec.decode_loop`; returns (tokens, hit_length_cap)."""
+    out = decode_loop(main, prompt, cfg.max_new_tokens, cfg.eos_token,
+                      lambda row: sample_token(rng, row, cfg))
+    return out, out[-1] != cfg.eos_token
 
 
 def self_distill(prompts, main: MainModel, cfg: GenerationConfig) -> list[TrainingExample]:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -336,16 +337,25 @@ def speculative_decode(main: MainModel, head: MTPHead, prompt, max_new_tokens: i
 
 def baseline_decode(main: MainModel, prompt, max_new_tokens: int,
                     eos_token: int | None = EOS_TOKEN) -> list[int]:
-    """Plain greedy next-token loop; the correctness oracle for the rest."""
+    """Plain greedy next-token loop, `decode_loop` picking by `greedy_argmax`;
+    the correctness oracle for the rest."""
     prompt, max_new_tokens = _checked_request(main, prompt, max_new_tokens)
     if max_new_tokens == 0:
         return []
+    return decode_loop(main, prompt, max_new_tokens, eos_token, greedy_argmax)
+
+
+def decode_loop(main: MainModel, prompt, max_new_tokens: int, eos_token: int | None,
+                pick: Callable[[np.ndarray], int]) -> list[int]:
+    """The one next-token loop: a cached prefill of `prompt`, then one-row
+    forwards, each next token `pick(last logit row)`, until `eos_token` or
+    `max_new_tokens` (at least 1) tokens. The caller checks the request."""
     cache = main.new_cache()
     _, logits = main_forward(main, prompt, cache)
-    out = [greedy_argmax(logits.data[-1])]
+    out = [pick(logits.data[-1])]
     while out[-1] != eos_token and len(out) < max_new_tokens:
         _, logits = main_forward(main, [out[-1]], cache)
-        out.append(greedy_argmax(logits.data[-1]))
+        out.append(pick(logits.data[-1]))
     return out
 
 
@@ -358,7 +368,7 @@ def write_round_log(path, records) -> None:
 
 
 def read_round_log(path) -> list[dict]:
-    """Read a round log; each record's counts must fit its own drafts and width."""
+    """Read a round log; each field a record has must be valid for its drafts and width."""
     out = []
     for lineno, rec in read_json_lines(path):
         rec = {"forwards": 1, **rec}  # a record without the field ran one forward
@@ -383,4 +393,12 @@ def _round_record_problem(rec: dict) -> str | None:
         return f"committed must be an integer in [1, {matched + 1}]"
     if type(rec["forwards"]) is not int or rec["forwards"] not in (1, 2):
         return "forwards must be 1 or 2"
+    for key in ("round", "draft_ns", "verify_ns"):
+        if key in rec and (type(rec[key]) is not int or rec[key] < 0):
+            return f"{key} must be a nonnegative integer"
+    if "lang" in rec and type(rec["lang"]) is not str:
+        return "lang must be a string"
+    bonus = rec.get("next_token")
+    if bonus is not None and (type(bonus) is not int or not 0 <= bonus < width):
+        return f"next_token must be null or a token id in [0, {width})"
     return None

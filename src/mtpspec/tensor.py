@@ -1,14 +1,14 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Each forward op's arithmetic is written once, on plain ndarrays, as the
-attribute of :class:`Kernels` with its name, and each gradient rule once,
-as the attribute of :class:`Grads` with its name; neither checks
-anything. The public primitive of that name takes Tensors only (an
-ndarray operand raises `TypeError` before any math runs), checks their
-shapes, calls the kernel and returns a Tensor; under an active
-:class:`Tape` it also appends a backward step that calls the rule for a
+Each public primitive takes Tensors only (an ndarray operand raises
+`TypeError` before any math runs), checks their shapes, computes its
+forward and returns a Tensor; under an active :class:`Tape` it also
+appends a backward step that calls its gradient rule for a
 gradient-bearing input, and ``Tape.backward`` replays those steps in
-exact reverse order.
+exact reverse order. The forward math a primitive shares with the block
+is written once, as the :class:`Kernels` attribute of its name, and each
+gradient rule it shares once, as the :class:`Grads` attribute of its name,
+both on plain ndarrays and with no checks.
 
 The model's transformer block is not a composition of primitives. It is
 straight-line code on arrays (`model.block_kernels`): numpy for views,
@@ -20,8 +20,8 @@ tape-free forward at decode sizes costs about one numpy call's dispatch
 per operation, not arithmetic, so a primitive's type dispatch, shape
 checks and Tensor wrapping would be a large share of it; the forwards
 instead check their inputs once where they enter, with the typed errors
-the primitives raise. For the same reason the kernels save numpy calls
-wherever the bits stay the same:
+the primitives raise. For the same reason the kernels and the forwards
+save numpy calls wherever the bits stay the same:
 
 - the hot ones call ufunc methods (``np.add.reduce``,
   ``np.maximum.reduce``) rather than ``np.sum``/``np.max``, pass every
@@ -211,23 +211,14 @@ def _record(out: Array, grads: Callable[[Array], tuple], *inputs: Tensor) -> Ten
 
 
 class Kernels:
-    """Each forward primitive's math on arrays, with no checks and no tape.
+    """The forward math a primitive shares with the block, on arrays, with
+    no checks and no tape.
 
-    A primitive checks its Tensor operands and calls its kernel for the
-    forward, and the model's block (`model.block_kernels`) calls the
-    kernels it needs directly, so each op's arithmetic is written once, here. A caller of a kernel
-    has checked its operands: the weights where they were built or
-    loaded, the rest where they entered its forward.
+    The primitive of each name calls its kernel for the forward, and the
+    model's block (`model.block_kernels`) calls the kernels directly. A
+    caller of a kernel has checked its operands: the weights where they
+    were built or loaded, the rest where they entered its forward.
     """
-
-    add = np.add
-    mul = np.multiply
-    scale = np.multiply
-    matmul = np.matmul
-    transpose = staticmethod(lambda x, axes: x.transpose(axes))
-    reshape = staticmethod(lambda x, shape: x.reshape(shape))
-    concat_last = staticmethod(lambda x, y: np.concatenate([x, y], axis=-1))
-    embedding = staticmethod(lambda w, ids: w.take(ids, 0))
 
     @staticmethod
     def silu(x: Array) -> Array:
@@ -265,16 +256,12 @@ class Kernels:
         out += x * cos
         return out
 
-    @staticmethod
-    def causal_attention(q: Array, k: Array, v: Array, past_len: int = 0) -> Array:
-        return _causal_probs(q, k, past_len) @ v
-
 
 class Grads:
-    """Each primitive's gradient rule on arrays, with no checks: for the output
-    gradient `g` and the forward's operands (softmax: its result), the
-    operands' gradients. Primitives' tape steps and `model.block_backward`
-    call them."""
+    """The gradient rules a primitive shares with the block, on arrays, with
+    no checks: for the output gradient `g` and the forward's operands
+    (softmax: its result), the operands' gradients. Primitives' tape steps
+    and `model.block_backward` call them."""
 
     matmul = staticmethod(lambda g, x, y: (g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g))
     mul = staticmethod(lambda g, x, y: (g * y, g * x))
@@ -354,18 +341,18 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     x, y = _data(a), _data(b)
     if x.shape != y.shape:
         raise ShapeError(f"add: shapes {x.shape} vs {y.shape}")
-    return _record(Kernels.add(x, y), lambda g: (g, g), a, b)
+    return _record(x + y, lambda g: (g, g), a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     x, y = _data(a), _data(b)
     if x.shape != y.shape:
         raise ShapeError(f"mul: shapes {x.shape} vs {y.shape}")
-    return _record(Kernels.mul(x, y), lambda g: Grads.mul(g, x, y), a, b)
+    return _record(x * y, lambda g: Grads.mul(g, x, y), a, b)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    return _record(Kernels.scale(_data(a), s), lambda g: (g * s,), a)
+    return _record(_data(a) * s, lambda g: (g * s,), a)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -375,18 +362,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul operands must be at least 2-D")
     if x.shape[-1] != y.shape[-2] or x.shape[:-2] != y.shape[:-2]:
         raise ShapeError(f"matmul: shapes {x.shape} vs {y.shape}")
-    return _record(Kernels.matmul(x, y), lambda g: Grads.matmul(g, x, y), a, b)
+    return _record(x @ y, lambda g: Grads.matmul(g, x, y), a, b)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    out = Kernels.transpose(_data(a), axes)
+    out = _data(a).transpose(axes)
     return _record(  # sorted(...) is the inverse permutation
         out, lambda g: (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),), a)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     x = _data(a)
-    return _record(Kernels.reshape(x, shape), lambda g: (g.reshape(x.shape),), a)
+    return _record(x.reshape(shape), lambda g: (g.reshape(x.shape),), a)
 
 
 def rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -409,7 +396,7 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     if x.shape[:-1] != y.shape[:-1]:
         raise ShapeError(f"concat_last: shapes {x.shape} vs {y.shape}")
     split = x.shape[-1]
-    return _record(Kernels.concat_last(x, y), lambda g: (g[..., :split], g[..., split:]), a, b)
+    return _record(np.concatenate((x, y), -1), lambda g: (g[..., :split], g[..., split:]), a, b)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -426,7 +413,7 @@ def embedding(table: Tensor, ids) -> Tensor:
         table.accumulate_grad(g, ids)
         return ()
 
-    return _record(Kernels.embedding(w, ids), scatter_add, table)
+    return _record(w.take(ids, 0), scatter_add, table)
 
 
 def silu(a: Tensor) -> Tensor:

@@ -523,12 +523,21 @@ class TestMetrics:
         {"forwards": 0},
         {"forwards": 1.0},
         {"forwards": True},
+        {"draft_ns": "x"},
+        {"next_token": 1000000},
+        {"lang": 7},
+        {"round": -3},
+        {"verify_ns": -1.5},
+        {"next_token": -1},
+        {"round": True},
         "[1, 2]",
         "7",
     ], ids=["draft-id-at-width", "negative-draft", "float-draft", "drafts-not-a-list",
             "matched-beyond-drafts", "negative-matched", "zero-committed",
             "committed-beyond-matched", "all-out-of-range", "missing-width",
             "three-forwards", "zero-forwards", "float-forwards", "bool-forwards",
+            "string-draft-ns", "next-token-past-width", "int-lang", "negative-round",
+            "float-verify-ns", "negative-next-token", "bool-round",
             "list-line", "number-line"])
     def test_malformed_round_log_rejected(self, tmp_path, fields):
         valid = {"round": 0, "drafts": [1, 2], "matched": 1, "committed": 2,
