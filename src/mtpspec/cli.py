@@ -98,10 +98,13 @@ def load_config(path: str | None, seed: int | None = None) -> dict:
 
 
 def _check_ranges(path, cfg) -> None:
-    """Reject a Jaccard threshold outside (0, 1], a language tag outside
-    `LANG_TAGS`, an empty `data.langs` or `bench.langs`, and a vocabulary
-    too small for a special token or an id of a `data.langs` or
+    """Reject a negative seed, a Jaccard threshold outside (0, 1], a language
+    tag outside `LANG_TAGS`, an empty `data.langs` or `bench.langs`, and a
+    vocabulary too small for a special token or an id of a `data.langs` or
     `bench.langs` language."""
+    for section, values in cfg.items():
+        if values.get("seed", 0) < 0:
+            raise ConfigError(f"{path}: {section}.seed must be at least 0, not {values['seed']}")
     jaccard = cfg["dedup"]["jaccard_threshold"]
     if not 0 < jaccard <= 1:
         raise ConfigError(f"{path}: dedup.jaccard_threshold must be in (0, 1], not {jaccard}")
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mtpspec",
         description="Shared-weight multi-token drafting with lossless verification")
     parser.add_argument("--config", help="JSON config file merged over defaults")
-    parser.add_argument("--seed", type=int, help="override every section seed")
+    parser.add_argument("--seed", type=_at_least(0), help="override every section seed")
     parser.add_argument("--out-dir", default="mtpspec-out",
                         help="artifact directory (default: %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)

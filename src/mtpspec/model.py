@@ -246,7 +246,8 @@ def block_backward(block: TransformerBlock, g: np.ndarray, x: np.ndarray, saved:
 
 
 class MainModel:
-    """The frozen backbone: embedding, transformer stack, tied output head."""
+    """The frozen backbone: embedding, transformer stack, and an output head
+    tied to the embedding: logits project through `embed` transposed."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.config = cfg
@@ -257,11 +258,6 @@ class MainModel:
         self.rope = RotaryTable(cfg)
         self.frozen = False
         self.output_wt: np.ndarray | None = None
-
-    @property
-    def output_w(self) -> Tensor:
-        """The [V x d] output head; tied to the embedding table."""
-        return self.embed
 
     def parameters(self) -> dict[str, Tensor]:
         named = {"embed": self.embed, "final_norm": self.final_norm}
@@ -304,8 +300,9 @@ class MTPHead:
     """Single shared-weight draft head.
 
     Owns two input norms, the combine projection and one transformer
-    block; the embedding table, final norm and output head are shared
-    with (and frozen inside) the main model.
+    block. The embedding table (also the output head), the final norm and
+    the rotary table are the main model's, frozen inside it, and are
+    reached only as `head.main.embed`, `.final_norm` and `.rope`.
     """
 
     def __init__(self, main: MainModel, rng: np.random.Generator):
@@ -318,18 +315,6 @@ class MTPHead:
         self.combine = _param(rng, (2 * d, d))
         self.block = TransformerBlock(cfg, rng, resid_scale=1.0 / np.sqrt(2.0))
         self.trained_depth: int | None = None
-
-    @property
-    def embed(self) -> Tensor:
-        return self.main.embed
-
-    @property
-    def final_norm(self) -> Tensor:
-        return self.main.final_norm
-
-    @property
-    def rope(self) -> RotaryTable:
-        return self.main.rope
 
     def parameters(self) -> dict[str, Tensor]:
         named = {"norm_hidden": self.norm_hidden, "norm_embed": self.norm_embed,
@@ -410,6 +395,25 @@ def _token_ids(tokens, vocab_size: int) -> np.ndarray:
     return ids
 
 
+def _forward_prologue(main: MainModel, tokens, cache: KVCache | None, start: int = 0):
+    """What both forwards check and read first: whether a tape is active,
+    the tokens as ids (`_token_ids`), and the rotary rows of their
+    positions, which follow the cache's rows, or start at `start` with no
+    cache. The cache and the rotary table must have room for the tokens
+    (`CapacityError`). The cache stores arrays, which carry no gradient,
+    so a cache under a tape raises `StateError` rather than drop the
+    gradient through the cached keys and values."""
+    taped = Tape.active()
+    tokens = _token_ids(tokens, main.config.vocab_size)
+    if cache is not None:
+        if taped:
+            raise StateError("a KV cache serves tape-free forwards only")
+        cache.reserve(tokens.size)
+        start = cache.length
+    cos, sin = main.rope.slices(start, tokens.size)
+    return taped, tokens, cos, sin
+
+
 def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     """Run the backbone over new tokens.
 
@@ -417,32 +421,22 @@ def main_forward(model: MainModel, tokens, cache: KVCache | None = None):
     last-layer hidden states (pre final norm) and full-vocabulary logits
     for each new position, as Tensors. Each block runs `block_kernels`,
     under a tape as one step (`taped_block`) between primitives, with
-    none bare. Either way its inputs are checked here: tokens (`ShapeError`,
-    `IndexError`) and room in the cache and the rotary table
-    (`CapacityError`). The cache stores arrays, which carry no gradient,
-    so a cache under a tape raises `StateError` rather than drop the
-    gradient through the cached keys and values. The logit projection is
+    none bare. Either way `_forward_prologue` checks the tokens and the
+    cache and slices the rotary rows. The logit projection is
     the public, checked `matmul` on both paths, so a tracer of the public
     primitives sees one per tape-free forward. A frozen model's tape-free
     forward of `CONTIGUOUS_HEAD_ROWS` or more rows projects through
     `output_wt`, which gives the transposed view's bits faster.
     """
     cfg = model.config
-    taped = Tape.active()
-    tokens = _token_ids(tokens, cfg.vocab_size)
+    taped, tokens, cos, sin = _forward_prologue(model, tokens, cache)
     n = tokens.size
-    past = cache.length if cache is not None else 0
-    if cache is not None:
-        if taped:
-            raise StateError("a KV cache serves tape-free forwards only")
-        cache.reserve(n)
-    cos, sin = model.rope.slices(past, n)
 
     if taped:
         x = tn.embedding(model.embed, tokens)
         for blk in model.blocks:
             x = taped_block(blk, x, cos, sin, cfg)
-        head = tn.transpose(model.output_w, (1, 0))
+        head = tn.transpose(model.embed, (1, 0))
         return x, tn.matmul(tn.rms_norm(x, model.final_norm, cfg.rms_eps), head)
 
     x = model.embed.data.take(tokens, 0)
@@ -470,28 +464,21 @@ def mtp_step(head: MTPHead, h_prev, shifted_tokens, cache: KVCache | None = None
     and the pre-logit states as Tensors; logits are produced separately
     by projecting the latter through the shared output head. Like
     `main_forward`, it runs its block as `taped_block` under a tape and as
-    `block_kernels` with none, and checks its inputs here: `h_prev` must
-    be (tokens, model_dim) (`ShapeError`), the tokens vocabulary ids
-    (`IndexError`), and the cache and rotary table must have room
-    (`CapacityError`). Under a tape a cache raises `StateError`, as in
-    `main_forward`.
+    `block_kernels` with none. `_forward_prologue` checks the tokens and
+    the cache, as for `main_forward`, and slices the rotary rows; the
+    shared weights are read through `head.main`. `h_prev` must be
+    (tokens, model_dim) (`ShapeError`).
     """
     cfg, main = head.config, head.main
-    taped = Tape.active()
+    taped, tokens, cos, sin = _forward_prologue(main, shifted_tokens, cache, pos_offset)
+    m = tokens.size
     if taped:
         h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
     else:
         h_prev = h_prev.data if isinstance(h_prev, Tensor) else np.asarray(h_prev, dtype=np.float64)
-    tokens = _token_ids(shifted_tokens, cfg.vocab_size)
-    m = tokens.size
     if h_prev.shape != (m, cfg.model_dim):
         raise ShapeError(f"h_prev shape {h_prev.shape} must be ({m} tokens, "
                          f"model_dim {cfg.model_dim})")
-    if cache is not None:
-        if taped:
-            raise StateError("a KV cache serves tape-free steps only")
-        cache.reserve(m)
-    cos, sin = main.rope.slices(cache.length if cache is not None else pos_offset, m)
     eps = cfg.rms_eps
 
     if taped:

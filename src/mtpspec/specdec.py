@@ -4,9 +4,12 @@ Each round drafts up to K tokens (none at K=0) by running the head over
 its own stream, then verifies them with the backbone: drafts are
 accepted left to right until the first position where they differ from
 the backbone's greedy choice, whose own token is then committed as well.
-One rollback rule follows: the backbone cache keeps every verified token
-but the last, and the draft cache keeps only the positions whose hidden
-came from the backbone. So the output is token-exact equal to plain
+One commit rule serves the prefill's token and every round's
+(`DecodeSession.commit`): tokens after an end-of-sequence token and past
+the budget are cut, and either cut finishes the session. One rollback
+rule follows: the backbone cache keeps every verified token but the
+last, and the draft cache keeps only the positions whose hidden came
+from the backbone. So the output is token-exact equal to plain
 greedy decoding. `verify_round` returns the record it logs. Each round
 drafts over the vocabulary the session's `VocabBank` selects for its
 context; a session without a bank drafts over the full vocabulary.
@@ -41,8 +44,9 @@ from typing import Callable
 import numpy as np
 
 from .data import EOS_TOKEN, read_json_lines, write_json_lines
-from .errors import CapacityError, ConfigError, ShapeError, StateError
-from .model import MTPHead, MainModel, greedy_argmax, greedy_rows, main_forward, mtp_step
+from .errors import CapacityError, ConfigError, StateError
+from .model import (MTPHead, MainModel, _token_ids, greedy_argmax, greedy_rows, main_forward,
+                    mtp_step)
 from .vocab import VocabBank, draft_logits_compressed
 
 
@@ -127,12 +131,11 @@ def _integer(value, what: str) -> int:
 
 
 def _checked_request(main: MainModel, prompt, max_new_tokens) -> tuple[list[int], int]:
-    """The prompt as a list of ints and the token budget as an int, or a typed
-    error (`_integer`)."""
-    prompt = [_integer(t, "a prompt token") for t in prompt]
+    """The prompt as a list of vocabulary ids and the token budget as an int,
+    or a typed error, before any forward runs: the prompt is checked by the
+    forwards' own rule (`model._token_ids`), the budget by `_integer`."""
+    prompt = _token_ids(prompt, main.config.vocab_size).tolist()
     max_new_tokens = _integer(max_new_tokens, "max_new_tokens")
-    if not prompt:
-        raise ShapeError("prompt must be nonempty")
     if max_new_tokens < 0:
         raise ConfigError("max_new_tokens must be >= 0")
     if len(prompt) + max_new_tokens > main.config.max_seq_len:
@@ -167,7 +170,7 @@ class DecodeSession:
         self.draft_cache = head.new_cache()
         # the backbone's hidden at each position the main cache holds
         self.hiddens = np.zeros((main.config.max_seq_len, main.config.model_dim))
-        self.verified: list[int] = list(prompt)
+        self.verified: list[int] = prompt
         self.metrics = DecodeMetrics()
         self.finished = False
         # whether the last round that drafted had its first draft rejected
@@ -178,16 +181,33 @@ class DecodeSession:
         return len(self.verified) - self.prompt_len
 
     def prefill(self) -> None:
+        logits, ns = self.forward(self.verified)
+        self.metrics.prefill_ns += ns
+        self.commit([greedy_argmax(logits[-1])])
+
+    def forward(self, rows: list[int]) -> tuple[np.ndarray, int]:
+        """One backbone forward over `rows` after the cached prefix: count it,
+        store the rows' hiddens, and return their logits and its time."""
         t0 = time.perf_counter_ns()
-        hidden, logits = main_forward(self.main, self.verified, self.main_cache)
-        self.metrics.prefill_ns += time.perf_counter_ns() - t0
+        hidden, logits = main_forward(self.main, rows, self.main_cache)
+        ns = time.perf_counter_ns() - t0
         self.metrics.main_forwards += 1
-        n = len(self.verified)
-        self.hiddens[:n] = hidden.data
-        first = greedy_argmax(logits.data[-1])
-        self.verified.append(first)
-        if first == self.eos or self.generated >= self.max_new:
+        end = self.main_cache.length
+        self.hiddens[end - len(rows):end] = hidden.data
+        return logits.data, ns
+
+    def commit(self, tokens: list[int]) -> list[int]:
+        """Append `tokens` up to and with the first end-of-sequence token and
+        within the budget, finish the session if either cut applies, and
+        return what was appended."""
+        if self.eos is not None and self.eos in tokens:
+            tokens = tokens[:tokens.index(self.eos) + 1]
             self.finished = True
+        tokens = tokens[:self.max_new - self.generated]
+        self.verified.extend(tokens)
+        if self.generated >= self.max_new:
+            self.finished = True
+        return tokens
 
 
 def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
@@ -231,17 +251,11 @@ def draft_round(session: DecodeSession, k_depth: int) -> DraftRound:
 
 
 def _verify_rows(session: DecodeSession, rows: list[int]) -> tuple[list[int], int]:
-    """One backbone forward over `rows` after the cached prefix: store their
-    hiddens, count the forward, and return the greedy choice after each row
-    and the forward's time."""
-    t0 = time.perf_counter_ns()
-    hidden, logits = main_forward(session.main, rows, session.main_cache)
-    ns = time.perf_counter_ns() - t0
+    """`session.forward` over `rows`, timed as verification: the greedy choice
+    after each row and the forward's time."""
+    logits, ns = session.forward(rows)
     session.metrics.verify_ns += ns
-    session.metrics.main_forwards += 1
-    end = session.main_cache.length
-    session.hiddens[end - len(rows):end] = hidden.data
-    return greedy_rows(logits.data), ns
+    return greedy_rows(logits), ns
 
 
 def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
@@ -268,20 +282,8 @@ def verify_round(session: DecodeSession, rnd: DraftRound) -> dict:
     while matched < drafted and tokens[matched] == greedy[matched]:
         matched += 1
     bonus = greedy[matched]
-    committed = tokens[:matched] + [bonus]
-
-    # an accepted end-of-sequence stops generation; later tokens are discarded
-    if session.eos is not None and session.eos in committed:
-        committed = committed[:committed.index(session.eos) + 1]
-        session.finished = True
-    room = session.max_new - session.generated
-    if len(committed) > room:
-        committed = committed[:room]
+    committed = session.commit(tokens[:matched] + [bonus])
     bonus_committed = bonus if len(committed) == matched + 1 else None
-
-    verified.extend(committed)
-    if session.generated >= session.max_new:
-        session.finished = True
 
     session.main_cache.truncate(len(verified) - 1)
     # drop the drafted positions: keep those whose hidden came from the backbone

@@ -112,7 +112,7 @@ def head_stream_loss(head: MTPHead, h_main: np.ndarray, tokens, prompt_len: int,
     seq_len = tokens.size
     if seq_len <= cfg.k_steps:
         raise StateError("sequence too short for the configured prediction depth")
-    w_t = tn.transpose(Tensor(head.embed.data), (1, 0))  # shared output head, a constant
+    w_t = tn.transpose(Tensor(head.main.embed.data), (1, 0))  # shared output head, a constant
     chain: Tensor = Tensor(h_main)
     total: Tensor | None = None
     raw_sums: list[float] = []

@@ -101,14 +101,15 @@ class CompressedVocab:
         return int(self.keep.size)
 
     def bind(self, main: MainModel) -> "CompressedVocab":
-        """Copy the output-head rows this vocabulary drafts against.
+        """Copy the output-head rows (of `main.embed`, the tied head) this
+        vocabulary drafts against.
 
         The backbone must be frozen (`StateError` otherwise): training
         updates the head in place, which the copied rows would not follow.
         """
         if not main.frozen:
             raise StateError("a compressed vocabulary binds to a frozen backbone only")
-        w = main.output_w.data
+        w = main.embed.data
         self.w_view = w[self.keep]
         self._w_source = w
         return self
@@ -169,8 +170,7 @@ def identity_vocab(main: MainModel, lang: str = FALLBACK_LANG) -> CompressedVoca
     v = main.config.vocab_size
     keep = np.arange(v, dtype=np.int64)
     cv = CompressedVocab(lang=lang, keep=keep)
-    cv.w_view = main.output_w.data
-    cv._w_source = main.output_w.data
+    cv.w_view = cv._w_source = main.embed.data
     return cv
 
 
@@ -198,7 +198,7 @@ class VocabBank:
     def add(self, cv: CompressedVocab) -> None:
         if cv.w_view is None:
             cv.bind(self.main)
-        cv.check_bound(self.main.output_w.data)
+        cv.check_bound(self.main.embed.data)
         self.by_lang[cv.lang] = cv
 
     def select(self, lang: str | None, context=()) -> CompressedVocab:

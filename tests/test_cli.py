@@ -164,6 +164,22 @@ class TestConfig:
         cfg = load_config(str(path))
         assert (cfg["train"]["lr"], cfg["bench"]["langs"]) == (1, ["en"])
 
+    # numpy's generators take no negative seed; a config's is rejected where it is read
+    @pytest.mark.parametrize("section", [s for s, v in DEFAULT_CONFIG.items() if "seed" in v])
+    def test_negative_seed_rejected_at_load(self, tmp_path, section):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {"seed": -5}}))
+        with pytest.raises(ConfigError, match=rf"bad\.json: {section}\.seed must be at least 0"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("seed", ["-1", "-12"])
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys, seed):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", seed, "--out-dir", str(tmp_path / "out"), "pretrain-main"])
+        assert exit_info.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config, field, value", [
         (TrainConfig, "epochs", 2.5), (TrainConfig, "k_steps", 2.0),
         (TrainConfig, "batch_size", True), (ModelConfig, "vocab_size", 512.0),

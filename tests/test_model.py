@@ -84,9 +84,8 @@ class TestInitModel:
 
     def test_head_shares_embedding_and_output_head_by_identity(self, models):
         main, head = models
-        assert head.embed is main.embed
-        assert head.final_norm is main.final_norm
-        assert main.output_w is main.embed
+        assert head.main is main
+        assert not {"embed", "final_norm"} & set(head.parameters())
 
 
 class TestMainForward:

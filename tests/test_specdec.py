@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mtpspec import specdec
 from mtpspec import tensor as tn
 from mtpspec.data import sample_prompts
 from mtpspec.errors import CapacityError, ConfigError, StateError
@@ -150,6 +151,25 @@ class TestRequestChecks:
         main, head, _ = stack
         expected = DECODERS[decode](main, head, [4, 5, 6], 5)
         assert DECODERS[decode](main, head, np.array([4, 5, 6]), np.int64(5)) == expected
+
+    @pytest.mark.parametrize("bad", [CFG.vocab_size, CFG.vocab_size + 7, -1])
+    def test_out_of_vocabulary_prompt_rejected_before_any_forward(self, stack, decode, bad,
+                                                                   monkeypatch):
+        main, head, _ = stack
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran before the prompt was checked")
+
+        monkeypatch.setattr(specdec, "main_forward", no_forward)
+        with pytest.raises(IndexError):
+            DECODERS[decode](main, head, [1, bad, 2], 4)
+
+
+@pytest.mark.parametrize("bad", [CFG.vocab_size, CFG.vocab_size + 7, -1])
+def test_session_checks_prompt_ids_at_construction(stack, bad):
+    main, head, _ = stack
+    with pytest.raises(IndexError):
+        DecodeSession(main, head, [bad], 4)
 
 
 @pytest.mark.parametrize("k_depth", [3.0, 1.5, "3", None])

@@ -126,7 +126,7 @@ class TestMtpTrainingLoss:
         seq_len, prompt_len = tokens.size, len(ex.prompt)
         h = backbone_hidden(main, tokens)
         _, pre = mtp_step(head, h[:-1], tokens[1:])
-        logits = (pre @ transpose(head.embed, (1, 0))).data
+        logits = (pre @ transpose(head.main.embed, (1, 0))).data
         losses = []
         for p in range(seq_len - 1):
             target = p + 2

@@ -199,7 +199,7 @@ class TestDraftLogits:
         for _ in range(20):
             state = rng.normal(size=CFG.model_dim)
             _, tok = draft_logits_compressed(state, cv)
-            assert tok == greedy_argmax(main.output_w.data @ state)
+            assert tok == greedy_argmax(main.embed.data @ state)
 
     def test_restricted_argmax_equivalence(self, main):
         # compressed greedy equals full greedy exactly when the full
@@ -209,7 +209,7 @@ class TestDraftLogits:
         hits = 0
         for _ in range(300):
             state = rng.normal(size=CFG.model_dim)
-            full_tok = greedy_argmax(main.output_w.data @ state)
+            full_tok = greedy_argmax(main.embed.data @ state)
             _, comp_tok = draft_logits_compressed(state, cv)
             if full_tok in cv.keep:
                 hits += 1
@@ -221,7 +221,7 @@ class TestDraftLogits:
     def test_head_rows_match_source_exactly(self, main):
         cv = self._cv(main, size=8)
         for i, full_id in enumerate(cv.keep):
-            np.testing.assert_array_equal(cv.w_view[i], main.output_w.data[full_id])
+            np.testing.assert_array_equal(cv.w_view[i], main.embed.data[full_id])
 
     def test_multiply_count_is_keep_times_dim(self):
         from mtpspec.specdec import speculative_decode
@@ -244,7 +244,7 @@ class TestDraftLogits:
         cv = self._cv(main, size=8)
         other, _ = init_model(ModelConfig(**{**CFG.__dict__, "seed": 99}))
         with pytest.raises(ConsistencyError):
-            cv.check_bound(other.output_w.data)
+            cv.check_bound(other.embed.data)
 
     def test_copied_rows_bind_to_a_frozen_backbone_only(self):
         """Training updates the head in place, which copied rows would not
@@ -259,7 +259,7 @@ class TestDraftLogits:
         model.embed.data[5] += 10.0
         state = model.embed.data[5].copy()
         logits, _ = draft_logits_compressed(state, cv)
-        assert logits[5] == pytest.approx(model.output_w.data[5] @ state, rel=1e-12)
+        assert logits[5] == pytest.approx(model.embed.data[5] @ state, rel=1e-12)
 
 
 def _entry(main, lang, keep):
@@ -281,7 +281,7 @@ class TestVocabBank:
         assert set(en.keep) != set(zh.keep)
         for cv in (en, zh):
             for i, full_id in enumerate(cv.keep):
-                np.testing.assert_array_equal(cv.w_view[i], main.output_w.data[full_id])
+                np.testing.assert_array_equal(cv.w_view[i], main.embed.data[full_id])
 
 
 class TestUntaggedSelection:
